@@ -466,6 +466,9 @@ def main(argv=None) -> int:
     config = OutputConfig(args.format, args.elide_above, args.rounds)
     if config.rounds < 1 or config.elide_above_digits < 1:
         parser.error("--rounds and --elide-above must be at least 1")
+    jobs = getattr(args, "jobs", None)
+    if jobs is not None and jobs < 1:
+        parser.error("--jobs must be at least 1")
     try:
         return args.handler(args, config)
     except CheckpointError as exc:

@@ -244,6 +244,19 @@ class TestParser:
             main(["search", "7", "10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["search", "7", "10", "--max-digits", "20"],
+        ["crossbase", "sweep", "7", "10", "--base-limit", "12"],
+    ])
+    def test_jobs_below_one_exits_2(self, capsys, command, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--jobs must be at least 1" in captured.err
+        assert captured.out == ""
+
     def test_all_formats_supported_everywhere(self, capsys):
         for fmt in ("table", "csv", "json"):
             code, out, _ = run_cli(

@@ -1,11 +1,20 @@
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reptends.primality import (
     DEFAULT_ROUNDS,
+    DETERMINISTIC_BOUND,
+    SMALL_PRIMES,
+    TRIAL_DIVISION_BOUND,
+    _TRIAL_PREFIX,
+    _WITNESS_TIERS,
     PrimalityVerdict,
+    _jacobi,
     _strong_lucas_probable_prime,
+    _strong_probable_prime,
     classify,
     is_probably_prime,
 )
@@ -14,6 +23,10 @@ MERSENNE_PRIME_127 = 2**127 - 1
 # 2**101 - 1 factors as 7432339208719 * 341117531003194129: both factors are
 # far above the trial-division bound, so only witness rounds can reject it.
 MERSENNE_COMPOSITE_101 = 2**101 - 1
+# A strong pseudoprime to base 2 above 2**64 with no factor below 10**5.
+BASE2_STRONG_PSEUDOPRIME = 20467065761382527641
+LARGE_PRIMES = (1428571, 1538461, 2**61 - 1, 2**89 - 1, MERSENNE_PRIME_127)
+PAST_PREFIX = SMALL_PRIMES[len(_TRIAL_PREFIX) :]
 
 
 def trial_division_is_prime(n):
@@ -27,6 +40,60 @@ def trial_division_is_prime(n):
             return False
         d += 2
     return True
+
+
+def per_prime_trial_division(n):
+    """Trial division as one loop over every small prime: the reference."""
+    for p in SMALL_PRIMES:
+        if p * p > n:
+            return "prime"
+        if n % p == 0:
+            return "prime" if n == p else "composite"
+    return None
+
+
+def inv2_strong_lucas(n):
+    """Strong Lucas test halving by multiplying with (n + 1) / 2: the reference."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D % n, n)
+        if j == 0:
+            return False
+        if j == -1:
+            break
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, q = 1, 1, Q % n
+    inv2 = (n + 1) // 2
+    Dm = D % n
+    for bit in bin(d)[3:]:
+        U, V = U * V % n, (V * V - 2 * q) % n
+        q = q * q % n
+        if bit == "1":
+            U, V = (U + V) * inv2 % n, (Dm * U + V) * inv2 % n
+            q = q * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * q) % n
+        if V == 0:
+            return True
+        q = q * q % n
+    return False
+
+
+def selfridge_d(n):
+    D = 5
+    while _jacobi(D % n, n) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    return D
 
 
 class TestSmallRange:
@@ -61,6 +128,11 @@ class TestSmallRange:
             assert (classify(n).status == "prime") == trial_division_is_prime(n), n
 
 
+    def test_witness_tiers_start_above_trial_division_range(self):
+        assert all(bound > TRIAL_DIVISION_BOUND**2 for bound, _ in _WITNESS_TIERS)
+        assert _WITNESS_TIERS[-1][0] == DETERMINISTIC_BOUND
+
+
 class TestLargeRange:
     def test_large_prime_is_probable(self):
         verdict = classify(MERSENNE_PRIME_127)
@@ -80,6 +152,18 @@ class TestLargeRange:
         first = classify(MERSENNE_PRIME_127, rounds=5)
         second = classify(MERSENNE_PRIME_127, rounds=5)
         assert first == second
+
+    def test_base2_strong_pseudoprime_is_composite(self):
+        n = BASE2_STRONG_PSEUDOPRIME
+        assert n == 1505341 * 3010681 * 4516021
+        assert n >= DETERMINISTIC_BOUND
+        assert per_prime_trial_division(n) is None
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        assert _strong_probable_prime(n, 2, d, s)
+        assert classify(n).status == "composite"
 
     def test_rounds_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -101,6 +185,19 @@ class TestStrongLucas:
     def test_perfect_square_fails(self):
         assert not _strong_lucas_probable_prime(1428571**2)
 
+    @pytest.mark.parametrize("n", [5459, 18971, 2**89 - 1, MERSENNE_COMPOSITE_101])
+    def test_examples_cover_negative_d(self, n):
+        assert selfridge_d(n) < 0
+
+    @given(st.integers(3, 2**256).map(lambda k: 2 * k + 1))
+    @example(5459)
+    @example(18971)
+    @example(2**89 - 1)
+    @example(MERSENNE_COMPOSITE_101)
+    @example(MERSENNE_PRIME_127)
+    def test_halving_matches_inv2_reference(self, n):
+        assert _strong_lucas_probable_prime(n) == inv2_strong_lucas(n)
+
 
 class TestVerdict:
     def test_is_prime_helpers(self):
@@ -114,3 +211,31 @@ class TestVerdict:
 @given(st.integers(0, 2**20))
 def test_matches_trial_division(n):
     assert (classify(n).status == "prime") == trial_division_is_prime(n)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_TRIAL_PREFIX),
+            st.sampled_from(PAST_PREFIX),
+            st.sampled_from(LARGE_PRIMES),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
+@example([_TRIAL_PREFIX[-1], PAST_PREFIX[0], PAST_PREFIX[1]])
+@example([PAST_PREFIX[0], PAST_PREFIX[-1]])
+@example([PAST_PREFIX[-2], PAST_PREFIX[-1], 2**61 - 1])
+@example([100003, 100003])
+@example([1428571, 1538461])
+@example([2**61 - 1])
+@example([MERSENNE_PRIME_127])
+def test_matches_per_prime_loop_past_trial_range(factors):
+    if math.prod(factors) < TRIAL_DIVISION_BOUND**2:
+        factors = [*factors, 2**61 - 1]
+    n = math.prod(factors)
+    status = classify(n).status
+    if per_prime_trial_division(n) == "composite":
+        assert status == "composite"
+    assert (status != "composite") == (len(factors) == 1)
