@@ -28,12 +28,12 @@ from .cyclic_search import (
     enumerate_subcyclic_primes,
     load_checkpoint,
     save_checkpoint,
-    search_with_checkpoint,
 )
 from .digits import (
     ALPHABET,
     DigitString,
     from_integer,
+    from_integer_padded,
     parse_digit_string,
     render_digit_string,
     rotate,
@@ -49,6 +49,7 @@ from .reptend import (
     full_reptend_bases,
     is_full_reptend,
     multiplicative_order,
+    orbits,
     reptend_level,
     reptend_profile,
     verify_cyclic_property,
@@ -95,11 +96,13 @@ __all__ = [
     "expand_fraction",
     "fibonacci_partial",
     "from_integer",
+    "from_integer_padded",
     "full_reptend_bases",
     "is_full_reptend",
     "is_probably_prime",
     "load_checkpoint",
     "multiplicative_order",
+    "orbits",
     "parse_digit_string",
     "partial_sum",
     "related_bases_alternating",
@@ -110,7 +113,6 @@ __all__ = [
     "residual",
     "rotate",
     "save_checkpoint",
-    "search_with_checkpoint",
     "series_params",
     "shared_suffix_length",
     "to_integer",

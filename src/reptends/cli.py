@@ -25,11 +25,14 @@ from .crossbase import (
     shared_suffix_length,
 )
 from .cyclic_search import (
+    DEFAULT_ELIDE_DIGITS,
     CheckpointError,
     enumerate_subcyclic_primes,
-    search_with_checkpoint,
 )
-from .digits import ALPHABET, DigitString, from_integer
+# The search runs under this name because benchmarks/tracing.py wraps
+# reptends.cli.search_with_checkpoint to time it and count its levels.
+from .cyclic_search import enumerate_cyclic_primes as search_with_checkpoint
+from .digits import ALPHABET, MAX_BASE, DigitString, from_integer_padded, to_integer
 from .primality import DEFAULT_ROUNDS, SMALL_PRIMES
 from .reptend import multiplicative_order, reptend_profile
 from .series import enumerate_series, residual
@@ -41,15 +44,13 @@ EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_INTERNAL = 4
 
-DEFAULT_ELIDE = 1000
-
 
 @dataclass(frozen=True)
 class OutputConfig:
     """Common output knobs shared by every command."""
 
     format: str = "table"
-    elide_above_digits: int = DEFAULT_ELIDE
+    elide_above_digits: int = DEFAULT_ELIDE_DIGITS
     rounds: int = DEFAULT_ROUNDS
 
 
@@ -100,11 +101,12 @@ def _elided(digits: DigitString | None, first_digit: int, digit_count: int,
     return f"{ALPHABET[first_digit]}…({digit_count} digits)"
 
 
-def _pad_digits(value: int, base: int, length: int) -> DigitString:
-    digits = from_integer(value, base).digits
-    if len(digits) < length:
-        digits = (0,) * (length - len(digits)) + digits
-    return DigitString(base, digits)
+def _require_alphabet(label: str, base: int) -> None:
+    """Refuse, before any work, a base whose digits cannot be printed."""
+    if base > MAX_BASE:
+        raise ValueError(
+            f"{label} must be at most {MAX_BASE} to print digits, got {base}"
+        )
 
 
 # ---------------------------------------------------------------- commands
@@ -151,6 +153,7 @@ def cmd_period(args, config: OutputConfig) -> int:
 
 
 def cmd_cyclic(args, config: OutputConfig) -> int:
+    _require_alphabet("base", args.base)
     profile = reptend_profile(args.p, args.base)
     if profile.period is None:
         raise ValueError(f"1/{args.p} has no period in base {args.base}")
@@ -158,12 +161,9 @@ def cmd_cyclic(args, config: OutputConfig) -> int:
     for index, rep in enumerate(profile.cycle_representatives):
         rows.append({"kind": "cycle", "index": index, "k": None, "value": str(rep)})
     if profile.level == 1 and args.p > 2:
-        cyclic = profile.cycle_representatives[0]
-        value = 0
-        for d in cyclic.digits:
-            value = value * args.base + d
+        value = to_integer(profile.cycle_representatives[0])
         for k in range(1, args.p):
-            product = _pad_digits(k * value, args.base, profile.period)
+            product = from_integer_padded(k * value, args.base, profile.period)
             rows.append({"kind": "multiple", "index": None, "k": k,
                          "value": str(product)})
     params = {"p": args.p, "base": args.base, "period": profile.period,
@@ -212,6 +212,8 @@ def _search_rows(records, elide_above):
 
 
 def cmd_search(args, config: OutputConfig) -> int:
+    _require_alphabet("base", args.base)
+
     def on_level(ndigits, records):
         for rec in records:
             print(
@@ -252,6 +254,8 @@ def cmd_subcyclic(args, config: OutputConfig) -> int:
 
 
 def cmd_crossbase_render(args, config: OutputConfig) -> int:
+    _require_alphabet("anchor base", args.anchor_base)
+    _require_alphabet("target base", args.target_base)
     records = search_with_checkpoint(
         args.p, args.anchor_base, args.max_digits,
         rounds=config.rounds, jobs=args.jobs,
@@ -321,6 +325,8 @@ def cmd_crossbase_related(args, config: OutputConfig) -> int:
 
 
 def cmd_crossbase_sweep(args, config: OutputConfig) -> int:
+    _require_alphabet("anchor base", args.anchor_base)
+    _require_alphabet("--base-limit", args.base_limit)
     results = empirical_related_bases(
         args.p,
         args.anchor_base,
@@ -361,7 +367,7 @@ def _add_common(parser):
                         default="table", help="output format")
     parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS,
                         help="witness rounds for probabilistic verdicts")
-    parser.add_argument("--elide-above", type=int, default=DEFAULT_ELIDE,
+    parser.add_argument("--elide-above", type=int, default=DEFAULT_ELIDE_DIGITS,
                         dest="elide_above",
                         help="print digit strings longer than this as "
                              "'<first digit>…(<n> digits)'")

@@ -15,12 +15,7 @@ rather than silently resolved.
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclic_search import (
-    CyclicPrimeRecord,
-    candidate_value,
-    digit_stream,
-    enumerate_cyclic_primes,
-)
+from .cyclic_search import CyclicPrimeRecord, candidate_value, enumerate_cyclic_primes
 from .digits import DigitString, from_integer, to_integer
 from .primality import DEFAULT_ROUNDS
 from .reptend import is_full_reptend, multiplicative_order
@@ -63,21 +58,21 @@ def shared_suffix_length(value: int, p: int, target_base: int) -> SuffixReport:
     The value is rendered in target_base and its tail is compared with the
     equal-length prefix of every numerator's stream; the report carries the
     best match and the numerator that achieved it (smallest on ties).
+    The first L digits of a/p form the integer a * base**L // p, so the
+    match length is the count of trailing zero digits of the difference.
     """
     if gcd(target_base, p) > 1:
         raise ValueError(f"base {target_base} shares a factor with {p}")
     if value < 1:
         raise ValueError("value must be positive")
-    rendered = from_integer(value, target_base).digits
-    length = len(rendered)
+    length = len(from_integer(value, target_base))
+    scale = target_base**length
     best, best_a = 0, None
     for a in range(1, p):
-        stream = digit_stream(p, target_base, a)
-        prefix = [next(stream) for _ in range(length)]
+        difference = value - a * scale // p
         matched = 0
-        for i in range(length - 1, -1, -1):
-            if rendered[i] != prefix[i]:
-                break
+        while matched < length and difference % target_base == 0:
+            difference //= target_base
             matched += 1
         if matched > best:
             best, best_a = matched, a

@@ -5,19 +5,20 @@ stream of a/p (any numerator whose stream starts with a nonzero digit) and
 landing on a prime.  A subcyclic prime is a prime read from a contiguous
 circular substring of a single period.  Searches walk digit-count levels in
 order; primality work within a level can fan out to worker processes, and a
-checkpoint file (JSON, written atomically) makes long runs resumable.
+checkpoint file (JSON, written atomically and synced to disk) makes long runs
+resumable.
 """
 
 import json
 import os
 import tempfile
 from dataclasses import dataclass, replace
-from math import gcd
 from typing import Callable, Iterator
 
+from . import primality
 from .digits import DigitString, from_integer
 from .primality import DEFAULT_ROUNDS, PrimalityVerdict, classify
-from .reptend import cycles, multiplicative_order
+from .reptend import _require_fraction, cycles, multiplicative_order, orbits
 
 CHECKPOINT_FORMAT_VERSION = 1
 DEFAULT_ELIDE_DIGITS = 1000
@@ -47,7 +48,7 @@ class CyclicPrimeRecord:
 
 @dataclass(frozen=True)
 class SearchCheckpoint:
-    """Resumable state of a search; found records carry no value digits."""
+    """Resumable state of a search; its file form omits value digits."""
 
     format_version: int
     p: int
@@ -65,10 +66,7 @@ def digit_stream(p: int, base: int, a: int) -> Iterator[int]:
     >>> [next(s) for _ in range(8)]
     [7, 1, 4, 2, 8, 5, 7, 1]
     """
-    if not 1 <= a < p:
-        raise ValueError(f"numerator must be in [1, {p - 1}], got {a}")
-    if gcd(base, p) > 1:
-        raise ValueError(f"base {base} shares a factor with {p}")
+    _require_fraction(a, p, base)
     r = a
     while True:
         r *= base
@@ -83,106 +81,12 @@ def candidate_value(p: int, base: int, a: int, ndigits: int) -> int:
     assembling the digits one by one.  Streams opening with a zero digit are
     rejected: their prefixes would not have ndigits digits as numerals.
     """
-    if not 1 <= a < p:
-        raise ValueError(f"numerator must be in [1, {p - 1}], got {a}")
-    if gcd(base, p) > 1:
-        raise ValueError(f"base {base} shares a factor with {p}")
+    _require_fraction(a, p, base)
     if ndigits < 1:
         raise ValueError("ndigits must be at least 1")
     if a * base // p == 0:
         raise ValueError(f"stream of {a}/{p} opens with digit 0 in base {base}")
     return a * base**ndigits // p
-
-
-def _cycle_index_map(p: int, base: int, period: int) -> dict[int, int]:
-    indices = {}
-    cycle = 0
-    for a in range(1, p):
-        if a in indices:
-            continue
-        member = a
-        for _ in range(period):
-            indices[member] = cycle
-            member = member * base % p
-        cycle += 1
-    return indices
-
-
-def _classify_task(args: tuple[int, int]) -> PrimalityVerdict:
-    value, rounds = args
-    return classify(value, rounds)
-
-
-def _search_levels(
-    p: int,
-    base: int,
-    period: int,
-    start_digits: int,
-    max_digits: int,
-    rounds: int,
-    jobs: int | None,
-    elide_above: int,
-) -> Iterator[tuple[int, list[CyclicPrimeRecord]]]:
-    """Yield (ndigits, records found at that level) for each level in order."""
-    cycle_of = _cycle_index_map(p, base, period)
-    numerators = [a for a in range(1, p) if a * base // p > 0]
-    first_digits = {a: a * base // p for a in numerators}
-    # Stream state fast-forwarded to start_digits - 1 completed digits.
-    values = {a: a * base ** (start_digits - 1) // p for a in numerators}
-    remainders = {a: a * base ** (start_digits - 1) % p for a in numerators}
-
-    executor = None
-    if jobs is not None and jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        seen_values: set[int] = set()
-        for ndigits in range(start_digits, max_digits + 1):
-            candidates = []
-            for a in numerators:
-                r = remainders[a]
-                values[a] = values[a] * base + r * base // p
-                remainders[a] = r * base % p
-                candidates.append((a, values[a]))
-            if executor is None:
-                verdicts = [classify(v, rounds) for _, v in candidates]
-            else:
-                verdicts = list(
-                    executor.map(_classify_task, [(v, rounds) for _, v in candidates])
-                )
-            records = []
-            for (a, value), verdict in zip(candidates, verdicts):
-                if verdict.status == "composite" or value in seen_values:
-                    continue
-                seen_values.add(value)
-                digits = from_integer(value, base) if ndigits <= elide_above else None
-                records.append(
-                    CyclicPrimeRecord(
-                        p=p,
-                        base=base,
-                        cycle_index=cycle_of[a],
-                        rotation_numerator=a,
-                        digit_count=ndigits,
-                        first_digit=first_digits[a],
-                        value_digits=digits,
-                        verdict=verdict,
-                    )
-                )
-            records.sort(key=lambda rec: (rec.digit_count, rec.rotation_numerator))
-            yield ndigits, records
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-
-def _checked_period(p: int, base: int, max_digits: int) -> int:
-    period = multiplicative_order(base, p)
-    if period is None:
-        raise ValueError(f"base {base} shares a factor with {p}")
-    if max_digits <= period:
-        raise ValueError(f"max_digits must exceed the period {period}")
-    return period
 
 
 def enumerate_cyclic_primes(
@@ -193,22 +97,107 @@ def enumerate_cyclic_primes(
     jobs: int | None = None,
     elide_above: int = DEFAULT_ELIDE_DIGITS,
     on_level: Callable[[int, list[CyclicPrimeRecord]], None] | None = None,
+    checkpoint_path: str | None = None,
 ) -> list[CyclicPrimeRecord]:
     """All non-composite repetend prefixes with period < digits <= max_digits.
 
     Every digit-count level checks the streams of all numerators that open
     with a nonzero digit; results are sorted by (digit_count, numerator) and
-    deterministic for any number of jobs.
+    deterministic for any number of jobs.  on_level receives each level's
+    records as soon as the level is done.
+
+    With a checkpoint_path, progress is saved after each level.  An existing
+    checkpoint must describe the same (p, base, rounds) search; max_digits
+    may differ, so an interrupted or shorter run can be extended.
+    Resumption reproduces exactly the records an uninterrupted run returns.
     """
-    period = _checked_period(p, base, max_digits)
+    period = multiplicative_order(base, p)
+    if period is None:
+        raise ValueError(f"base {base} shares a factor with {p}")
+    if max_digits <= period:
+        raise ValueError(f"max_digits must exceed the period {period}")
     found: list[CyclicPrimeRecord] = []
-    for ndigits, records in _search_levels(
-        p, base, period, period + 1, max_digits, rounds, jobs, elide_above
-    ):
-        found.extend(records)
-        if on_level is not None:
-            on_level(ndigits, records)
-    found.sort(key=lambda rec: (rec.digit_count, rec.rotation_numerator))
+    completed = period
+    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+        checkpoint = load_checkpoint(checkpoint_path)
+        if (checkpoint.p, checkpoint.base, checkpoint.rounds) != (p, base, rounds):
+            raise CheckpointMismatchError(
+                f"checkpoint is for p={checkpoint.p} base={checkpoint.base} "
+                f"rounds={checkpoint.rounds}, not p={p} base={base} rounds={rounds}"
+            )
+        completed = checkpoint.completed_through_digits
+        # The file is outside input, so its records are put in order here;
+        # every level searched below appends its records in order.
+        found = sorted(
+            (
+                _rehydrate(rec, elide_above)
+                for rec in checkpoint.found
+                if rec.digit_count <= max_digits
+            ),
+            key=lambda rec: (rec.digit_count, rec.rotation_numerator),
+        )
+    if completed >= max_digits:
+        return found
+
+    numerators = [a for a in range(1, p) if a * base // p > 0]
+    cycle_of = {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
+    # Stream state fast-forwarded past the completed levels.
+    values = [a * base**completed // p for a in numerators]
+    remainders = [a * base**completed % p for a in numerators]
+    executor = None
+    if jobs is not None and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        executor = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        for ndigits in range(completed + 1, max_digits + 1):
+            for i, r in enumerate(remainders):
+                values[i] = values[i] * base + r * base // p
+                remainders[i] = r * base % p
+            if executor is None:
+                verdicts = [classify(v, rounds) for v in values]
+            else:
+                # Workers look the function up by its import path, which the
+                # module global `classify` need not keep (the benchmark's
+                # tracer rebinds it).
+                verdicts = list(
+                    executor.map(primality.classify, values, [rounds] * len(values))
+                )
+            records = [
+                CyclicPrimeRecord(
+                    p=p,
+                    base=base,
+                    cycle_index=cycle_of[a],
+                    rotation_numerator=a,
+                    digit_count=ndigits,
+                    first_digit=a * base // p,
+                    value_digits=(
+                        from_integer(value, base) if ndigits <= elide_above else None
+                    ),
+                    verdict=verdict,
+                )
+                for a, value, verdict in zip(numerators, values, verdicts)
+                if verdict.status != "composite"
+            ]
+            found.extend(records)
+            if on_level is not None:
+                on_level(ndigits, records)
+            if checkpoint_path is not None:
+                save_checkpoint(
+                    SearchCheckpoint(
+                        format_version=CHECKPOINT_FORMAT_VERSION,
+                        p=p,
+                        base=base,
+                        max_digits=max_digits,
+                        completed_through_digits=ndigits,
+                        found=tuple(found),
+                        rounds=rounds,
+                    ),
+                    checkpoint_path,
+                )
+    finally:
+        if executor is not None:
+            executor.shutdown()
     return found
 
 
@@ -268,7 +257,12 @@ def _record_from_json(doc: dict) -> CyclicPrimeRecord:
 
 
 def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:
-    """Write the checkpoint atomically (temp file, then rename)."""
+    """Write the checkpoint atomically and durably.
+
+    The document goes to a temp file in the same directory, which is synced
+    to disk before it is renamed over the old checkpoint, so a crash leaves
+    either the old or the new checkpoint, never a partial one.
+    """
     doc = {
         "format_version": checkpoint.format_version,
         "p": checkpoint.p,
@@ -282,7 +276,9 @@ def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True)
+            handle.write(json.dumps(doc, sort_keys=True))
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -320,69 +316,3 @@ def _rehydrate(record: CyclicPrimeRecord, elide_above: int) -> CyclicPrimeRecord
         record.p, record.base, record.rotation_numerator, record.digit_count
     )
     return replace(record, value_digits=from_integer(value, record.base))
-
-
-def search_with_checkpoint(
-    p: int,
-    base: int,
-    max_digits: int,
-    rounds: int = DEFAULT_ROUNDS,
-    checkpoint_path: str | None = None,
-    jobs: int | None = None,
-    elide_above: int = DEFAULT_ELIDE_DIGITS,
-    on_level: Callable[[int, list[CyclicPrimeRecord]], None] | None = None,
-) -> list[CyclicPrimeRecord]:
-    """enumerate_cyclic_primes with progress persisted after each level.
-
-    An existing checkpoint must describe the same (p, base, rounds) search;
-    max_digits may differ, so an interrupted or shorter run can be extended.
-    Resumption reproduces exactly the records an uninterrupted run returns.
-    """
-    if checkpoint_path is None:
-        return enumerate_cyclic_primes(
-            p, base, max_digits, rounds, jobs, elide_above, on_level
-        )
-    period = _checked_period(p, base, max_digits)
-    found: list[CyclicPrimeRecord] = []
-    completed = period
-    if os.path.exists(checkpoint_path):
-        checkpoint = load_checkpoint(checkpoint_path)
-        if (checkpoint.p, checkpoint.base, checkpoint.rounds) != (p, base, rounds):
-            raise CheckpointMismatchError(
-                f"checkpoint is for p={checkpoint.p} base={checkpoint.base} "
-                f"rounds={checkpoint.rounds}, not p={p} base={base} rounds={rounds}"
-            )
-        completed = checkpoint.completed_through_digits
-        found = [
-            _rehydrate(rec, elide_above)
-            for rec in checkpoint.found
-            if rec.digit_count <= max_digits
-        ]
-    if completed >= max_digits:
-        found.sort(key=lambda rec: (rec.digit_count, rec.rotation_numerator))
-        return found
-    for ndigits, records in _search_levels(
-        p, base, period, completed + 1, max_digits, rounds, jobs, elide_above
-    ):
-        found.extend(records)
-        if on_level is not None:
-            on_level(ndigits, records)
-        save_checkpoint(
-            SearchCheckpoint(
-                format_version=CHECKPOINT_FORMAT_VERSION,
-                p=p,
-                base=base,
-                max_digits=max_digits,
-                completed_through_digits=ndigits,
-                found=tuple(
-                    replace(rec, value_digits=None)
-                    for rec in sorted(
-                        found, key=lambda r: (r.digit_count, r.rotation_numerator)
-                    )
-                ),
-                rounds=rounds,
-            ),
-            checkpoint_path,
-        )
-    found.sort(key=lambda rec: (rec.digit_count, rec.rotation_numerator))
-    return found

@@ -96,6 +96,22 @@ def from_integer(value: int, base: int) -> DigitString:
     return DigitString(base, tuple(digits))
 
 
+def from_integer_padded(value: int, base: int, length: int) -> DigitString:
+    """Numeral of exactly `length` digits, padded with leading zeros.
+
+    >>> from_integer_padded(76923, 10, 6).digits
+    (0, 7, 6, 9, 2, 3)
+    """
+    digits = []
+    for _ in range(length):
+        value, d = divmod(value, base)
+        digits.append(d)
+    if value:
+        raise ValueError(f"value needs more than {length} digits in base {base}")
+    digits.reverse()
+    return DigitString(base, tuple(digits))
+
+
 def rotate(ds: DigitString, k: int) -> DigitString:
     """Left-rotate the digits by k positions (k taken modulo the length)."""
     n = len(ds.digits)

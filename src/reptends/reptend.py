@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .digits import DigitString, to_integer
+from .digits import DigitString, from_integer_padded, to_integer
 from .primality import classify
 
 
@@ -23,6 +23,14 @@ class NotFullReptendError(ValueError):
 def _require_prime(p: int) -> None:
     if classify(p).status == "composite":
         raise ValueError(f"{p} is not prime")
+
+
+def _require_fraction(a: int, p: int, base: int) -> None:
+    """Check that a/p is a proper fraction with a period in this base."""
+    if not 1 <= a < p:
+        raise ValueError(f"numerator must be in [1, {p - 1}], got {a}")
+    if gcd(base, p) > 1:
+        raise ValueError(f"base {base} shares a factor with {p}")
 
 
 @lru_cache(maxsize=512)
@@ -88,10 +96,7 @@ def expand_fraction(
     >>> str(digits), remainders
     ('142857', [3, 2, 6, 4, 5, 1])
     """
-    if not 1 <= a < p:
-        raise ValueError(f"numerator must be in [1, {p - 1}], got {a}")
-    if gcd(base, p) > 1:
-        raise ValueError(f"base {base} shares a factor with {p}")
+    _require_fraction(a, p, base)
     if count < 1:
         raise ValueError("count must be at least 1")
     digits = []
@@ -119,6 +124,31 @@ def cyclic_number(p: int, base: int) -> DigitString:
     return digits
 
 
+def orbits(p: int, base: int) -> list[tuple[int, ...]]:
+    """The rotation classes of the numerators 1..p-1, one tuple each.
+
+    A class lists a, a*base, a*base**2, ... (mod p) from its smallest
+    member a, and the classes are ordered by that member.
+
+    >>> orbits(13, 10)
+    [(1, 10, 9, 12, 3, 4), (2, 7, 5, 11, 6, 8)]
+    """
+    period = multiplicative_order(base, p)
+    if period is None:
+        raise ValueError(f"base {base} shares a factor with {p}")
+    classes = []
+    seen = set()
+    for a in range(1, p):
+        if a in seen:
+            continue
+        orbit = [a]
+        for _ in range(period - 1):
+            orbit.append(orbit[-1] * base % p)
+        seen.update(orbit)
+        classes.append(tuple(orbit))
+    return classes
+
+
 def cycles(p: int, base: int) -> list[DigitString]:
     """One representative digit block per rotation class of numerators.
 
@@ -126,20 +156,10 @@ def cycles(p: int, base: int) -> list[DigitString]:
     numerator, so a full reptend prime yields a single block and a level-2
     prime such as 13 in base 10 yields the blocks for 1/13 and 2/13.
     """
-    period = multiplicative_order(base, p)
-    if period is None:
-        raise ValueError(f"base {base} shares a factor with {p}")
-    representatives = []
-    seen = set()
-    for a in range(1, p):
-        if a in seen:
-            continue
-        member = a
-        for _ in range(period):
-            seen.add(member)
-            member = member * base % p
-        representatives.append(expand_fraction(a, p, base, period)[0])
-    return representatives
+    return [
+        expand_fraction(orbit[0], p, base, len(orbit))[0]
+        for orbit in orbits(p, base)
+    ]
 
 
 def verify_cyclic_property(ds: DigitString, p: int) -> bool:
@@ -162,12 +182,7 @@ def verify_cyclic_property(ds: DigitString, p: int) -> bool:
         product = k * value
         if product >= limit:
             continue
-        padded = []
-        for _ in range(length):
-            product, d = divmod(product, base)
-            padded.append(d)
-        padded.reverse()
-        if tuple(padded) not in rotations:
+        if from_integer_padded(product, base, length).digits not in rotations:
             return False
     return True
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .primality import DEFAULT_ROUNDS, classify
+from .reptend import _require_prime
 
 ExactRational = Fraction
 
@@ -43,6 +44,7 @@ def series_params(
     >>> spec.s, spec.r
     (14, 2)
     """
+    _require_prime(p)
     if base < 2:
         raise ValueError("base must be at least 2")
     if gcd(base, p) > 1:

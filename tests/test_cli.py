@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import reptends.cli
 from reptends.cli import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -108,6 +109,13 @@ class TestSeries:
             (1428571, 3),
         ]
         assert doc["rows"][-1]["s_is_prime"] is True
+
+    @pytest.mark.parametrize("p", ["-7", "6", "0"])
+    def test_p_must_be_prime(self, capsys, p):
+        code, out, err = run_cli(capsys, "series", p, "10")
+        assert code == EXIT_USAGE
+        assert f"{p} is not prime" in err
+        assert out == ""
 
     def test_zero_terms_residual_is_whole_fraction(self, capsys):
         code, out, _ = run_cli(
@@ -256,6 +264,28 @@ class TestParser:
         captured = capsys.readouterr()
         assert "--jobs must be at least 1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["search", "7", "100", "--max-digits", "8", "--jobs", "1"],
+        ["cyclic", "11", "100"],
+        ["crossbase", "render", "7", "70", "10", "--jobs", "1"],
+        ["crossbase", "render", "7", "10", "70", "--jobs", "1"],
+        ["crossbase", "sweep", "7", "10", "--base-limit", "70",
+         "--max-digits", "20", "--jobs", "1"],
+    ])
+    def test_base_without_digit_alphabet_refused_before_work(
+        self, capsys, monkeypatch, command
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the base was checked")
+
+        monkeypatch.setattr(reptends.cli, "search_with_checkpoint", no_work)
+        monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+        monkeypatch.setattr(reptends.cli, "reptend_profile", no_work)
+        code, out, err = run_cli(capsys, *command)
+        assert code == EXIT_USAGE
+        assert "must be at most 62" in err
+        assert out == ""
 
     def test_all_formats_supported_everywhere(self, capsys):
         for fmt in ("table", "csv", "json"):

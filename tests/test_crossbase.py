@@ -1,4 +1,8 @@
+from math import gcd
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reptends.crossbase import (
     FORMULA_VARIANTS,
@@ -9,8 +13,8 @@ from reptends.crossbase import (
     related_bases_formula,
     shared_suffix_length,
 )
-from reptends.cyclic_search import enumerate_cyclic_primes
-from reptends.digits import to_integer
+from reptends.cyclic_search import digit_stream, enumerate_cyclic_primes
+from reptends.digits import from_integer, to_integer
 from reptends.reptend import is_full_reptend
 
 
@@ -48,6 +52,38 @@ class TestSharedSuffix:
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):
             shared_suffix_length(123, 7, 14)
+
+
+def digitwise_suffix_match(value, p, base):
+    """Stream every numerator digit by digit and compare tails: the oracle."""
+    rendered = from_integer(value, base).digits
+    best, best_a = 0, None
+    for a in range(1, p):
+        stream = digit_stream(p, base, a)
+        prefix = [next(stream) for _ in range(len(rendered))]
+        matched = 0
+        for i in range(len(rendered) - 1, -1, -1):
+            if rendered[i] != prefix[i]:
+                break
+            matched += 1
+        if matched > best:
+            best, best_a = matched, a
+    return best, best_a
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 10**15), st.integers(2, 60), st.integers(2, 62))
+@example(1428571, 7, 10)  # a whole prefix: every digit matches
+@example(70217142860, 7, 10)  # no stream ends in 0 there: zero matches
+@example(1, 17, 10)  # 2/17 and 3/17 both open with 1: the smaller wins the tie
+@example(1, 5, 2)  # 3/5 and 4/5 tie the same way in binary
+def test_suffix_match_agrees_with_digitwise_oracle(value, p, base):
+    if gcd(base, p) > 1:
+        return
+    report = shared_suffix_length(value, p, base)
+    assert (report.matched_digits, report.matched_rotation) == (
+        digitwise_suffix_match(value, p, base)
+    )
 
 
 class TestRelatedBasesLadder:

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import tempfile
 from math import gcd
 
 import pytest
@@ -10,14 +12,16 @@ from reptends.cyclic_search import (
     CheckpointError,
     CheckpointMismatchError,
     CyclicPrimeRecord,
+    SearchCheckpoint,
     candidate_value,
     digit_stream,
     enumerate_cyclic_primes,
     enumerate_subcyclic_primes,
     load_checkpoint,
-    search_with_checkpoint,
+    save_checkpoint,
 )
 from reptends.digits import to_integer
+from reptends.primality import DEFAULT_ROUNDS
 from reptends.reptend import cycles, multiplicative_order
 
 
@@ -217,56 +221,56 @@ class TestCheckpoint:
     def test_fresh_run_matches_plain_enumeration(self, tmp_path):
         path = str(tmp_path / "ck.json")
         direct = enumerate_cyclic_primes(7, 10, 20)
-        assert search_with_checkpoint(7, 10, 20, checkpoint_path=path) == direct
+        assert enumerate_cyclic_primes(7, 10, 20, checkpoint_path=path) == direct
 
     def test_resume_extends_previous_run(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        search_with_checkpoint(7, 10, 20, checkpoint_path=path)
+        enumerate_cyclic_primes(7, 10, 20, checkpoint_path=path)
         checkpoint = load_checkpoint(path)
         assert checkpoint.completed_through_digits == 20
         assert all(rec.value_digits is None for rec in checkpoint.found)
-        resumed = search_with_checkpoint(7, 10, 35, checkpoint_path=path)
+        resumed = enumerate_cyclic_primes(7, 10, 35, checkpoint_path=path)
         assert resumed == enumerate_cyclic_primes(7, 10, 35)
         assert load_checkpoint(path).completed_through_digits == 35
 
     def test_resume_past_completed_work_reuses_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        full = search_with_checkpoint(7, 10, 30, checkpoint_path=path)
-        shorter = search_with_checkpoint(7, 10, 25, checkpoint_path=path)
+        full = enumerate_cyclic_primes(7, 10, 30, checkpoint_path=path)
+        shorter = enumerate_cyclic_primes(7, 10, 25, checkpoint_path=path)
         assert shorter == [rec for rec in full if rec.digit_count <= 25]
 
     def test_rehydrates_small_values_on_resume(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        search_with_checkpoint(7, 10, 16, checkpoint_path=path)
-        records = search_with_checkpoint(7, 10, 16, checkpoint_path=path)
+        enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
+        records = enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
         assert all(rec.value_digits is not None for rec in records)
         assert str(records[0].value_digits) == "1428571"
 
     def test_mismatched_search_refused(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        search_with_checkpoint(7, 10, 16, checkpoint_path=path)
+        enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
         with pytest.raises(CheckpointMismatchError):
-            search_with_checkpoint(13, 10, 16, checkpoint_path=path)
+            enumerate_cyclic_primes(13, 10, 16, checkpoint_path=path)
         with pytest.raises(CheckpointMismatchError):
-            search_with_checkpoint(7, 12, 16, checkpoint_path=path)
+            enumerate_cyclic_primes(7, 12, 16, checkpoint_path=path)
         with pytest.raises(CheckpointMismatchError):
-            search_with_checkpoint(7, 10, 16, rounds=13, checkpoint_path=path)
+            enumerate_cyclic_primes(7, 10, 16, rounds=13, checkpoint_path=path)
 
     def test_corrupt_file_fails_closed(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text("{broken")
         with pytest.raises(CheckpointError):
-            search_with_checkpoint(7, 10, 16, checkpoint_path=str(path))
+            enumerate_cyclic_primes(7, 10, 16, checkpoint_path=str(path))
 
     def test_truncated_document_fails_closed(self, tmp_path):
         path = tmp_path / "ck.json"
         path.write_text(json.dumps({"format_version": 1, "p": 7}))
         with pytest.raises(CheckpointError):
-            search_with_checkpoint(7, 10, 16, checkpoint_path=str(path))
+            enumerate_cyclic_primes(7, 10, 16, checkpoint_path=str(path))
 
     def test_wire_format_keys(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        search_with_checkpoint(7, 10, 16, checkpoint_path=path)
+        enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
         doc = json.loads(open(path).read())
         assert set(doc) == {
             "format_version", "p", "base", "max_digits",
@@ -279,14 +283,67 @@ class TestCheckpoint:
         }
         assert set(doc["found"][0]["verdict"]) == {"status", "witness_rounds"}
 
+    def test_file_is_synced_before_it_replaces_the_old_one(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append("fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append("replace")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = str(tmp_path / "ck.json")
+        checkpoint = SearchCheckpoint(1, 7, 10, 16, 16, (), DEFAULT_ROUNDS)
+        save_checkpoint(checkpoint, path)
+        assert calls == ["fsync", "replace"]
+        assert load_checkpoint(path) == checkpoint
+
     def test_unknown_format_version_refused(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        search_with_checkpoint(7, 10, 16, checkpoint_path=path)
+        enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
         doc = json.loads(open(path).read())
         doc["format_version"] = 99
         open(path, "w").write(json.dumps(doc))
         with pytest.raises(CheckpointMismatchError):
-            search_with_checkpoint(7, 10, 16, checkpoint_path=path)
+            enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
+
+
+class Interrupted(Exception):
+    pass
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(((7, 10), (13, 10), (11, 2), (5, 3))), st.data())
+def test_killed_and_resumed_search_matches_uninterrupted_run(p_base, data):
+    p, base = p_base
+    period = multiplicative_order(base, p)
+    max_digits = data.draw(st.integers(period + 1, period + 30), label="max_digits")
+    kill_at = data.draw(st.integers(period + 1, max_digits), label="kill_at")
+
+    def kill(ndigits, records):
+        if ndigits == kill_at:
+            raise Interrupted
+
+    with tempfile.TemporaryDirectory() as directory:
+        whole = os.path.join(directory, "whole.json")
+        resumed = os.path.join(directory, "resumed.json")
+        expected = enumerate_cyclic_primes(p, base, max_digits, checkpoint_path=whole)
+        with pytest.raises(Interrupted):
+            enumerate_cyclic_primes(
+                p, base, max_digits, on_level=kill, checkpoint_path=resumed
+            )
+        assert enumerate_cyclic_primes(
+            p, base, max_digits, checkpoint_path=resumed
+        ) == expected
+        with open(whole, "rb") as a, open(resumed, "rb") as b:
+            assert a.read() == b.read()
 
 
 @settings(max_examples=40)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from reptends.digits import (
     DigitString,
     from_integer,
+    from_integer_padded,
     parse_digit_string,
     render_digit_string,
     rotate,
@@ -108,6 +109,14 @@ class TestIntegerConversion:
     def test_from_integer_rejects_bad_base(self):
         with pytest.raises(ValueError):
             from_integer(5, 63)
+
+    def test_padded_keeps_leading_zeros(self):
+        assert str(from_integer_padded(76923, 10, 6)) == "076923"
+        assert from_integer_padded(0, 2, 3).digits == (0, 0, 0)
+
+    def test_padded_rejects_value_longer_than_length(self):
+        with pytest.raises(ValueError):
+            from_integer_padded(1000, 10, 3)
 
 
 class TestRotate:

@@ -1,0 +1,78 @@
+"""CLI stdout and checkpoint bytes compared byte for byte with golden files.
+
+The files under tests/golden/ hold the output of each command below.  A
+change that alters any of them changes what users see, so it must be
+deliberate: regenerate with `PYTHONPATH=src python tests/test_golden.py`
+and review the diff.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from reptends.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "period": ["period"],
+    "period-csv": ["period", "--primes-max", "13", "--format", "csv"],
+    "cyclic-7-10": ["cyclic", "7", "10"],
+    "cyclic-13-10": ["cyclic", "13", "10"],
+    "cyclic-17-10-json": ["cyclic", "17", "10", "--format", "json"],
+    "series-7-10": ["series", "7", "10"],
+    "search-7-10-60": ["search", "7", "10", "--max-digits", "60", "--jobs", "1"],
+    "search-7-10-60-json": ["search", "7", "10", "--max-digits", "60",
+                            "--jobs", "1", "--format", "json"],
+    "search-13-10-40-elided": ["search", "13", "10", "--max-digits", "40",
+                               "--jobs", "1", "--elide-above", "12"],
+    "subcyclic-13-10": ["subcyclic", "13", "10"],
+    "crossbase-render-7-10-40": ["crossbase", "render", "7", "10", "40",
+                                 "--jobs", "1"],
+    "crossbase-suffix-70217142857-7-10": ["crossbase", "suffix", "70217142857",
+                                          "7", "10"],
+    "crossbase-suffix-1428571-7-40": ["crossbase", "suffix", "1428571", "7", "40"],
+    "crossbase-suffix-10-7-3": ["crossbase", "suffix", "10", "7", "3",
+                                "--format", "json"],
+    "crossbase-related-10": ["crossbase", "related", "10", "--count", "6"],
+    "crossbase-sweep-7-10-20": ["crossbase", "sweep", "7", "10", "--base-limit",
+                                "20", "--max-digits", "30", "--jobs", "1",
+                                "--format", "json"],
+}
+CHECKPOINT_ARGV = ["search", "7", "10", "--max-digits", "60", "--jobs", "1"]
+
+
+def _stdout(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == EXIT_OK
+    return out.getvalue()
+
+
+def _checkpoint_bytes(directory: Path) -> bytes:
+    path = directory / "search-7-10-60.checkpoint.json"
+    path.unlink(missing_ok=True)  # an existing file would be resumed, not rewritten
+    _stdout([*CHECKPOINT_ARGV, "--checkpoint", str(path)])
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert _stdout(CASES[name]) == expected
+
+
+def test_checkpoint_bytes_match_golden(tmp_path):
+    expected = (GOLDEN / "search-7-10-60.checkpoint.json").read_bytes()
+    assert _checkpoint_bytes(tmp_path) == expected
+
+
+if __name__ == "__main__":
+    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 50000))
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / f"{name}.txt").write_text(_stdout(argv), encoding="utf-8")
+    _checkpoint_bytes(GOLDEN)

@@ -11,6 +11,7 @@ from reptends.reptend import (
     full_reptend_bases,
     is_full_reptend,
     multiplicative_order,
+    orbits,
     reptend_level,
     reptend_profile,
     verify_cyclic_property,
@@ -139,6 +140,26 @@ class TestCyclicNumber:
     def test_two_is_excluded(self):
         with pytest.raises(NotFullReptendError):
             cyclic_number(2, 3)
+
+
+class TestOrbits:
+    def test_level_two(self):
+        assert orbits(13, 10) == [(1, 10, 9, 12, 3, 4), (2, 7, 5, 11, 6, 8)]
+
+    @given(st.sampled_from(SMALL_ODD_PRIMES), st.integers(2, 40))
+    def test_classes_partition_the_numerators(self, p, base):
+        if base % p == 0:
+            return
+        classes = orbits(p, base)
+        assert sorted(a for orbit in classes for a in orbit) == list(range(1, p))
+        assert [orbit[0] for orbit in classes] == sorted(min(o) for o in classes)
+        for orbit in classes:
+            assert len(orbit) == naive_order(base, p)
+            assert all(b == a * base % p for a, b in zip(orbit, orbit[1:]))
+
+    def test_shared_factor_rejected(self):
+        with pytest.raises(ValueError):
+            orbits(5, 10)
 
 
 class TestCycles:
