@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .crossbase import (
     FORMULA_VARIANTS,
@@ -24,34 +23,22 @@ from .crossbase import (
     related_bases_formula,
     shared_suffix_length,
 )
-from .cyclic_search import (
-    DEFAULT_ELIDE_DIGITS,
-    CheckpointError,
-    enumerate_subcyclic_primes,
-)
+from .cyclic_search import CheckpointError, enumerate_subcyclic_primes
 # The search runs under this name because benchmarks/tracing.py wraps
 # reptends.cli.search_with_checkpoint to time it and count its levels.
 from .cyclic_search import enumerate_cyclic_primes as search_with_checkpoint
-from .digits import ALPHABET, MAX_BASE, DigitString, from_integer_padded, to_integer
+from .digits import ALPHABET, MAX_BASE, from_integer_padded, to_integer
 from .primality import DEFAULT_ROUNDS, SMALL_PRIMES
 from .reptend import multiplicative_order, reptend_profile
 from .series import enumerate_series, residual
 
 SCHEMA_VERSION = 1
+DEFAULT_ELIDE_DIGITS = 1000
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    """Common output knobs shared by every command."""
-
-    format: str = "table"
-    elide_above_digits: int = DEFAULT_ELIDE_DIGITS
-    rounds: int = DEFAULT_ROUNDS
 
 
 def _cell(value) -> str:
@@ -75,9 +62,9 @@ def _print_table(columns, rows, out):
         print("  ".join(s.ljust(w) for s, w in zip(cells, widths)).rstrip(), file=out)
 
 
-def _emit(config: OutputConfig, command: str, params: dict, columns, rows, out=None):
+def _emit(args, command: str, params: dict, columns, rows, out=None):
     out = out or sys.stdout
-    if config.format == "json":
+    if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
@@ -85,7 +72,7 @@ def _emit(config: OutputConfig, command: str, params: dict, columns, rows, out=N
             "rows": rows,
         }
         print(json.dumps(doc, sort_keys=True), file=out)
-    elif config.format == "csv":
+    elif args.format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -94,11 +81,15 @@ def _emit(config: OutputConfig, command: str, params: dict, columns, rows, out=N
         _print_table(columns, rows, out)
 
 
-def _elided(digits: DigitString | None, first_digit: int, digit_count: int,
-            elide_above: int) -> str:
-    if digits is not None and digit_count <= elide_above:
-        return str(digits)
+def _elided(first_digit: int, digit_count: int) -> str:
     return f"{ALPHABET[first_digit]}…({digit_count} digits)"
+
+
+def _record_cell(rec, elide_above: int) -> str:
+    """A found prime's digits, rendered only when it is printed in full."""
+    if rec.digit_count <= elide_above:
+        return str(rec.digits)
+    return _elided(rec.first_digit, rec.digit_count)
 
 
 def _require_alphabet(label: str, base: int) -> None:
@@ -112,7 +103,7 @@ def _require_alphabet(label: str, base: int) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_period(args, config: OutputConfig) -> int:
+def cmd_period(args) -> int:
     if args.base_min < 2 or args.base_max < args.base_min:
         raise ValueError("base range must satisfy 2 <= base-min <= base-max")
     if args.primes_max > SMALL_PRIMES[-1]:
@@ -133,7 +124,7 @@ def cmd_period(args, config: OutputConfig) -> int:
             )
     params = {"primes_max": args.primes_max, "base_min": args.base_min,
               "base_max": args.base_max}
-    if config.format == "table":
+    if args.format == "table":
         columns = ["p"] + [str(b) for b in bases]
         matrix = []
         for p in primes:
@@ -148,11 +139,11 @@ def cmd_period(args, config: OutputConfig) -> int:
             matrix.append(row)
         _print_table(columns, matrix, sys.stdout)
     else:
-        _emit(config, "period", params, ["p", "base", "period", "full_reptend"], rows)
+        _emit(args, "period", params, ["p", "base", "period", "full_reptend"], rows)
     return EXIT_OK
 
 
-def cmd_cyclic(args, config: OutputConfig) -> int:
+def cmd_cyclic(args) -> int:
     _require_alphabet("base", args.base)
     profile = reptend_profile(args.p, args.base)
     if profile.period is None:
@@ -168,12 +159,12 @@ def cmd_cyclic(args, config: OutputConfig) -> int:
                          "value": str(product)})
     params = {"p": args.p, "base": args.base, "period": profile.period,
               "level": profile.level}
-    _emit(config, "cyclic", params, ["kind", "index", "k", "value"], rows)
+    _emit(args, "cyclic", params, ["kind", "index", "k", "value"], rows)
     return EXIT_OK
 
 
-def cmd_series(args, config: OutputConfig) -> int:
-    specs = enumerate_series(args.p, args.base, args.max_length, config.rounds)
+def cmd_series(args) -> int:
+    specs = enumerate_series(args.p, args.base, args.max_length, args.rounds)
     rows = []
     for spec in specs:
         rem = residual(spec, args.k_terms)
@@ -188,7 +179,7 @@ def cmd_series(args, config: OutputConfig) -> int:
         )
     params = {"p": args.p, "base": args.base, "max_length": args.max_length,
               "k_terms": args.k_terms}
-    _emit(config, "series", params,
+    _emit(args, "series", params,
           ["length", "s", "r", "s_is_prime", "residual"], rows)
     return EXIT_OK
 
@@ -204,14 +195,13 @@ def _search_rows(records, elide_above):
                 "first_digit": rec.first_digit,
                 "status": rec.verdict.status,
                 "witness_rounds": rec.verdict.witness_rounds,
-                "value": _elided(rec.value_digits, rec.first_digit,
-                                 rec.digit_count, elide_above),
+                "value": _record_cell(rec, elide_above),
             }
         )
     return rows
 
 
-def cmd_search(args, config: OutputConfig) -> int:
+def cmd_search(args) -> int:
     _require_alphabet("base", args.base)
 
     def on_level(ndigits, records):
@@ -226,40 +216,38 @@ def cmd_search(args, config: OutputConfig) -> int:
         args.p,
         args.base,
         args.max_digits,
-        rounds=config.rounds,
+        rounds=args.rounds,
         checkpoint_path=args.checkpoint,
         jobs=args.jobs,
-        elide_above=config.elide_above_digits,
         on_level=on_level,
     )
     params = {"p": args.p, "base": args.base, "max_digits": args.max_digits,
-              "rounds": config.rounds}
+              "rounds": args.rounds}
     _emit(
-        config,
+        args,
         "search",
         params,
         ["digit_count", "rotation_numerator", "cycle_index", "first_digit",
          "status", "witness_rounds", "value"],
-        _search_rows(records, config.elide_above_digits),
+        _search_rows(records, args.elide_above),
     )
     return EXIT_OK
 
 
-def cmd_subcyclic(args, config: OutputConfig) -> int:
-    values = enumerate_subcyclic_primes(args.p, args.base, config.rounds)
+def cmd_subcyclic(args) -> int:
+    values = enumerate_subcyclic_primes(args.p, args.base, args.rounds)
     rows = [{"value": v} for v in values]
     params = {"p": args.p, "base": args.base}
-    _emit(config, "subcyclic", params, ["value"], rows)
+    _emit(args, "subcyclic", params, ["value"], rows)
     return EXIT_OK
 
 
-def cmd_crossbase_render(args, config: OutputConfig) -> int:
+def cmd_crossbase_render(args) -> int:
     _require_alphabet("anchor base", args.anchor_base)
     _require_alphabet("target base", args.target_base)
     records = search_with_checkpoint(
         args.p, args.anchor_base, args.max_digits,
-        rounds=config.rounds, jobs=args.jobs,
-        elide_above=config.elide_above_digits,
+        rounds=args.rounds, jobs=args.jobs,
     )
     rows = []
     for rec in records:
@@ -267,24 +255,23 @@ def cmd_crossbase_render(args, config: OutputConfig) -> int:
         rows.append(
             {
                 "digit_count": rec.digit_count,
-                "value": _elided(rec.value_digits, rec.first_digit,
-                                 rec.digit_count, config.elide_above_digits),
+                "value": _record_cell(rec, args.elide_above),
                 "target_digit_count": len(rendered),
                 "rendered": (
                     str(rendered)
-                    if len(rendered) <= config.elide_above_digits
-                    else _elided(None, rendered.digits[0], len(rendered), 0)
+                    if len(rendered) <= args.elide_above
+                    else _elided(rendered.digits[0], len(rendered))
                 ),
             }
         )
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "target_base": args.target_base, "max_digits": args.max_digits}
-    _emit(config, "crossbase-render", params,
+    _emit(args, "crossbase-render", params,
           ["digit_count", "value", "target_digit_count", "rendered"], rows)
     return EXIT_OK
 
 
-def cmd_crossbase_suffix(args, config: OutputConfig) -> int:
+def cmd_crossbase_suffix(args) -> int:
     report = shared_suffix_length(args.value, args.p, args.target_base)
     rows = [
         {
@@ -295,12 +282,12 @@ def cmd_crossbase_suffix(args, config: OutputConfig) -> int:
         }
     ]
     params = {"p": args.p, "target_base": args.target_base}
-    _emit(config, "crossbase-suffix", params,
+    _emit(args, "crossbase-suffix", params,
           ["value", "target_base", "matched_digits", "matched_rotation"], rows)
     return EXIT_OK
 
 
-def cmd_crossbase_related(args, config: OutputConfig) -> int:
+def cmd_crossbase_related(args) -> int:
     group = related_bases_alternating(args.anchor_base, args.count)
     rows = []
     for i, member in enumerate(group.members):
@@ -319,12 +306,12 @@ def cmd_crossbase_related(args, config: OutputConfig) -> int:
         )
     params = {"anchor_base": args.anchor_base, "count": args.count,
               "variant": args.variant}
-    _emit(config, "crossbase-related", params,
+    _emit(args, "crossbase-related", params,
           ["i", "member", "formula", "agree"], rows)
     return EXIT_OK
 
 
-def cmd_crossbase_sweep(args, config: OutputConfig) -> int:
+def cmd_crossbase_sweep(args) -> int:
     _require_alphabet("anchor base", args.anchor_base)
     _require_alphabet("--base-limit", args.base_limit)
     results = empirical_related_bases(
@@ -333,7 +320,7 @@ def cmd_crossbase_sweep(args, config: OutputConfig) -> int:
         args.base_limit,
         min_suffix=args.min_suffix,
         max_digits=args.max_digits,
-        rounds=config.rounds,
+        rounds=args.rounds,
         jobs=args.jobs,
     )
     rows = []
@@ -353,7 +340,7 @@ def cmd_crossbase_sweep(args, config: OutputConfig) -> int:
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "base_limit": args.base_limit, "min_suffix": args.min_suffix,
               "max_digits": args.max_digits}
-    _emit(config, "crossbase-sweep", params,
+    _emit(args, "crossbase-sweep", params,
           ["base", "direction", "target_base", "value", "matched_digits",
            "matched_rotation"], rows)
     return EXIT_OK
@@ -469,14 +456,13 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 50000))
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = OutputConfig(args.format, args.elide_above, args.rounds)
-    if config.rounds < 1 or config.elide_above_digits < 1:
+    if args.rounds < 1 or args.elide_above < 1:
         parser.error("--rounds and --elide-above must be at least 1")
     jobs = getattr(args, "jobs", None)
     if jobs is not None and jobs < 1:
         parser.error("--jobs must be at least 1")
     try:
-        return args.handler(args, config)
+        return args.handler(args)
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT

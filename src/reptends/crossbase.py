@@ -15,8 +15,8 @@ rather than silently resolved.
 from dataclasses import dataclass
 from math import gcd
 
-from .cyclic_search import CyclicPrimeRecord, candidate_value, enumerate_cyclic_primes
-from .digits import DigitString, from_integer, to_integer
+from .cyclic_search import CyclicPrimeRecord, enumerate_cyclic_primes
+from .digits import DigitString, from_integer
 from .primality import DEFAULT_ROUNDS
 from .reptend import is_full_reptend, multiplicative_order
 
@@ -55,18 +55,23 @@ class SuffixReport:
 def shared_suffix_length(value: int, p: int, target_base: int) -> SuffixReport:
     """Longest trailing-digit agreement between value and any stream of p.
 
-    The value is rendered in target_base and its tail is compared with the
-    equal-length prefix of every numerator's stream; the report carries the
-    best match and the numerator that achieved it (smallest on ties).
-    The first L digits of a/p form the integer a * base**L // p, so the
-    match length is the count of trailing zero digits of the difference.
+    The tail of value's L digits in target_base is compared with the
+    L-digit prefix of every numerator's stream; the report carries the best
+    match and the numerator that achieved it (smallest on ties).  The first
+    L digits of a/p form the integer a * base**L // p, so the match length
+    is the count of trailing zero digits of the difference.  Digits are
+    only counted, never rendered, so any base of at least 2 works.
     """
+    if target_base < 2:
+        raise ValueError(f"base must be at least 2, got {target_base}")
     if gcd(target_base, p) > 1:
         raise ValueError(f"base {target_base} shares a factor with {p}")
     if value < 1:
         raise ValueError("value must be positive")
-    length = len(from_integer(value, target_base))
-    scale = target_base**length
+    length, scale = 0, 1
+    while scale <= value:
+        length += 1
+        scale *= target_base
     best, best_a = 0, None
     for a in range(1, p):
         difference = value - a * scale // p
@@ -125,21 +130,13 @@ def alternating_formula_disagreements(
     return out
 
 
-def _record_value(record: CyclicPrimeRecord) -> int:
-    if record.value_digits is not None:
-        return to_integer(record.value_digits)
-    return candidate_value(
-        record.p, record.base, record.rotation_numerator, record.digit_count
-    )
-
-
 def cross_render(record: CyclicPrimeRecord | int, target_base: int) -> DigitString:
     """Render a found prime (or a raw value) in another base.
 
     >>> str(cross_render(1428571, 40))
     'MCYB'
     """
-    value = record if isinstance(record, int) else _record_value(record)
+    value = record if isinstance(record, int) else record.value
     return from_integer(value, target_base)
 
 
@@ -172,7 +169,7 @@ def empirical_related_bases(
     anchor_records = enumerate_cyclic_primes(
         p, anchor_base, max_digits, rounds, jobs=jobs
     )
-    anchor_values = [_record_value(rec) for rec in anchor_records]
+    anchor_values = [rec.value for rec in anchor_records]
     results = []
     for b in range(2, base_limit + 1):
         if not is_full_reptend(p, b):
@@ -183,7 +180,7 @@ def empirical_related_bases(
             candidate_records = enumerate_cyclic_primes(
                 p, b, max_digits, rounds, jobs=jobs
             )
-            candidate_values = [_record_value(rec) for rec in candidate_records]
+            candidate_values = [rec.value for rec in candidate_records]
         evidence: list[SuffixReport] = []
         upward = [shared_suffix_length(v, p, anchor_base) for v in candidate_values]
         if upward and all(rep.matched_digits >= min_suffix for rep in upward):

@@ -12,7 +12,7 @@ resumable.
 import json
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import primality
@@ -21,7 +21,6 @@ from .primality import DEFAULT_ROUNDS, PrimalityVerdict, classify
 from .reptend import _require_fraction, cycles, multiplicative_order, orbits
 
 CHECKPOINT_FORMAT_VERSION = 1
-DEFAULT_ELIDE_DIGITS = 1000
 
 
 class CheckpointError(RuntimeError):
@@ -34,7 +33,12 @@ class CheckpointMismatchError(CheckpointError):
 
 @dataclass(frozen=True)
 class CyclicPrimeRecord:
-    """One prime (or probable prime) found in a repetend stream."""
+    """One prime (or probable prime) found in a repetend stream.
+
+    The prime is the first digit_count digits of the stream of
+    rotation_numerator/p in base, so the record derives its value rather
+    than storing it.
+    """
 
     p: int
     base: int
@@ -42,13 +46,22 @@ class CyclicPrimeRecord:
     rotation_numerator: int
     digit_count: int
     first_digit: int
-    value_digits: DigitString | None
     verdict: PrimalityVerdict
+
+    @property
+    def value(self) -> int:
+        return candidate_value(
+            self.p, self.base, self.rotation_numerator, self.digit_count
+        )
+
+    @property
+    def digits(self) -> DigitString:
+        return from_integer(self.value, self.base)
 
 
 @dataclass(frozen=True)
 class SearchCheckpoint:
-    """Resumable state of a search; its file form omits value digits."""
+    """Resumable state of a search."""
 
     format_version: int
     p: int
@@ -95,7 +108,6 @@ def enumerate_cyclic_primes(
     max_digits: int,
     rounds: int = DEFAULT_ROUNDS,
     jobs: int | None = None,
-    elide_above: int = DEFAULT_ELIDE_DIGITS,
     on_level: Callable[[int, list[CyclicPrimeRecord]], None] | None = None,
     checkpoint_path: str | None = None,
 ) -> list[CyclicPrimeRecord]:
@@ -129,11 +141,7 @@ def enumerate_cyclic_primes(
         # The file is outside input, so its records are put in order here;
         # every level searched below appends its records in order.
         found = sorted(
-            (
-                _rehydrate(rec, elide_above)
-                for rec in checkpoint.found
-                if rec.digit_count <= max_digits
-            ),
+            (rec for rec in checkpoint.found if rec.digit_count <= max_digits),
             key=lambda rec: (rec.digit_count, rec.rotation_numerator),
         )
     if completed >= max_digits:
@@ -171,12 +179,9 @@ def enumerate_cyclic_primes(
                     rotation_numerator=a,
                     digit_count=ndigits,
                     first_digit=a * base // p,
-                    value_digits=(
-                        from_integer(value, base) if ndigits <= elide_above else None
-                    ),
                     verdict=verdict,
                 )
-                for a, value, verdict in zip(numerators, values, verdicts)
+                for a, verdict in zip(numerators, verdicts)
                 if verdict.status != "composite"
             ]
             found.extend(records)
@@ -251,7 +256,6 @@ def _record_from_json(doc: dict) -> CyclicPrimeRecord:
         rotation_numerator=doc["rotation_numerator"],
         digit_count=doc["digit_count"],
         first_digit=doc["first_digit"],
-        value_digits=None,
         verdict=PrimalityVerdict(verdict["status"], verdict["witness_rounds"]),
     )
 
@@ -307,12 +311,3 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
             f"checkpoint format {checkpoint.format_version} unsupported"
         )
     return checkpoint
-
-
-def _rehydrate(record: CyclicPrimeRecord, elide_above: int) -> CyclicPrimeRecord:
-    if record.digit_count > elide_above:
-        return record
-    value = candidate_value(
-        record.p, record.base, record.rotation_numerator, record.digit_count
-    )
-    return replace(record, value_digits=from_integer(value, record.base))

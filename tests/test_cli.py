@@ -150,6 +150,7 @@ class TestSearch:
         doc = parse_json(out)
         by_count = {row["digit_count"]: row["value"] for row in doc["rows"]}
         assert by_count[7] == "1428571"
+        assert by_count[8] == "71428571"  # exactly at the bound: printed in full
         assert by_count[13] == "7…(13 digits)"
 
     def test_checkpoint_mismatch_exit_code(self, capsys, tmp_path):
@@ -213,6 +214,20 @@ class TestCrossbase:
         assert code == EXIT_OK
         doc = parse_json(out)
         assert doc["rows"][0]["matched_digits"] >= 7
+
+    def test_suffix_takes_any_base_from_two(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "crossbase", "suffix", "142857", "7", "100", "--format", "json",
+        )
+        assert code == EXIT_OK
+        row = parse_json(out)["rows"][0]
+        assert (row["matched_digits"], row["matched_rotation"]) == (3, 1)
+
+    @pytest.mark.parametrize("base", ["1", "0", "-3"])
+    def test_suffix_base_below_two_exits_2(self, capsys, base):
+        code, _, err = run_cli(capsys, "crossbase", "suffix", "142857", "7", base)
+        assert code == EXIT_USAGE
+        assert "error:" in err
 
     def test_related_warns_on_divergence(self, capsys):
         code, out, err = run_cli(

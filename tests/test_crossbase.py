@@ -53,6 +53,17 @@ class TestSharedSuffix:
         with pytest.raises(ValueError):
             shared_suffix_length(123, 7, 14)
 
+    def test_base_beyond_the_digit_alphabet(self):
+        # 142857 is 14|28|57 in base 100, the first three digits of 1/7
+        report = shared_suffix_length(142857, 7, 100)
+        assert report.matched_digits == 3
+        assert report.matched_rotation == 1
+
+    @pytest.mark.parametrize("base", [1, 0, -3])
+    def test_rejects_base_below_two(self, base):
+        with pytest.raises(ValueError, match="at least 2"):
+            shared_suffix_length(142857, 7, base)
+
 
 def digitwise_suffix_match(value, p, base):
     """Stream every numerator digit by digit and compare tails: the oracle."""
@@ -149,11 +160,6 @@ class TestCrossRender:
 
     def test_record_with_digits(self):
         record = enumerate_cyclic_primes(7, 10, 8)[0]
-        assert str(cross_render(record, 40)) == "MCYB"
-
-    def test_record_with_elided_digits(self):
-        record = enumerate_cyclic_primes(7, 10, 8, elide_above=5)[0]
-        assert record.value_digits is None
         assert str(cross_render(record, 40)) == "MCYB"
 
     def test_round_trips_through_to_integer(self):

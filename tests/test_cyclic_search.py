@@ -5,7 +5,7 @@ import tempfile
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reptends.cyclic_search import (
@@ -20,7 +20,6 @@ from reptends.cyclic_search import (
     load_checkpoint,
     save_checkpoint,
 )
-from reptends.digits import to_integer
 from reptends.primality import DEFAULT_ROUNDS
 from reptends.reptend import cycles, multiplicative_order
 
@@ -36,6 +35,23 @@ def trial_division_is_prime(n):
             return False
         d += 2
     return True
+
+
+# Trial division stays quick while every candidate is below this bound.
+_ORACLE_LIMIT = 2**40
+
+
+@st.composite
+def small_searches(draw):
+    """(p, base, max_digits) with every candidate below _ORACLE_LIMIT."""
+    p = draw(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23)))
+    base = draw(st.integers(2, 16).filter(lambda b: gcd(b, p) == 1))
+    period = multiplicative_order(base, p)
+    top = 1
+    while base ** (top + 1) <= _ORACLE_LIMIT:
+        top += 1
+    assume(period < top)
+    return p, base, draw(st.integers(period + 1, top))
 
 
 class TestDigitStream:
@@ -105,7 +121,7 @@ class TestEnumerateCyclicPrimes:
 
     def test_thirteen_catalog_to_9_digits(self):
         records = enumerate_cyclic_primes(13, 10, 9)
-        found = [(r.digit_count, r.rotation_numerator, str(r.value_digits))
+        found = [(r.digit_count, r.rotation_numerator, str(r.digits))
                  for r in records]
         assert found == [
             (7, 2, "1538461"),
@@ -123,10 +139,10 @@ class TestEnumerateCyclicPrimes:
             rotation_numerator=1,
             digit_count=7,
             first_digit=1,
-            value_digits=record.value_digits,
             verdict=record.verdict,
         )
-        assert str(record.value_digits) == "1428571"
+        assert record.value == 1428571
+        assert str(record.digits) == "1428571"
         assert record.verdict.status == "prime"
 
     def test_records_exceed_period_and_have_nonzero_lead(self):
@@ -134,13 +150,13 @@ class TestEnumerateCyclicPrimes:
         for record in enumerate_cyclic_primes(13, 10, 12):
             assert record.digit_count > period
             assert record.first_digit != 0
-            assert record.value_digits.digits[0] == record.first_digit
+            assert record.digits.digits[0] == record.first_digit
 
     def test_value_digits_follow_the_stream(self):
         for record in enumerate_cyclic_primes(13, 10, 12):
             stream = digit_stream(13, 10, record.rotation_numerator)
             prefix = tuple(next(stream) for _ in range(record.digit_count))
-            assert record.value_digits.digits == prefix
+            assert record.digits.digits == prefix
 
     def test_sorted_by_digit_count_then_numerator(self):
         records = enumerate_cyclic_primes(13, 10, 12)
@@ -149,15 +165,8 @@ class TestEnumerateCyclicPrimes:
 
     def test_values_are_unique(self):
         records = enumerate_cyclic_primes(13, 10, 12)
-        values = [to_integer(r.value_digits) for r in records]
+        values = [r.value for r in records]
         assert len(values) == len(set(values))
-
-    def test_elides_above_threshold(self):
-        records = enumerate_cyclic_primes(7, 10, 35, elide_above=10)
-        by_count = {r.digit_count: r for r in records}
-        assert by_count[7].value_digits is not None
-        assert by_count[13].value_digits is None
-        assert by_count[13].first_digit == 7
 
     def test_parallel_matches_serial(self):
         serial = enumerate_cyclic_primes(7, 10, 30, jobs=1)
@@ -168,22 +177,32 @@ class TestEnumerateCyclicPrimes:
         with pytest.raises(ValueError):
             enumerate_cyclic_primes(7, 10, 6)
 
-    def test_brute_force_agreement(self):
-        # independent construction: string prefixes and trial division
-        for p, base, max_digits in [(7, 10, 20), (13, 10, 12), (3, 10, 8)]:
-            period = multiplicative_order(base, p)
-            expected = []
-            for ndigits in range(period + 1, max_digits + 1):
-                for a in range(1, p):
-                    stream = digit_stream(p, base, a)
-                    prefix = [next(stream) for _ in range(ndigits)]
-                    if prefix[0] == 0:
-                        continue
-                    value = int("".join(str(d) for d in prefix))
-                    if trial_division_is_prime(value):
-                        expected.append((ndigits, a))
-            records = enumerate_cyclic_primes(p, base, max_digits)
-            assert [(r.digit_count, r.rotation_numerator) for r in records] == expected
+    @settings(max_examples=30, deadline=None)
+    @given(small_searches())
+    @example((7, 10, 20))
+    @example((13, 10, 12))
+    @example((3, 10, 8))
+    def test_brute_force_agreement(self, search):
+        # independent construction: stream prefixes and trial division
+        p, base, max_digits = search
+        period = multiplicative_order(base, p)
+        expected = {}
+        for ndigits in range(period + 1, max_digits + 1):
+            for a in range(1, p):
+                stream = digit_stream(p, base, a)
+                prefix = [next(stream) for _ in range(ndigits)]
+                if prefix[0] == 0:
+                    continue
+                value = 0
+                for d in prefix:
+                    value = value * base + d
+                if trial_division_is_prime(value):
+                    expected[ndigits, a] = value
+        records = enumerate_cyclic_primes(p, base, max_digits)
+        assert [(r.digit_count, r.rotation_numerator) for r in records] == list(
+            expected
+        )
+        assert [r.value for r in records] == list(expected.values())
 
 
 class TestSubcyclicPrimes:
@@ -228,7 +247,6 @@ class TestCheckpoint:
         enumerate_cyclic_primes(7, 10, 20, checkpoint_path=path)
         checkpoint = load_checkpoint(path)
         assert checkpoint.completed_through_digits == 20
-        assert all(rec.value_digits is None for rec in checkpoint.found)
         resumed = enumerate_cyclic_primes(7, 10, 35, checkpoint_path=path)
         assert resumed == enumerate_cyclic_primes(7, 10, 35)
         assert load_checkpoint(path).completed_through_digits == 35
@@ -239,12 +257,11 @@ class TestCheckpoint:
         shorter = enumerate_cyclic_primes(7, 10, 25, checkpoint_path=path)
         assert shorter == [rec for rec in full if rec.digit_count <= 25]
 
-    def test_rehydrates_small_values_on_resume(self, tmp_path):
+    def test_resumed_records_derive_their_values(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
         records = enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
-        assert all(rec.value_digits is not None for rec in records)
-        assert str(records[0].value_digits) == "1428571"
+        assert records[0].value == 1428571
 
     def test_mismatched_search_refused(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -271,7 +288,8 @@ class TestCheckpoint:
     def test_wire_format_keys(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
-        doc = json.loads(open(path).read())
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
         assert set(doc) == {
             "format_version", "p", "base", "max_digits",
             "completed_through_digits", "found", "rounds",
@@ -308,9 +326,11 @@ class TestCheckpoint:
     def test_unknown_format_version_refused(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
-        doc = json.loads(open(path).read())
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
         doc["format_version"] = 99
-        open(path, "w").write(json.dumps(doc))
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
         with pytest.raises(CheckpointMismatchError):
             enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
 

@@ -32,6 +32,9 @@ CASES = {
     "subcyclic-13-10": ["subcyclic", "13", "10"],
     "crossbase-render-7-10-40": ["crossbase", "render", "7", "10", "40",
                                  "--jobs", "1"],
+    "crossbase-render-7-10-40-elided": ["crossbase", "render", "7", "10", "40",
+                                        "--max-digits", "16", "--elide-above",
+                                        "5", "--jobs", "1"],
     "crossbase-suffix-70217142857-7-10": ["crossbase", "suffix", "70217142857",
                                           "7", "10"],
     "crossbase-suffix-1428571-7-40": ["crossbase", "suffix", "1428571", "7", "40"],
