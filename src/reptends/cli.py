@@ -312,8 +312,6 @@ def cmd_crossbase_related(args) -> int:
 
 
 def cmd_crossbase_sweep(args) -> int:
-    _require_alphabet("anchor base", args.anchor_base)
-    _require_alphabet("--base-limit", args.base_limit)
     results = empirical_related_bases(
         args.p,
         args.anchor_base,

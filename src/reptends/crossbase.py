@@ -10,6 +10,11 @@ qualifying systems follow the alternating +3N/+4N ladder 10, 40, 80, 110,
 150, ...; a printed closed form for the same ladder disagrees with it from
 i = 2 on, so both generators are provided and the divergence is reported
 rather than silently resolved.
+
+One prime that keeps too few digits refutes a base's upward link, so the
+sweep stops that base's search there: from base 10 to base 160 with 130-digit
+searches, most bases fall within 15 digits, and only the anchor and the
+linked bases are searched in full.
 """
 
 from dataclasses import dataclass
@@ -140,6 +145,10 @@ def cross_render(record: CyclicPrimeRecord | int, target_base: int) -> DigitStri
     return from_integer(value, target_base)
 
 
+class _Unlinked(Exception):
+    """Stops a base's search at its first prime that fails the upward link."""
+
+
 def empirical_related_bases(
     p: int,
     anchor_base: int,
@@ -159,32 +168,62 @@ def empirical_related_bases(
     suffix reports of the passing directions; a report's target_base tells
     the direction it belongs to.  min_suffix defaults to the period of 1/p
     in the anchor base; max_digits bounds each per-base search.
+
+    One prime that fails to link refutes the upward direction, so a base's
+    search stops at that prime and the base is decided by the downward
+    direction alone.  Only the anchor and the bases whose primes all link
+    are searched to max_digits.  For p = 7 from base 10 with base_limit 160
+    and max_digits 130, most bases are refuted within 15 digits, and the
+    sweep returns the ladder 5, 10, 40, 80, 110, 150.
     """
+    if anchor_base < 2:
+        raise ValueError(f"anchor base must be at least 2, got {anchor_base}")
     if gcd(anchor_base, p) > 1:
         raise ValueError(f"base {anchor_base} shares a factor with {p}")
+    if base_limit < 2:
+        raise ValueError(f"base_limit must be at least 2, got {base_limit}")
     if min_suffix is None:
         period = multiplicative_order(anchor_base, p)
         assert period is not None
         min_suffix = period
-    anchor_records = enumerate_cyclic_primes(
-        p, anchor_base, max_digits, rounds, jobs=jobs
-    )
+    elif min_suffix < 1:
+        raise ValueError(f"min_suffix must be at least 1, got {min_suffix}")
+
+    def search(
+        base: int,
+    ) -> tuple[list[CyclicPrimeRecord], list[SuffixReport] | None]:
+        """The primes found in base and their upward reports, None if refuted."""
+        upward: list[SuffixReport] | None = []
+
+        def link_up(ndigits: int, records: list[CyclicPrimeRecord]) -> None:
+            nonlocal upward
+            if upward is None:
+                return
+            for rec in records:
+                report = shared_suffix_length(rec.value, p, anchor_base)
+                if report.matched_digits < min_suffix:
+                    if base != anchor_base:
+                        raise _Unlinked
+                    upward = None  # the anchor's primes still serve downward
+                    return
+                upward.append(report)
+
+        try:
+            records = enumerate_cyclic_primes(
+                p, base, max_digits, rounds, jobs=jobs, on_level=link_up
+            )
+        except _Unlinked:
+            return [], None
+        return records, upward
+
+    anchor_records, anchor_upward = search(anchor_base)
     anchor_values = [rec.value for rec in anchor_records]
     results = []
     for b in range(2, base_limit + 1):
         if not is_full_reptend(p, b):
             continue
-        if b == anchor_base:
-            candidate_values = anchor_values
-        else:
-            candidate_records = enumerate_cyclic_primes(
-                p, b, max_digits, rounds, jobs=jobs
-            )
-            candidate_values = [rec.value for rec in candidate_records]
-        evidence: list[SuffixReport] = []
-        upward = [shared_suffix_length(v, p, anchor_base) for v in candidate_values]
-        if upward and all(rep.matched_digits >= min_suffix for rep in upward):
-            evidence.extend(upward)
+        upward = anchor_upward if b == anchor_base else search(b)[1]
+        evidence = list(upward or [])
         if b != anchor_base:
             downward = [shared_suffix_length(v, p, b) for v in anchor_values]
             if downward and all(rep.matched_digits >= min_suffix for rep in downward):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import reptends.cli
+import reptends.crossbase
 from reptends.cli import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -255,6 +256,44 @@ class TestCrossbase:
         downward = [row for row in doc["rows"] if row["base"] == 10]
         assert all(row["direction"] == "down" for row in downward)
 
+    def test_sweep_takes_bases_past_62(self, capsys):
+        # The sweep prints only integers, so no digit alphabet caps its bases.
+        code, out, _ = run_cli(
+            capsys, "crossbase", "sweep", "7", "10", "--base-limit", "80",
+            "--max-digits", "12", "--jobs", "1", "--format", "json",
+        )
+        assert code == EXIT_OK
+        bases = sorted({row["base"] for row in parse_json(out)["rows"]})
+        assert bases == [5, 10, 40, 80]
+
+    def test_sweep_stdout_identical_across_jobs(self, capsys):
+        # Refuted bases stop their search by raising through a live pool.
+        argv = ["crossbase", "sweep", "7", "10", "--base-limit", "50",
+                "--max-digits", "60", "--format", "json"]
+        serial, pooled = (run_cli(capsys, *argv, "--jobs", jobs) for jobs in "12")
+        assert serial[0] == pooled[0] == EXIT_OK
+        assert serial[1] == pooled[1]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["7", "0", "--base-limit", "10"], "anchor base must be at least 2"),
+        (["7", "10", "--base-limit", "1"], "base_limit must be at least 2"),
+        (["7", "10", "--base-limit", "10", "--min-suffix", "0"],
+         "min_suffix must be at least 1"),
+        (["7", "10", "--base-limit", "10", "--min-suffix", "-5"],
+         "min_suffix must be at least 1"),
+    ])
+    def test_sweep_bad_input_exits_2_before_any_search(
+        self, capsys, monkeypatch, argv, message
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search started before the input was checked")
+
+        monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_search)
+        code, out, err = run_cli(capsys, "crossbase", "sweep", *argv, "--jobs", "1")
+        assert code == EXIT_USAGE
+        assert message in err
+        assert out == ""
+
 
 class TestParser:
     def test_unknown_command_exits_2(self):
@@ -285,8 +324,6 @@ class TestParser:
         ["cyclic", "11", "100"],
         ["crossbase", "render", "7", "70", "10", "--jobs", "1"],
         ["crossbase", "render", "7", "10", "70", "--jobs", "1"],
-        ["crossbase", "sweep", "7", "10", "--base-limit", "70",
-         "--max-digits", "20", "--jobs", "1"],
     ])
     def test_base_without_digit_alphabet_refused_before_work(
         self, capsys, monkeypatch, command

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reptends.crossbase
 from reptends.crossbase import (
     FORMULA_VARIANTS,
     alternating_formula_disagreements,
@@ -15,7 +16,7 @@ from reptends.crossbase import (
 )
 from reptends.cyclic_search import digit_stream, enumerate_cyclic_primes
 from reptends.digits import from_integer, to_integer
-from reptends.reptend import is_full_reptend
+from reptends.reptend import is_full_reptend, multiplicative_order
 
 
 class TestSharedSuffix:
@@ -200,3 +201,99 @@ class TestEmpiricalSweep:
     def test_rejects_anchor_sharing_factor(self):
         with pytest.raises(ValueError):
             empirical_related_bases(7, 14, 10)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"anchor_base": 0}, "anchor base must be at least 2"),
+        ({"anchor_base": 1}, "anchor base must be at least 2"),
+        ({"base_limit": 1}, "base_limit must be at least 2"),
+        ({"min_suffix": 0}, "min_suffix must be at least 1"),
+        ({"min_suffix": -5}, "min_suffix must be at least 1"),
+    ])
+    def test_rejects_bad_input_before_any_search(self, monkeypatch, kwargs, message):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search started before the input was checked")
+
+        monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_search)
+        call = {"p": 7, "anchor_base": 10, "base_limit": 12, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            empirical_related_bases(**call)
+
+    def test_paper_ladder_past_base_62(self):
+        results = empirical_related_bases(7, 10, 160, max_digits=130)
+        assert [base for base, _ in results] == [5, 10, 40, 80, 110, 150]
+
+    def test_refuted_base_stops_at_its_first_unlinked_prime(self, monkeypatch):
+        search = reptends.crossbase.enumerate_cyclic_primes
+        deepest: dict[int, int] = {}
+
+        def recording_search(p, base, *args, on_level=None, **kwargs):
+            def record(ndigits, records):
+                deepest[base] = ndigits
+                on_level(ndigits, records)
+
+            return search(p, base, *args, on_level=record, **kwargs)
+
+        monkeypatch.setattr(
+            reptends.crossbase, "enumerate_cyclic_primes", recording_search
+        )
+        empirical_related_bases(7, 10, 50, max_digits=130)
+        assert deepest[3] == 7
+        assert deepest[10] == deepest[40] == 130
+
+
+def full_search_sweep(p, anchor_base, base_limit, min_suffix, max_digits):
+    """The sweep with every base searched to max_digits: the reference."""
+    if gcd(anchor_base, p) > 1:
+        raise ValueError(f"base {anchor_base} shares a factor with {p}")
+    if min_suffix is None:
+        min_suffix = multiplicative_order(anchor_base, p)
+    anchor_values = [
+        rec.value for rec in enumerate_cyclic_primes(p, anchor_base, max_digits)
+    ]
+    results = []
+    for b in range(2, base_limit + 1):
+        if not is_full_reptend(p, b):
+            continue
+        if b == anchor_base:
+            values = anchor_values
+        else:
+            values = [rec.value for rec in enumerate_cyclic_primes(p, b, max_digits)]
+        evidence = []
+        upward = [shared_suffix_length(v, p, anchor_base) for v in values]
+        if upward and all(rep.matched_digits >= min_suffix for rep in upward):
+            evidence.extend(upward)
+        if b != anchor_base:
+            downward = [shared_suffix_length(v, p, b) for v in anchor_values]
+            if downward and all(rep.matched_digits >= min_suffix for rep in downward):
+                evidence.extend(downward)
+        if evidence:
+            results.append((b, evidence))
+    return results
+
+
+def outcome(sweep, *args):
+    """A sweep's result, or the message of the ValueError it raised."""
+    try:
+        return sweep(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def sweep_inputs(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19]))
+    anchor = draw(st.integers(2, 40).filter(lambda b: b % p != 0))
+    base_limit = draw(st.integers(2, 40))
+    period = multiplicative_order(anchor, p)
+    min_suffix = draw(st.none() | st.integers(1, period))
+    max_digits = draw(st.integers(period + 1, period + 20))
+    return p, anchor, base_limit, min_suffix, max_digits
+
+
+@settings(deadline=None, max_examples=40)
+@given(sweep_inputs())
+@example((7, 10, 50, 6, 12))
+@example((7, 40, 10, 6, 12))
+@example((7, 10, 12, 8, 20))  # 1428571 keeps 7 < 8 digits: the anchor's own link fails
+def test_sweep_agrees_with_full_search(args):
+    assert outcome(empirical_related_bases, *args) == outcome(full_search_sweep, *args)

@@ -44,6 +44,9 @@ CASES = {
     "crossbase-sweep-7-10-20": ["crossbase", "sweep", "7", "10", "--base-limit",
                                 "20", "--max-digits", "30", "--jobs", "1",
                                 "--format", "json"],
+    "crossbase-sweep-7-10-50": ["crossbase", "sweep", "7", "10", "--base-limit",
+                                "50", "--max-digits", "60", "--jobs", "1",
+                                "--format", "json"],
 }
 CHECKPOINT_ARGV = ["search", "7", "10", "--max-digits", "60", "--jobs", "1"]
 

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reptends.primality import (
@@ -96,6 +96,40 @@ def selfridge_d(n):
     return D
 
 
+ORACLE_PRIMES = [q for q in range(2, 1000) if trial_division_is_prime(q)]
+# Bounds below 2**64, each the least strong pseudoprime to its tier's
+# witnesses; 1122004669633, 341550071728321 and 3825123056546413051 also
+# have no factor below 10**5, so only the tier boundary rejects them.
+TIER_BOUNDS = [bound for bound, _ in _WITNESS_TIERS if bound < DETERMINISTIC_BOUND]
+
+
+def miller_rabin_oracle(n):
+    """Trial division below 1000, then Miller-Rabin to bases 2..37.
+
+    The twelve prime bases decide every n below 3.3 * 10**24.
+    """
+    for q in ORACLE_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 2:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in ORACLE_PRIMES[:12]:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class TestSmallRange:
     @pytest.mark.parametrize(
         "n,status",
@@ -131,6 +165,17 @@ class TestSmallRange:
     def test_witness_tiers_start_above_trial_division_range(self):
         assert all(bound > TRIAL_DIVISION_BOUND**2 for bound, _ in _WITNESS_TIERS)
         assert _WITNESS_TIERS[-1][0] == DETERMINISTIC_BOUND
+
+    @pytest.mark.parametrize("tier", range(len(TIER_BOUNDS)))
+    def test_each_bound_fools_its_own_tier(self, tier):
+        bound, witnesses = _WITNESS_TIERS[tier]
+        d, s = bound - 1, 0
+        while d % 2 == 0:
+            d //= 2
+            s += 1
+        assert all(_strong_probable_prime(bound, a, d, s) for a in witnesses)
+        assert classify(bound).status == "composite"
+        assert not miller_rabin_oracle(bound)
 
 
 class TestLargeRange:
@@ -239,3 +284,17 @@ def test_matches_per_prime_loop_past_trial_range(factors):
     if per_prime_trial_division(n) == "composite":
         assert status == "composite"
     assert (status != "composite") == (len(factors) == 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([10**10, *TIER_BOUNDS]),
+    st.integers(-(10**6), 10**6),
+)
+@example(10**10, 19)  # the least prime above 10**10
+@example(TIER_BOUNDS[0], 0)
+@example(TIER_BOUNDS[3], 0)
+@example(TIER_BOUNDS[4], 0)
+def test_matches_oracle_near_tier_bounds(center, offset):
+    n = center + offset
+    assert (classify(n).status == "prime") == miller_rabin_oracle(n)
