@@ -34,6 +34,10 @@ from .series import enumerate_series, residual
 
 SCHEMA_VERSION = 1
 DEFAULT_ELIDE_DIGITS = 1000
+# `cyclic` prints p * period digits at most and walks p numerators;
+# `subcyclic` classifies (p - 1) * period circular substrings.
+CYCLIC_WORK_LIMIT = 10**7
+SUBCYCLIC_WORK_LIMIT = 10**6
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,6 +104,24 @@ def _require_alphabet(label: str, base: int) -> None:
         )
 
 
+def _bound_work(p: int, base: int, factor: int, label: str, limit: int) -> None:
+    """Refuse, before any work, a command whose factor * period exceeds limit.
+
+    Every period is at least 1, so factor alone is checked first: computing
+    the period factors p - 1, which is itself O(sqrt(p)).
+    """
+    if factor > limit:
+        raise ValueError(
+            f"{label} * period must be at most {limit}; "
+            f"{label} = {factor} alone exceeds it"
+        )
+    period = multiplicative_order(base, p)
+    if period is not None and factor * period > limit:
+        raise ValueError(
+            f"{label} * period must be at most {limit}, got {factor} * {period}"
+        )
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -145,6 +167,7 @@ def cmd_period(args) -> int:
 
 def cmd_cyclic(args) -> int:
     _require_alphabet("base", args.base)
+    _bound_work(args.p, args.base, args.p, "p", CYCLIC_WORK_LIMIT)
     profile = reptend_profile(args.p, args.base)
     if profile.period is None:
         raise ValueError(f"1/{args.p} has no period in base {args.base}")
@@ -235,6 +258,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_subcyclic(args) -> int:
+    _bound_work(args.p, args.base, args.p - 1, "(p - 1)", SUBCYCLIC_WORK_LIMIT)
     values = enumerate_subcyclic_primes(args.p, args.base, args.rounds)
     rows = [{"value": v} for v in values]
     params = {"p": args.p, "base": args.base}

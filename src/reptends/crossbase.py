@@ -15,10 +15,13 @@ One prime that keeps too few digits refutes a base's upward link, so the
 sweep stops that base's search there: from base 10 to base 160 with 130-digit
 searches, most bases fall within 15 digits, and only the anchor and the
 linked bases are searched in full.
+
+Groups and suffix reports are named tuples, so they also unpack, index and
+compare equal to plain tuples of their fields.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cyclic_search import CyclicPrimeRecord, enumerate_cyclic_primes
 from .digits import DigitString, from_integer
@@ -37,8 +40,7 @@ _CLOSED_FORMS = {
 FORMULA_VARIANTS = tuple(_CLOSED_FORMS)
 
 
-@dataclass(frozen=True)
-class RelatedBaseGroup:
+class RelatedBaseGroup(NamedTuple):
     """A family of numeric systems generated from one anchor base."""
 
     anchor_base: int
@@ -46,8 +48,7 @@ class RelatedBaseGroup:
     rule: str
 
 
-@dataclass(frozen=True)
-class SuffixReport:
+class SuffixReport(NamedTuple):
     """How many trailing digits of value follow a repetend stream of p."""
 
     value: int
@@ -167,7 +168,9 @@ def empirical_related_bases(
     A base with at least one passing direction is reported along with the
     suffix reports of the passing directions; a report's target_base tells
     the direction it belongs to.  min_suffix defaults to the period of 1/p
-    in the anchor base; max_digits bounds each per-base search.
+    in the anchor base; max_digits bounds each per-base search and must
+    exceed the period of every base searched, which is checked before the
+    first search.
 
     One prime that fails to link refutes the upward direction, so a base's
     search stops at that prime and the base is decided by the downward
@@ -182,12 +185,18 @@ def empirical_related_bases(
         raise ValueError(f"base {anchor_base} shares a factor with {p}")
     if base_limit < 2:
         raise ValueError(f"base_limit must be at least 2, got {base_limit}")
+    anchor_period = multiplicative_order(anchor_base, p)
+    assert anchor_period is not None
     if min_suffix is None:
-        period = multiplicative_order(anchor_base, p)
-        assert period is not None
-        min_suffix = period
+        min_suffix = anchor_period
     elif min_suffix < 1:
         raise ValueError(f"min_suffix must be at least 1, got {min_suffix}")
+    bases = [b for b in range(2, base_limit + 1) if is_full_reptend(p, b)]
+    # Every search needs max_digits above its base's period.  Checked here,
+    # a short max_digits is refused before the anchor's search, not after.
+    period = p - 1 if any(b != anchor_base for b in bases) else anchor_period
+    if max_digits <= period:
+        raise ValueError(f"max_digits must exceed the period {period}")
 
     def search(
         base: int,
@@ -219,9 +228,7 @@ def empirical_related_bases(
     anchor_records, anchor_upward = search(anchor_base)
     anchor_values = [rec.value for rec in anchor_records]
     results = []
-    for b in range(2, base_limit + 1):
-        if not is_full_reptend(p, b):
-            continue
+    for b in bases:
         upward = anchor_upward if b == anchor_base else search(b)[1]
         evidence = list(upward or [])
         if b != anchor_base:

@@ -7,13 +7,15 @@ circular substring of a single period.  Searches walk digit-count levels in
 order; primality work within a level can fan out to worker processes, and a
 checkpoint file (JSON, written atomically and synced to disk) makes long runs
 resumable.
+
+Records and checkpoints are named tuples, so they also unpack, index and
+compare equal to plain tuples of their fields.
 """
 
 import json
 import os
 import tempfile
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import primality
 from .digits import DigitString, from_integer
@@ -31,8 +33,7 @@ class CheckpointMismatchError(CheckpointError):
     """The checkpoint belongs to a different search (p, base or rounds)."""
 
 
-@dataclass(frozen=True)
-class CyclicPrimeRecord:
+class CyclicPrimeRecord(NamedTuple):
     """One prime (or probable prime) found in a repetend stream.
 
     The prime is the first digit_count digits of the stream of
@@ -59,8 +60,7 @@ class CyclicPrimeRecord:
         return from_integer(self.value, self.base)
 
 
-@dataclass(frozen=True)
-class SearchCheckpoint:
+class SearchCheckpoint(NamedTuple):
     """Resumable state of a search."""
 
     format_version: int

@@ -6,30 +6,53 @@ carry leading zeros: the repeating block of 1/13 in base 10 is 076923, and
 the zero is part of the cycle.
 """
 
-from dataclasses import dataclass
-
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 MAX_BASE = len(ALPHABET)
 
 _CHAR_VALUE = {c: i for i, c in enumerate(ALPHABET)}
 
 
-@dataclass(frozen=True)
 class DigitString:
-    """Positional numeral: digit values (most significant first) plus radix."""
+    """Positional numeral: digit values (most significant first) plus radix.
 
+    Immutable and hashable; equal when base and digits are equal.
+    """
+
+    __slots__ = ("base", "digits")
     base: int
     digits: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(self.digits))
-        if self.base < 2:
-            raise ValueError(f"base must be at least 2, got {self.base}")
-        if not self.digits:
+    def __init__(self, base: int, digits) -> None:
+        digits = tuple(digits)
+        if base < 2:
+            raise ValueError(f"base must be at least 2, got {base}")
+        if not digits:
             raise ValueError("digit sequence must not be empty")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
+        for d in digits:
+            if not 0 <= d < base:
+                raise ValueError(f"digit {d} out of range for base {base}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "digits", digits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return DigitString, (self.base, self.digits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.digits) == (other.base, other.digits)
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.digits))
+
+    def __repr__(self) -> str:
+        return f"DigitString(base={self.base!r}, digits={self.digits!r})"
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -13,13 +13,22 @@ Composites are rejected in order of cost:
    runs and worker processes) and a strong Lucas check with Selfridge
    parameters follow.  No composite is known to survive that combination,
    and a survivor is reported as a probable prime.
+
+A verdict is a named tuple, so it also unpacks, indexes and compares equal
+to the plain tuple (status, witness_rounds).
 """
 
 import functools
-import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterator, Literal
+from itertools import compress
+from typing import Iterator, Literal, NamedTuple
+
+# The builtin module computes the same digests without loading OpenSSL, as
+# the stdlib's random.py does for sha512.
+try:
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 DEFAULT_ROUNDS = 40
 DETERMINISTIC_BOUND = 2**64
@@ -32,7 +41,7 @@ def _sieve(limit: int) -> tuple[int, ...]:
     for i in range(2, math.isqrt(limit - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(i for i in range(limit) if flags[i])
+    return tuple(compress(range(limit), flags))
 
 
 SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
@@ -75,8 +84,7 @@ _WITNESS_TIERS = (
 Status = Literal["prime", "composite", "probable_prime"]
 
 
-@dataclass(frozen=True)
-class PrimalityVerdict:
+class PrimalityVerdict(NamedTuple):
     """Outcome of classify: status plus the number of witness rounds run.
 
     witness_rounds is 0 for deterministic verdicts.
@@ -110,7 +118,7 @@ def _derived_witnesses(n: int, rounds: int) -> Iterator[int]:
     """Witnesses in [2, n-2] derived from a hash of n; no wall-clock entropy."""
     material = n.to_bytes((n.bit_length() + 7) // 8, "big")
     for k in range(rounds):
-        digest = hashlib.sha256(material + k.to_bytes(8, "big")).digest()
+        digest = sha256(material + k.to_bytes(8, "big")).digest()
         yield int.from_bytes(digest, "big") % (n - 3) + 2
 
 

@@ -6,11 +6,14 @@ period is p-1 the prime is a full reptend in this base and its repeating
 block is a cyclic number: multiplying it by 1..p-1 permutes its digits
 cyclically.  When the period is (p-1)/k the numerators 1..p-1 split into k
 rotation classes ("level k"), each with its own digit cycle.
+
+A profile is a named tuple, so it also unpacks, indexes and compares equal
+to the plain tuple of its fields.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .digits import DigitString, from_integer_padded, to_integer
 from .primality import classify
@@ -200,8 +203,7 @@ def full_reptend_bases(p: int, limit: int) -> list[int]:
     return [b for b in range(2, limit + 1) if multiplicative_order(b, p) == p - 1]
 
 
-@dataclass(frozen=True)
-class ReptendProfile:
+class ReptendProfile(NamedTuple):
     """Period, level and cycle representatives of (p, base).
 
     period and level are None when the base shares a factor with p.

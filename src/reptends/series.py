@@ -9,11 +9,14 @@ where s is the integer formed by the first L expansion digits of 1/p
 here is exact rational; no floats enter the verification path.  The module
 also provides the Fibonacci-weighted expansions whose limits are 1/89 and
 1/109.
+
+A SeriesSpec is a named tuple, so it also unpacks, indexes and compares
+equal to the plain tuple of its fields.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .primality import DEFAULT_ROUNDS, classify
 from .reptend import _require_prime
@@ -23,8 +26,7 @@ ExactRational = Fraction
 FIBONACCI_VARIANTS = ("plain", "alternating")
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(NamedTuple):
     """Parameters of one geometric-series decomposition of 1/p."""
 
     p: int

@@ -15,6 +15,10 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the input was checked")
+
+
 def parse_json(out):
     doc = json.loads(out)
     assert doc["schema_version"] == 1
@@ -95,6 +99,26 @@ class TestCyclic:
     def test_composite_p_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "cyclic", "9", "10")
         assert code == EXIT_USAGE
+
+    def test_large_p_refused_before_the_period(self, capsys, monkeypatch):
+        # Finding the period factors p - 1, which is itself O(sqrt(p)).
+        monkeypatch.setattr(reptends.cli, "multiplicative_order", no_work)
+        monkeypatch.setattr(reptends.cli, "reptend_profile", no_work)
+        code, out, err = run_cli(capsys, "cyclic", "1000000007", "10")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "p * period must be at most 10000000;" in err
+
+    # p * period: 7 * 6 for 1/7 and 3 * 1 for 1/3 in base 10.
+    @pytest.mark.parametrize("p,limit,accepted", [
+        ("7", 42, True), ("7", 41, False), ("3", 3, True), ("3", 2, False),
+    ])
+    def test_work_bound_is_inclusive(self, capsys, monkeypatch, p, limit, accepted):
+        monkeypatch.setattr(reptends.cli, "CYCLIC_WORK_LIMIT", limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "reptend_profile", no_work)
+        code, out, err = run_cli(capsys, "cyclic", p, "10")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"p * period must be at most {limit}" in err) is not accepted
 
 
 class TestSeries:
@@ -195,6 +219,25 @@ class TestSubcyclic:
         assert code == EXIT_OK
         assert out == "value\n3\n"
 
+    def test_large_p_refused_before_the_period(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "multiplicative_order", no_work)
+        monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
+        code, out, err = run_cli(capsys, "subcyclic", "1000003", "10")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "(p - 1) * period must be at most 1000000;" in err
+
+    # (p - 1) * period: 6 * 6 for 1/7 and 2 * 1 for 1/3 in base 10.
+    @pytest.mark.parametrize("p,limit,accepted", [
+        ("7", 36, True), ("7", 35, False), ("3", 2, True), ("3", 1, False),
+    ])
+    def test_work_bound_is_inclusive(self, capsys, monkeypatch, p, limit, accepted):
+        monkeypatch.setattr(reptends.cli, "SUBCYCLIC_WORK_LIMIT", limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
+        code, out, err = run_cli(capsys, "subcyclic", p, "10")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"(p - 1) * period must be at most {limit}" in err) is not accepted
+
 
 class TestCrossbase:
     def test_render(self, capsys):
@@ -281,14 +324,16 @@ class TestCrossbase:
          "min_suffix must be at least 1"),
         (["7", "10", "--base-limit", "10", "--min-suffix", "-5"],
          "min_suffix must be at least 1"),
+        (["7", "10", "--base-limit", "10", "--max-digits", "6"],
+         "max_digits must exceed the period 6"),
+        # 1/13 has period 6 in base 10 but 12 in bases 2, 6, 7 and 11.
+        (["13", "10", "--base-limit", "12", "--max-digits", "8"],
+         "max_digits must exceed the period 12"),
     ])
     def test_sweep_bad_input_exits_2_before_any_search(
         self, capsys, monkeypatch, argv, message
     ):
-        def no_search(*args, **kwargs):
-            raise AssertionError("a search started before the input was checked")
-
-        monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_search)
+        monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_work)
         code, out, err = run_cli(capsys, "crossbase", "sweep", *argv, "--jobs", "1")
         assert code == EXIT_USAGE
         assert message in err

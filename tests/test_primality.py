@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -12,8 +13,10 @@ from reptends.primality import (
     _TRIAL_PREFIX,
     _WITNESS_TIERS,
     PrimalityVerdict,
+    _derived_witnesses,
     _jacobi,
     _strong_lucas_probable_prime,
+    _sieve,
     _strong_probable_prime,
     classify,
     is_probably_prime,
@@ -298,3 +301,28 @@ def test_matches_per_prime_loop_past_trial_range(factors):
 def test_matches_oracle_near_tier_bounds(center, offset):
     n = center + offset
     assert (classify(n).status == "prime") == miller_rabin_oracle(n)
+
+
+def hashlib_witnesses(n, rounds):
+    """The witness derivation written with hashlib.sha256: the reference."""
+    material = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    return [
+        int.from_bytes(
+            hashlib.sha256(material + k.to_bytes(8, "big")).digest(), "big"
+        ) % (n - 3) + 2
+        for k in range(rounds)
+    ]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(5, 2**4000), st.integers(1, 45))
+@example(MERSENNE_PRIME_127, DEFAULT_ROUNDS)
+def test_derived_witnesses_match_hashlib(n, rounds):
+    assert list(_derived_witnesses(n, rounds)) == hashlib_witnesses(n, rounds)
+
+
+@given(st.integers(2, 3000))
+@example(TRIAL_DIVISION_BOUND)
+def test_sieve_matches_trial_division(limit):
+    expected = tuple(n for n in range(limit) if trial_division_is_prime(n))
+    assert _sieve(limit) == expected
