@@ -35,9 +35,12 @@ from .series import enumerate_series, residual
 SCHEMA_VERSION = 1
 DEFAULT_ELIDE_DIGITS = 1000
 # `cyclic` prints p * period digits at most and walks p numerators;
-# `subcyclic` classifies (p - 1) * period circular substrings.
+# `subcyclic` classifies (p - 1) * period circular substrings of up to
+# period digits, and its time grows as (p - 1) * period**3.
 CYCLIC_WORK_LIMIT = 10**7
 SUBCYCLIC_WORK_LIMIT = 10**6
+SUBCYCLIC_COST_LIMIT = 25 * 10**9
+PERIOD_CELL_LIMIT = 10**6
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,21 +107,25 @@ def _require_alphabet(label: str, base: int) -> None:
         )
 
 
-def _bound_work(p: int, base: int, factor: int, label: str, limit: int) -> None:
-    """Refuse, before any work, a command whose factor * period exceeds limit.
+def _bound_work(
+    p: int, base: int, factor: int, label: str, limit: int, power: int = 1
+) -> None:
+    """Refuse, before any work, a command whose factor * period**power > limit.
 
     Every period is at least 1, so factor alone is checked first: computing
     the period factors p - 1, which is itself O(sqrt(p)).
     """
+    exponent = f"**{power}" if power > 1 else ""
     if factor > limit:
         raise ValueError(
-            f"{label} * period must be at most {limit}; "
+            f"{label} * period{exponent} must be at most {limit}; "
             f"{label} = {factor} alone exceeds it"
         )
     period = multiplicative_order(base, p)
-    if period is not None and factor * period > limit:
+    if period is not None and factor * period**power > limit:
         raise ValueError(
-            f"{label} * period must be at most {limit}, got {factor} * {period}"
+            f"{label} * period{exponent} must be at most {limit}, "
+            f"got {factor} * {period}{exponent}"
         )
 
 
@@ -131,36 +138,30 @@ def cmd_period(args) -> int:
     if args.primes_max > SMALL_PRIMES[-1]:
         raise ValueError(f"primes-max above {SMALL_PRIMES[-1]} is not supported")
     primes = [p for p in SMALL_PRIMES if p <= args.primes_max]
-    bases = list(range(args.base_min, args.base_max + 1))
-    rows = []
-    for p in primes:
-        for b in bases:
-            period = multiplicative_order(b, p)
-            rows.append(
-                {
-                    "p": p,
-                    "base": b,
-                    "period": period,
-                    "full_reptend": period == p - 1,
-                }
-            )
-    params = {"primes_max": args.primes_max, "base_min": args.base_min,
-              "base_max": args.base_max}
+    bases = range(args.base_min, args.base_max + 1)
+    count = len(primes) * (args.base_max - args.base_min + 1)
+    if count > PERIOD_CELL_LIMIT:
+        raise ValueError(
+            f"primes * bases must be at most {PERIOD_CELL_LIMIT} cells, got {count}"
+        )
+    periods = [(p, [multiplicative_order(b, p) for b in bases]) for p in primes]
     if args.format == "table":
-        columns = ["p"] + [str(b) for b in bases]
         matrix = []
-        for p in primes:
-            row = {"p": p}
-            for entry in rows:
-                if entry["p"] != p:
-                    continue
-                mark = "*" if entry["full_reptend"] else ""
-                row[str(entry["base"])] = (
-                    "" if entry["period"] is None else f"{entry['period']}{mark}"
-                )
-            matrix.append(row)
-        _print_table(columns, matrix, sys.stdout)
+        for p, row in periods:
+            cells = {"p": p}
+            for b, period in zip(bases, row):
+                mark = "*" if period == p - 1 else ""
+                cells[str(b)] = "" if period is None else f"{period}{mark}"
+            matrix.append(cells)
+        _print_table(["p"] + [str(b) for b in bases], matrix, sys.stdout)
     else:
+        rows = [
+            {"p": p, "base": b, "period": period, "full_reptend": period == p - 1}
+            for p, row in periods
+            for b, period in zip(bases, row)
+        ]
+        params = {"primes_max": args.primes_max, "base_min": args.base_min,
+                  "base_max": args.base_max}
         _emit(args, "period", params, ["p", "base", "period", "full_reptend"], rows)
     return EXIT_OK
 
@@ -259,6 +260,7 @@ def cmd_search(args) -> int:
 
 def cmd_subcyclic(args) -> int:
     _bound_work(args.p, args.base, args.p - 1, "(p - 1)", SUBCYCLIC_WORK_LIMIT)
+    _bound_work(args.p, args.base, args.p - 1, "(p - 1)", SUBCYCLIC_COST_LIMIT, 3)
     values = enumerate_subcyclic_primes(args.p, args.base, args.rounds)
     rows = [{"value": v} for v in values]
     params = {"p": args.p, "base": args.base}

@@ -3,10 +3,11 @@
 A cyclic prime arises by reading more than one full period of the repetend
 stream of a/p (any numerator whose stream starts with a nonzero digit) and
 landing on a prime.  A subcyclic prime is a prime read from a contiguous
-circular substring of a single period.  Searches walk digit-count levels in
-order; primality work within a level can fan out to worker processes, and a
-checkpoint file (JSON, written atomically and synced to disk) makes long runs
-resumable.
+circular substring of a single period: the first L <= period digits of
+another such stream.  Both searches walk digit-count levels of the streams,
+1..period for subcyclic primes and onward for cyclic ones.  Primality work
+within a level can fan out to worker processes, and a checkpoint file (JSON,
+written atomically and synced to disk) makes long runs resumable.
 
 Records and checkpoints are named tuples, so they also unpack, index and
 compare equal to plain tuples of their fields.
@@ -20,7 +21,10 @@ from typing import Callable, Iterator, NamedTuple
 from . import primality
 from .digits import DigitString, from_integer
 from .primality import DEFAULT_ROUNDS, PrimalityVerdict, classify
-from .reptend import _require_fraction, cycles, multiplicative_order, orbits
+from .reptend import _require_fraction, multiplicative_order, orbits
+# Unused here: benchmarks/tracing.py wraps reptends.cyclic_search.cycles by
+# name, and a traced run fails without it.
+from .reptend import cycles  # noqa: F401
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -147,18 +151,75 @@ def enumerate_cyclic_primes(
     if completed >= max_digits:
         return found
 
+    def level_done(ndigits: int, records: list[CyclicPrimeRecord]) -> None:
+        found.extend(records)
+        if on_level is not None:
+            on_level(ndigits, records)
+        if checkpoint_path is not None:
+            save_checkpoint(
+                SearchCheckpoint(
+                    format_version=CHECKPOINT_FORMAT_VERSION,
+                    p=p,
+                    base=base,
+                    max_digits=max_digits,
+                    completed_through_digits=ndigits,
+                    found=tuple(found),
+                    rounds=rounds,
+                ),
+                checkpoint_path,
+            )
+
+    _walk_levels(p, base, completed + 1, max_digits, rounds, jobs, level_done)
+    return found
+
+
+def enumerate_subcyclic_primes(
+    p: int, base: int, rounds: int = DEFAULT_ROUNDS
+) -> list[int]:
+    """Distinct primes among circular substrings of the period digits.
+
+    Substrings of every cycle, lengths 1..period, with nonzero leading
+    digit; the result is ascending and always finite.  The substring of
+    length L at position s of the cycle of c is the first L digits of a/p
+    with a = c * base**s mod p: level L of the cyclic-prime walk.
+
+    >>> enumerate_subcyclic_primes(7, 10)
+    [2, 5, 7, 71, 571, 857, 2857, 28571]
+    """
+    period = multiplicative_order(base, p)
+    if period is None:
+        raise ValueError(f"base {base} shares a factor with {p}")
+    primes: set[int] = set()
+    _walk_levels(
+        p, base, 1, period, rounds, None,
+        lambda ndigits, records: primes.update(rec.value for rec in records),
+    )
+    return sorted(primes)
+
+
+def _walk_levels(
+    p: int, base: int, first: int, last: int, rounds: int, jobs: int | None,
+    on_level: Callable[[int, list[CyclicPrimeRecord]], None],
+) -> None:
+    """Classify the first..last digit prefixes of every a/p opening nonzero.
+
+    Each level's non-composite prefixes go to on_level as records ordered by
+    numerator, before the next level starts.  With jobs > 1 a process pool
+    classifies each level; it is shut down however the walk ends, including
+    by an exception from on_level.
+    """
     numerators = [a for a in range(1, p) if a * base // p > 0]
     cycle_of = {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
-    # Stream state fast-forwarded past the completed levels.
-    values = [a * base**completed // p for a in numerators]
-    remainders = [a * base**completed % p for a in numerators]
+    # Stream state fast-forwarded past the levels before first.
+    values = [a * base ** (first - 1) // p for a in numerators]
+    remainders = [a * base ** (first - 1) % p for a in numerators]
     executor = None
     if jobs is not None and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         executor = ProcessPoolExecutor(max_workers=jobs)
     try:
-        for ndigits in range(completed + 1, max_digits + 1):
+        for ndigits in range(first, last + 1):
             for i, r in enumerate(remainders):
                 values[i] = values[i] * base + r * base // p
                 remainders[i] = r * base % p
@@ -184,80 +245,17 @@ def enumerate_cyclic_primes(
                 for a, verdict in zip(numerators, verdicts)
                 if verdict.status != "composite"
             ]
-            found.extend(records)
-            if on_level is not None:
-                on_level(ndigits, records)
-            if checkpoint_path is not None:
-                save_checkpoint(
-                    SearchCheckpoint(
-                        format_version=CHECKPOINT_FORMAT_VERSION,
-                        p=p,
-                        base=base,
-                        max_digits=max_digits,
-                        completed_through_digits=ndigits,
-                        found=tuple(found),
-                        rounds=rounds,
-                    ),
-                    checkpoint_path,
-                )
+            on_level(ndigits, records)
     finally:
         if executor is not None:
             executor.shutdown()
-    return found
 
 
-def enumerate_subcyclic_primes(
-    p: int, base: int, rounds: int = DEFAULT_ROUNDS
-) -> list[int]:
-    """Distinct primes among circular substrings of the period digits.
-
-    Substrings of every cycle, lengths 1..period, with nonzero leading
-    digit; the result is ascending and always finite.
-
-    >>> enumerate_subcyclic_primes(7, 10)
-    [2, 5, 7, 71, 571, 857, 2857, 28571]
-    """
-    primes = set()
-    for representative in cycles(p, base):
-        digits = representative.digits
-        length = len(digits)
-        for start in range(length):
-            if digits[start] == 0:
-                continue
-            value = 0
-            for offset in range(length):
-                value = value * base + digits[(start + offset) % length]
-                if classify(value, rounds).status != "composite":
-                    primes.add(value)
-    return sorted(primes)
-
-
-def _record_to_json(record: CyclicPrimeRecord) -> dict:
-    return {
-        "p": record.p,
-        "base": record.base,
-        "cycle_index": record.cycle_index,
-        "rotation_numerator": record.rotation_numerator,
-        "digit_count": record.digit_count,
-        "first_digit": record.first_digit,
-        "verdict": {
-            "status": record.verdict.status,
-            "witness_rounds": record.verdict.witness_rounds,
-        },
-    }
-
-
-def _record_from_json(doc: dict) -> CyclicPrimeRecord:
-    verdict = doc["verdict"]
-    return CyclicPrimeRecord(
-        p=doc["p"],
-        base=doc["base"],
-        cycle_index=doc["cycle_index"],
-        rotation_numerator=doc["rotation_numerator"],
-        digit_count=doc["digit_count"],
-        first_digit=doc["first_digit"],
-        verdict=PrimalityVerdict(verdict["status"], verdict["witness_rounds"]),
-    )
+def _from_fields(cls, fields):
+    """cls(**fields), refusing a missing or unknown key, defaulted or not."""
+    if set(fields) != set(cls._fields):
+        raise KeyError(f"{cls.__name__} fields {sorted(fields)}")
+    return cls(**fields)
 
 
 def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:
@@ -267,15 +265,11 @@ def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:
     to disk before it is renamed over the old checkpoint, so a crash leaves
     either the old or the new checkpoint, never a partial one.
     """
-    doc = {
-        "format_version": checkpoint.format_version,
-        "p": checkpoint.p,
-        "base": checkpoint.base,
-        "max_digits": checkpoint.max_digits,
-        "completed_through_digits": checkpoint.completed_through_digits,
-        "found": [_record_to_json(rec) for rec in checkpoint.found],
-        "rounds": checkpoint.rounds,
-    }
+    doc = checkpoint._asdict()
+    doc["found"] = [
+        {**rec._asdict(), "verdict": rec.verdict._asdict()}
+        for rec in checkpoint.found
+    ]
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -295,19 +289,17 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-        checkpoint = SearchCheckpoint(
-            format_version=doc["format_version"],
-            p=doc["p"],
-            base=doc["base"],
-            max_digits=doc["max_digits"],
-            completed_through_digits=doc["completed_through_digits"],
-            found=tuple(_record_from_json(rec) for rec in doc["found"]),
-            rounds=doc["rounds"],
+        version = doc["format_version"]
+        if version != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointMismatchError(f"checkpoint format {version} unsupported")
+        found = tuple(
+            _from_fields(
+                CyclicPrimeRecord,
+                {**rec, "verdict": _from_fields(PrimalityVerdict, rec["verdict"])},
+            )
+            for rec in doc["found"]
         )
+        checkpoint = _from_fields(SearchCheckpoint, {**doc, "found": found})
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"unusable checkpoint {path}: {exc}") from exc
-    if checkpoint.format_version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointMismatchError(
-            f"checkpoint format {checkpoint.format_version} unsupported"
-        )
     return checkpoint

@@ -68,6 +68,24 @@ class TestPeriod:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_large_table_refused_before_any_period(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "multiplicative_order", no_work)
+        code, out, err = run_cli(
+            capsys, "period", "--primes-max", "99991", "--base-max", "100000"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "primes * bases must be at most 1000000 cells" in err
+
+    # 4 primes up to 7 times the 13 bases 2..14.
+    @pytest.mark.parametrize("limit,accepted", [(52, True), (51, False)])
+    def test_cell_bound_is_inclusive(self, capsys, monkeypatch, limit, accepted):
+        monkeypatch.setattr(reptends.cli, "PERIOD_CELL_LIMIT", limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "multiplicative_order", no_work)
+        code, out, err = run_cli(capsys, "period", "--primes-max", "7")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"must be at most {limit} cells, got 52" in err) is not accepted
+
 
 class TestCyclic:
     def test_rotation_products(self, capsys):
@@ -237,6 +255,36 @@ class TestSubcyclic:
         code, out, err = run_cli(capsys, "subcyclic", p, "10")
         assert code == (EXIT_OK if accepted else EXIT_USAGE)
         assert (f"(p - 1) * period must be at most {limit}" in err) is not accepted
+
+    # Substrings reach period digits, so time grows as (p - 1) * period**3:
+    # 982 * 982**3 for 983 and 460 * 460**3 for 461 in base 10.
+    @pytest.mark.parametrize("p", ["983", "461"])
+    def test_costly_p_refused_before_any_work(self, capsys, monkeypatch, p):
+        monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
+        code, out, err = run_cli(capsys, "subcyclic", p, "10")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "(p - 1) * period**3 must be at most 25000000000, got" in err
+
+    @pytest.mark.parametrize("p", ["263", "383", "997", "1009"])
+    def test_accepted_below_the_cost_bound(self, capsys, monkeypatch, p):
+        monkeypatch.setattr(
+            reptends.cli, "enumerate_subcyclic_primes", lambda *args: [2]
+        )
+        code, out, _ = run_cli(capsys, "subcyclic", p, "10", "--format", "csv")
+        assert (code, out) == (EXIT_OK, "value\n2\n")
+
+    # (p - 1) * period**3: 6 * 6**3 for 1/7 and 2 * 1 for 1/3 in base 10.
+    @pytest.mark.parametrize("p,limit,accepted", [
+        ("7", 1296, True), ("7", 1295, False), ("3", 2, True), ("3", 1, False),
+    ])
+    def test_cost_bound_is_inclusive(self, capsys, monkeypatch, p, limit, accepted):
+        monkeypatch.setattr(reptends.cli, "SUBCYCLIC_COST_LIMIT", limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
+        code, out, err = run_cli(capsys, "subcyclic", p, "10")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        message = f"(p - 1) * period**3 must be at most {limit}"
+        assert (message in err) is not accepted
 
 
 class TestCrossbase:

@@ -20,7 +20,7 @@ from reptends.cyclic_search import (
     load_checkpoint,
     save_checkpoint,
 )
-from reptends.primality import DEFAULT_ROUNDS
+from reptends.primality import DEFAULT_ROUNDS, classify
 from reptends.reptend import cycles, multiplicative_order
 
 
@@ -235,6 +235,40 @@ class TestSubcyclicPrimes:
                         expected.add(value)
         assert enumerate_subcyclic_primes(p, 10) == sorted(expected)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)).flatmap(
+            lambda p: st.tuples(
+                st.just(p), st.integers(2, 100).filter(lambda b: b % p != 0)
+            )
+        )
+    )
+    @example((3, 10))
+    @example((7, 10))
+    @example((13, 10))  # level 2: two cycles
+    @example((31, 10))  # level 2, period 15
+    @example((41, 10))  # level 8, period 5
+    @example((7, 100))  # base above 62
+    @example((11, 63))  # base above 62, level 2
+    @example((5, 3))  # base below p
+    def test_matches_the_circular_substring_loop(self, p_base):
+        # The search as it was before it became levels 1..period of the
+        # stream walk: digits of each cycle block, read circularly.
+        p, base = p_base
+        expected = set()
+        for representative in cycles(p, base):
+            digits = representative.digits
+            length = len(digits)
+            for start in range(length):
+                if digits[start] == 0:
+                    continue
+                value = 0
+                for offset in range(length):
+                    value = value * base + digits[(start + offset) % length]
+                    if classify(value).status != "composite":
+                        expected.add(value)
+        assert enumerate_subcyclic_primes(p, base) == sorted(expected)
+
 
 class TestCheckpoint:
     def test_fresh_run_matches_plain_enumeration(self, tmp_path):
@@ -284,6 +318,28 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format_version": 1, "p": 7}))
         with pytest.raises(CheckpointError):
             enumerate_cyclic_primes(7, 10, 16, checkpoint_path=str(path))
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(extra=1),
+        lambda doc: doc["found"][0].update(extra=1),
+        lambda doc: doc["found"][0]["verdict"].update(extra=1),
+        lambda doc: doc.pop("rounds"),
+        lambda doc: doc["found"][0].pop("cycle_index"),
+        lambda doc: doc["found"][0]["verdict"].pop("witness_rounds"),
+    ], ids=[
+        "unknown-key", "unknown-record-key", "unknown-verdict-key",
+        "missing-key", "missing-record-key", "missing-defaulted-verdict-key",
+    ])
+    def test_unknown_or_missing_key_fails_closed(self, tmp_path, edit):
+        path = str(tmp_path / "ck.json")
+        enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        edit(doc)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        with pytest.raises(CheckpointError, match="unusable checkpoint"):
+            load_checkpoint(path)
 
     def test_wire_format_keys(self, tmp_path):
         path = str(tmp_path / "ck.json")
