@@ -11,12 +11,10 @@ invariant violation.
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .crossbase import (
     FORMULA_VARIANTS,
-    alternating_formula_disagreements,
     cross_render,
     empirical_related_bases,
     related_bases_alternating,
@@ -101,9 +99,10 @@ def _record_cell(rec, elide_above: int) -> str:
 
 def _require_alphabet(label: str, base: int) -> None:
     """Refuse, before any work, a base whose digits cannot be printed."""
-    if base > MAX_BASE:
+    if not 2 <= base <= MAX_BASE:
         raise ValueError(
-            f"{label} must be at most {MAX_BASE} to print digits, got {base}"
+            f"{label} must be at least 2, and must be at most {MAX_BASE} to print"
+            f" digits, got {base}"
         )
 
 
@@ -188,6 +187,8 @@ def cmd_cyclic(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.k_terms < 0:
+        raise ValueError(f"k-terms must be non-negative, got {args.k_terms}")
     specs = enumerate_series(args.p, args.base, args.max_length, args.rounds)
     rows = []
     for spec in specs:
@@ -320,14 +321,11 @@ def cmd_crossbase_related(args) -> int:
         formula = related_bases_formula(args.anchor_base, i, args.variant)
         rows.append({"i": i, "member": member, "formula": formula,
                      "agree": member == formula})
-    disagreements = alternating_formula_disagreements(
-        args.anchor_base, args.count, args.variant
-    )
-    if disagreements:
-        i, member, formula = disagreements[0]
+    first = next((row for row in rows if not row["agree"]), None)
+    if first is not None:
         print(
-            f"warning: closed form '{args.variant}' diverges from the "
-            f"alternating ladder at i={i} ({formula} vs {member})",
+            f"warning: closed form '{args.variant}' diverges from the alternating"
+            f" ladder at i={first['i']} ({first['formula']} vs {first['member']})",
             file=sys.stderr,
         )
     params = {"anchor_base": args.anchor_base, "count": args.count,
@@ -373,20 +371,24 @@ def cmd_crossbase_sweep(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("table", "csv", "json"),
-                        default="table", help="output format")
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS,
-                        help="witness rounds for probabilistic verdicts")
-    parser.add_argument("--elide-above", type=int, default=DEFAULT_ELIDE_DIGITS,
-                        dest="elide_above",
-                        help="print digit strings longer than this as "
-                             "'<first digit>…(<n> digits)'")
+# --jobs defaults to the serial path: on a 2-vCPU VM a process pool made the
+# catalog search and the cross-base sweep slower, not faster.
+_SHARED_OPTIONS = {
+    "--format": dict(choices=("table", "csv", "json"), default="table",
+                     help="output format"),
+    "--rounds": dict(type=int, default=DEFAULT_ROUNDS,
+                     help="witness rounds for probabilistic verdicts"),
+    "--elide-above": dict(type=int, default=DEFAULT_ELIDE_DIGITS,
+                          help="print digit strings longer than this as "
+                               "'<first digit>…(<n> digits)'"),
+    "--jobs": dict(type=int, default=1,
+                   help="worker processes for primality classification"),
+}
 
 
-def _add_jobs(parser):
-    parser.add_argument("--jobs", type=int, default=os.cpu_count(),
-                        help="worker processes for primality classification")
+def _add_shared(parser, *flags):
+    for flag in ("--format", *flags):
+        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,41 +400,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_period = sub.add_parser("period", help="period table of 1/p per base")
-    p_period.add_argument("--primes-max", type=int, default=31, dest="primes_max")
-    p_period.add_argument("--base-min", type=int, default=2, dest="base_min")
-    p_period.add_argument("--base-max", type=int, default=14, dest="base_max")
-    _add_common(p_period)
+    p_period.add_argument("--primes-max", type=int, default=31)
+    p_period.add_argument("--base-min", type=int, default=2)
+    p_period.add_argument("--base-max", type=int, default=14)
+    _add_shared(p_period)
     p_period.set_defaults(handler=cmd_period)
 
     p_cyclic = sub.add_parser("cyclic", help="cycle blocks and rotation multiples")
     p_cyclic.add_argument("p", type=int)
     p_cyclic.add_argument("base", type=int)
-    _add_common(p_cyclic)
+    _add_shared(p_cyclic)
     p_cyclic.set_defaults(handler=cmd_cyclic)
 
     p_series = sub.add_parser("series", help="geometric series decompositions")
     p_series.add_argument("p", type=int)
     p_series.add_argument("base", type=int)
-    p_series.add_argument("--max-length", type=int, default=7, dest="max_length")
-    p_series.add_argument("--k-terms", type=int, default=3, dest="k_terms")
-    _add_common(p_series)
+    p_series.add_argument("--max-length", type=int, default=7)
+    p_series.add_argument("--k-terms", type=int, default=3)
+    _add_shared(p_series, "--rounds")
     p_series.set_defaults(handler=cmd_series)
 
     p_search = sub.add_parser("search", help="enumerate cyclic primes")
     p_search.add_argument("p", type=int)
     p_search.add_argument("base", type=int)
-    p_search.add_argument("--max-digits", type=int, required=True,
-                          dest="max_digits")
+    p_search.add_argument("--max-digits", type=int, required=True)
     p_search.add_argument("--checkpoint", default=None,
                           help="JSON checkpoint path for resumable runs")
-    _add_jobs(p_search)
-    _add_common(p_search)
+    _add_shared(p_search, "--rounds", "--elide-above", "--jobs")
     p_search.set_defaults(handler=cmd_search)
 
     p_sub = sub.add_parser("subcyclic", help="primes inside one period")
     p_sub.add_argument("p", type=int)
     p_sub.add_argument("base", type=int)
-    _add_common(p_sub)
+    _add_shared(p_sub, "--rounds")
     p_sub.set_defaults(handler=cmd_subcyclic)
 
     p_cross = sub.add_parser("crossbase", help="cross-base relationships")
@@ -442,16 +442,15 @@ def build_parser() -> argparse.ArgumentParser:
     c_render.add_argument("p", type=int)
     c_render.add_argument("anchor_base", type=int)
     c_render.add_argument("target_base", type=int)
-    c_render.add_argument("--max-digits", type=int, default=35, dest="max_digits")
-    _add_jobs(c_render)
-    _add_common(c_render)
+    c_render.add_argument("--max-digits", type=int, default=35)
+    _add_shared(c_render, "--rounds", "--elide-above", "--jobs")
     c_render.set_defaults(handler=cmd_crossbase_render)
 
     c_suffix = cross_sub.add_parser("suffix", help="trailing-digit stream match")
     c_suffix.add_argument("value", type=int)
     c_suffix.add_argument("p", type=int)
     c_suffix.add_argument("target_base", type=int)
-    _add_common(c_suffix)
+    _add_shared(c_suffix)
     c_suffix.set_defaults(handler=cmd_crossbase_suffix)
 
     c_related = cross_sub.add_parser("related", help="related-base ladder")
@@ -459,17 +458,16 @@ def build_parser() -> argparse.ArgumentParser:
     c_related.add_argument("--count", type=int, default=5)
     c_related.add_argument("--variant", choices=FORMULA_VARIANTS,
                            default="three_four")
-    _add_common(c_related)
+    _add_shared(c_related)
     c_related.set_defaults(handler=cmd_crossbase_related)
 
     c_sweep = cross_sub.add_parser("sweep", help="empirical related-base sweep")
     c_sweep.add_argument("p", type=int)
     c_sweep.add_argument("anchor_base", type=int)
-    c_sweep.add_argument("--base-limit", type=int, required=True, dest="base_limit")
-    c_sweep.add_argument("--min-suffix", type=int, default=None, dest="min_suffix")
-    c_sweep.add_argument("--max-digits", type=int, default=130, dest="max_digits")
-    _add_jobs(c_sweep)
-    _add_common(c_sweep)
+    c_sweep.add_argument("--base-limit", type=int, required=True)
+    c_sweep.add_argument("--min-suffix", type=int, default=None)
+    c_sweep.add_argument("--max-digits", type=int, default=130)
+    _add_shared(c_sweep, "--rounds", "--jobs")
     c_sweep.set_defaults(handler=cmd_crossbase_sweep)
 
     return parser
@@ -480,11 +478,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 50000))
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.elide_above < 1:
-        parser.error("--rounds and --elide-above must be at least 1")
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        parser.error("--jobs must be at least 1")
+    for flag in ("--rounds", "--elide-above", "--jobs"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < 1:
+            parser.error(f"{flag} must be at least 1")
     try:
         return args.handler(args)
     except CheckpointError as exc:

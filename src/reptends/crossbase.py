@@ -157,7 +157,7 @@ def empirical_related_bases(
     min_suffix: int | None = None,
     max_digits: int = 130,
     rounds: int = DEFAULT_ROUNDS,
-    jobs: int | None = None,
+    jobs: int = 1,
 ) -> list[tuple[int, list[SuffixReport]]]:
     """Sweep candidate bases for measurable suffix links with the anchor.
 

@@ -111,7 +111,7 @@ def enumerate_cyclic_primes(
     base: int,
     max_digits: int,
     rounds: int = DEFAULT_ROUNDS,
-    jobs: int | None = None,
+    jobs: int = 1,
     on_level: Callable[[int, list[CyclicPrimeRecord]], None] | None = None,
     checkpoint_path: str | None = None,
 ) -> list[CyclicPrimeRecord]:
@@ -191,14 +191,14 @@ def enumerate_subcyclic_primes(
         raise ValueError(f"base {base} shares a factor with {p}")
     primes: set[int] = set()
     _walk_levels(
-        p, base, 1, period, rounds, None,
+        p, base, 1, period, rounds, 1,
         lambda ndigits, records: primes.update(rec.value for rec in records),
     )
     return sorted(primes)
 
 
 def _walk_levels(
-    p: int, base: int, first: int, last: int, rounds: int, jobs: int | None,
+    p: int, base: int, first: int, last: int, rounds: int, jobs: int,
     on_level: Callable[[int, list[CyclicPrimeRecord]], None],
 ) -> None:
     """Classify the first..last digit prefixes of every a/p opening nonzero.
@@ -214,7 +214,7 @@ def _walk_levels(
     values = [a * base ** (first - 1) // p for a in numerators]
     remainders = [a * base ** (first - 1) % p for a in numerators]
     executor = None
-    if jobs is not None and jobs > 1:
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         executor = ProcessPoolExecutor(max_workers=jobs)

@@ -1,3 +1,5 @@
+import argparse
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -6,7 +8,8 @@ import pytest
 
 import reptends.cli
 import reptends.crossbase
-from reptends.cli import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main
+from reptends.cli import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, build_parser, main
+from reptends.primality import DEFAULT_ROUNDS
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +162,14 @@ class TestSeries:
         assert code == EXIT_USAGE
         assert f"{p} is not prime" in err
         assert out == ""
+
+    def test_negative_k_terms_refused_before_any_s(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+        code, out, err = run_cli(
+            capsys, "series", "7", "10", "--max-length", "400", "--k-terms", "-1"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "k-terms must be non-negative, got -1" in err
 
     def test_zero_terms_residual_is_whole_fraction(self, capsys):
         code, out, _ = run_cli(
@@ -334,6 +345,20 @@ class TestCrossbase:
         ]
         assert "diverges" in err and "i=2" in err
 
+    @pytest.mark.parametrize("argv,warning", [
+        (["10", "--count", "5"], "'three_four' diverges from the alternating "
+                                 "ladder at i=2 (150 vs 80)"),
+        (["10", "--count", "5", "--variant", "one_five"],
+         "'one_five' diverges from the alternating ladder at i=1 (20 vs 40)"),
+        (["7", "--count", "9", "--variant", "three_one"],
+         "'three_one' diverges from the alternating ladder at i=2 (63 vs 56)"),
+        (["10", "--count", "2"], None),
+    ])
+    def test_related_warns_at_first_disagreeing_row(self, capsys, argv, warning):
+        code, _, err = run_cli(capsys, "crossbase", "related", *argv)
+        assert code == EXIT_OK
+        assert err == ("" if warning is None else f"warning: closed form {warning}\n")
+
     def test_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "crossbase", "sweep", "7", "40", "--base-limit", "10",
@@ -403,6 +428,7 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         ["search", "7", "10", "--max-digits", "20"],
         ["crossbase", "sweep", "7", "10", "--base-limit", "12"],
+        ["crossbase", "render", "7", "10", "40"],
     ])
     def test_jobs_below_one_exits_2(self, capsys, command, jobs):
         with pytest.raises(SystemExit) as exc:
@@ -417,6 +443,8 @@ class TestParser:
         ["cyclic", "11", "100"],
         ["crossbase", "render", "7", "70", "10", "--jobs", "1"],
         ["crossbase", "render", "7", "10", "70", "--jobs", "1"],
+        ["crossbase", "render", "7", "10", "1", "--max-digits", "600"],
+        ["crossbase", "render", "7", "10", "0"],
     ])
     def test_base_without_digit_alphabet_refused_before_work(
         self, capsys, monkeypatch, command
@@ -431,6 +459,115 @@ class TestParser:
         assert code == EXIT_USAGE
         assert "must be at most 62" in err
         assert out == ""
+
+    # Every option of every command with its default: --format everywhere,
+    # and --rounds, --elide-above and --jobs only where the handler reads them.
+    OPTIONS = {
+        ("period",): {"--primes-max": 31, "--base-min": 2, "--base-max": 14},
+        ("cyclic",): {},
+        ("series",): {"--max-length": 7, "--k-terms": 3,
+                      "--rounds": DEFAULT_ROUNDS},
+        ("search",): {"--max-digits": None, "--checkpoint": None,
+                      "--rounds": DEFAULT_ROUNDS, "--elide-above": 1000,
+                      "--jobs": 1},
+        ("subcyclic",): {"--rounds": DEFAULT_ROUNDS},
+        ("crossbase", "render"): {"--max-digits": 35, "--rounds": DEFAULT_ROUNDS,
+                                  "--elide-above": 1000, "--jobs": 1},
+        ("crossbase", "suffix"): {},
+        ("crossbase", "related"): {"--count": 5, "--variant": "three_four"},
+        ("crossbase", "sweep"): {"--base-limit": None, "--min-suffix": None,
+                                 "--max-digits": 130, "--rounds": DEFAULT_ROUNDS,
+                                 "--jobs": 1},
+    }
+
+    def test_each_command_takes_only_the_options_it_reads(self):
+        found = {}
+
+        def walk(parser, path):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for name, subparser in action.choices.items():
+                        walk(subparser, (*path, name))
+                elif action.option_strings and action.dest != "help":
+                    found.setdefault(path, {})[action.option_strings[0]] = (
+                        action.default
+                    )
+
+        walk(build_parser(), ())
+        expected = {
+            path: {**options, "--format": "table"}
+            for path, options in self.OPTIONS.items()
+        }
+        assert found == expected
+        assert sum(len(options) for options in found.values()) == 32
+
+    @pytest.mark.parametrize("command,flag", [
+        (["period"], "--rounds"),
+        (["period"], "--elide-above"),
+        (["cyclic", "7", "10"], "--rounds"),
+        (["cyclic", "7", "10"], "--elide-above"),
+        (["series", "7", "10"], "--elide-above"),
+        (["subcyclic", "7", "10"], "--elide-above"),
+        (["crossbase", "suffix", "10", "7", "3"], "--rounds"),
+        (["crossbase", "suffix", "10", "7", "3"], "--elide-above"),
+        (["crossbase", "related", "10"], "--rounds"),
+        (["crossbase", "related", "10"], "--elide-above"),
+        (["crossbase", "sweep", "7", "10", "--base-limit", "12"], "--elide-above"),
+    ])
+    def test_option_the_command_does_not_read_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag} 5" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command,flag", [
+        (["series", "7", "10"], "--rounds"),
+        (["search", "7", "10", "--max-digits", "20"], "--rounds"),
+        (["search", "7", "10", "--max-digits", "20"], "--elide-above"),
+        (["subcyclic", "7", "10"], "--rounds"),
+        (["crossbase", "render", "7", "10", "40"], "--rounds"),
+        (["crossbase", "render", "7", "10", "40"], "--elide-above"),
+        (["crossbase", "sweep", "7", "10", "--base-limit", "12"], "--rounds"),
+    ])
+    def test_shared_option_below_one_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be at least 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ["search", "7", "10", "--max-digits", "20"],
+        ["crossbase", "sweep", "7", "10", "--base-limit", "12", "--max-digits", "20"],
+        ["crossbase", "render", "7", "10", "40", "--max-digits", "16"],
+    ])
+    def test_default_jobs_never_starts_a_pool(self, capsys, monkeypatch, command):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        code, out, _ = run_cli(capsys, *command)
+        assert code == EXIT_OK
+        assert out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["period", "--primes-max", "100000"],
+         "primes-max above 99991 is not supported"),
+        (["cyclic", "7", "14"], "1/7 has no period in base 14"),
+        (["search", "7", "14", "--max-digits", "8"], "base 14 shares a factor with 7"),
+        (["subcyclic", "7", "14"], "base 14 shares a factor with 7"),
+        (["crossbase", "suffix", "0", "7", "10"], "value must be positive"),
+        (["crossbase", "related", "1"], "anchor base must be at least 2"),
+        (["series", "7", "1"], "base must be at least 2"),
+        (["series", "7", "10", "--max-length", "0"], "max_length must be at least 1"),
+    ])
+    def test_bad_input_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"error: {message}" in err
 
     def test_all_formats_supported_everywhere(self, capsys):
         for fmt in ("table", "csv", "json"):

@@ -379,6 +379,22 @@ class TestCheckpoint:
         assert calls == ["fsync", "replace"]
         assert load_checkpoint(path) == checkpoint
 
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, step):
+        path = tmp_path / "ck.json"
+        enumerate_cyclic_primes(7, 10, 16, checkpoint_path=str(path))
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError(f"{step} failed")
+
+        monkeypatch.setattr(os, step, fail)
+        checkpoint = SearchCheckpoint(1, 7, 10, 20, 20, (), DEFAULT_ROUNDS)
+        with pytest.raises(OSError, match=f"{step} failed"):
+            save_checkpoint(checkpoint, str(path))
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["ck.json"]
+
     def test_unknown_format_version_refused(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)

@@ -321,6 +321,7 @@ def test_derived_witnesses_match_hashlib(n, rounds):
     assert list(_derived_witnesses(n, rounds)) == hashlib_witnesses(n, rounds)
 
 
+@settings(deadline=None, max_examples=200)
 @given(st.integers(2, 3000))
 @example(TRIAL_DIVISION_BOUND)
 def test_sieve_matches_trial_division(limit):
