@@ -27,7 +27,7 @@ from .cyclic_search import CheckpointError, enumerate_subcyclic_primes
 from .cyclic_search import enumerate_cyclic_primes as search_with_checkpoint
 from .digits import ALPHABET, MAX_BASE, from_integer_padded, to_integer
 from .primality import DEFAULT_ROUNDS, SMALL_PRIMES
-from .reptend import multiplicative_order, reptend_profile
+from .reptend import _require_prime, multiplicative_order, reptend_profile
 from .series import enumerate_series, residual
 
 SCHEMA_VERSION = 1
@@ -39,6 +39,16 @@ CYCLIC_WORK_LIMIT = 10**7
 SUBCYCLIC_WORK_LIMIT = 10**6
 SUBCYCLIC_COST_LIMIT = 25 * 10**9
 PERIOD_CELL_LIMIT = 10**6
+# `crossbase suffix` computes one value-sized quotient per numerator, so its
+# time grows as (p - 1) * the value's bits.
+SUFFIX_WORK_LIMIT = 10**7
+SUFFIX_COST_LIMIT = 10**9
+# `series` classifies each s < base**max_length and sums max_length * k_terms
+# exact fractions whose denominators reach p * base**(max_length * k_terms).
+SERIES_S_DIGIT_LIMIT = 500
+SERIES_TERMS_LIMIT = 1000
+# Integers up to this many digits print; main raises the interpreter's limit.
+PRINT_DIGIT_LIMIT = 50000
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,6 +138,22 @@ def _bound_work(
         )
 
 
+def _require_digits(label: str, factor: int, base: int, exponent: int,
+                    limit: int) -> None:
+    """Refuse factor * base**exponent of more than limit digits.
+
+    A power too long by the base's bit length alone is refused before it is
+    built.  A base below 2 or an exponent below 1 is left to the library's
+    checks.
+    """
+    if base < 2 or exponent < 1:
+        return
+    bound = 10**limit
+    if (exponent * (base.bit_length() - 1) >= bound.bit_length()
+            or factor * base**exponent >= bound):
+        raise ValueError(f"{label} must have at most {limit} digits")
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -189,6 +215,16 @@ def cmd_cyclic(args) -> int:
 def cmd_series(args) -> int:
     if args.k_terms < 0:
         raise ValueError(f"k-terms must be non-negative, got {args.k_terms}")
+    terms = args.max_length * args.k_terms
+    if terms > SERIES_TERMS_LIMIT:
+        raise ValueError(
+            f"max_length * k_terms must be at most {SERIES_TERMS_LIMIT}, "
+            f"got {args.max_length} * {args.k_terms}"
+        )
+    _require_digits("base**max_length", 1, args.base, args.max_length,
+                    SERIES_S_DIGIT_LIMIT)
+    _require_digits("the residual denominator p * base**(max_length * k_terms)",
+                    args.p, args.base, terms, PRINT_DIGIT_LIMIT)
     specs = enumerate_series(args.p, args.base, args.max_length, args.rounds)
     rows = []
     for spec in specs:
@@ -299,6 +335,17 @@ def cmd_crossbase_render(args) -> int:
 
 
 def cmd_crossbase_suffix(args) -> int:
+    if args.p - 1 > SUFFIX_WORK_LIMIT:
+        raise ValueError(
+            f"(p - 1) must be at most {SUFFIX_WORK_LIMIT}, got {args.p - 1}"
+        )
+    _require_prime(args.p)
+    bits = args.value.bit_length()
+    if (args.p - 1) * bits > SUFFIX_COST_LIMIT:
+        raise ValueError(
+            f"(p - 1) * value bits must be at most {SUFFIX_COST_LIMIT}, "
+            f"got {args.p - 1} * {bits}"
+        )
     report = shared_suffix_length(args.value, args.p, args.target_base)
     rows = [
         {
@@ -475,7 +522,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 50000))
+        sys.set_int_max_str_digits(
+            max(sys.get_int_max_str_digits(), PRINT_DIGIT_LIMIT)
+        )
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag in ("--rounds", "--elide-above", "--jobs"):

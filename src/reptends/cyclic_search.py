@@ -210,9 +210,7 @@ def _walk_levels(
     """
     numerators = [a for a in range(1, p) if a * base // p > 0]
     cycle_of = {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
-    # Stream state fast-forwarded past the levels before first.
-    values = [a * base ** (first - 1) // p for a in numerators]
-    remainders = [a * base ** (first - 1) % p for a in numerators]
+    scale = base ** (first - 1)
     executor = None
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -220,9 +218,9 @@ def _walk_levels(
         executor = ProcessPoolExecutor(max_workers=jobs)
     try:
         for ndigits in range(first, last + 1):
-            for i, r in enumerate(remainders):
-                values[i] = values[i] * base + r * base // p
-                remainders[i] = r * base % p
+            scale *= base
+            # The first ndigits digits of a/p, in candidate_value's closed form.
+            values = [a * scale // p for a in numerators]
             if executor is None:
                 verdicts = [classify(v, rounds) for v in values]
             else:

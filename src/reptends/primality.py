@@ -1,18 +1,21 @@
 """Primality classification for arbitrary-precision integers.
 
-Composites are rejected in order of cost:
+Three regimes, by size:
 
-1. Below 10**10 a loop over the primes under 10**5 decides outright.
-2. From 10**10 up, a short prefix of those primes is tried with `%`, then
-   one gcd with the product of the rest finds any remaining small factor.
-3. Below 2**64 strong-pseudoprime tests against a witness ladder, whose
-   tiers are each proven complete for their range, decide.
-4. From 2**64 up, one strong-pseudoprime round to base 2 screens out most
-   composites cheaply.  The requested number of rounds with witnesses
-   derived from a hash of the candidate (so results are reproducible across
-   runs and worker processes) and a strong Lucas check with Selfridge
-   parameters follow.  No composite is known to survive that combination,
-   and a survivor is reported as a probable prime.
+1. Below 10**5, n is looked up among the primes under 10**5.
+2. From 10**5 to 2**64, a prefix of those primes is tried with `%`, then
+   strong-pseudoprime rounds to the first twelve primes, 2..37, decide.
+   Those bases expose every composite below
+   psi_12 = 318665857834031151167461 (Jiang & Deng, Math. Comp. 2014;
+   Sorenson & Webster, Math. Comp. 2017), which exceeds 2**64.
+3. From 2**64 up, the same prefix and one gcd with the product of the
+   remaining primes under 10**5 find any small factor, and one
+   strong-pseudoprime round to base 2 screens out most composites cheaply.
+   The requested number of rounds with witnesses derived from a hash of the
+   candidate (so results are reproducible across runs and worker processes)
+   and a strong Lucas check with Selfridge parameters follow.  No composite
+   is known to survive that combination, and a survivor is reported as a
+   probable prime.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -20,6 +23,7 @@ to the plain tuple (status, witness_rounds).
 
 import functools
 import math
+from bisect import bisect_left
 from itertools import compress
 from typing import Iterator, Literal, NamedTuple
 
@@ -45,10 +49,10 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
-# Below this, no factor under TRIAL_DIVISION_BOUND proves n prime.
-_TRIAL_DECIDES_BELOW = TRIAL_DIVISION_BOUND**2
 # Primes tried one by one before the gcd; most trial-division kills land here.
 _TRIAL_PREFIX = SMALL_PRIMES[:128]
+# Strong-pseudoprime bases that decide every n below psi_12 > 2**64.
+_DECIDING_WITNESSES = SMALL_PRIMES[:12]
 
 
 @functools.cache
@@ -67,19 +71,6 @@ def _remaining_primorial() -> int:
         level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
     return level[0]
 
-
-# Each tier's witness set deterministically decides primality for n below
-# the tier bound (Pomerance/Selfridge/Wagstaff and Jaeschke style results).
-# Trial division decides everything below _TRIAL_DECIDES_BELOW, so tiers
-# start above it.
-_WITNESS_TIERS = (
-    (1122004669633, (2, 13, 23, 1662803)),
-    (2152302898747, (2, 3, 5, 7, 11)),
-    (3474749660383, (2, 3, 5, 7, 11, 13)),
-    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
-    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (DETERMINISTIC_BOUND, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
 
 Status = Literal["prime", "composite", "probable_prime"]
 
@@ -193,20 +184,18 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if n < 2:
+    if n < TRIAL_DIVISION_BOUND:
+        # From 99992 up, past the last small prime, i is off the table.
+        i = bisect_left(SMALL_PRIMES, n)
+        if i < len(SMALL_PRIMES) and SMALL_PRIMES[i] == n:
+            return _PRIME
         return _COMPOSITE
-    if n < _TRIAL_DECIDES_BELOW:
-        for p in SMALL_PRIMES:
-            if p * p > n:
-                return _PRIME
-            if n % p == 0:
-                return _PRIME if n == p else _COMPOSITE
-        return _PRIME
     # n exceeds every small prime, so any common factor proves it composite.
     for p in _TRIAL_PREFIX:
         if n % p == 0:
             return _COMPOSITE
-    if math.gcd(n, _remaining_primorial()) != 1:
+    # Below 2**64 a witness round costs far less than the gcd.
+    if n >= DETERMINISTIC_BOUND and math.gcd(n, _remaining_primorial()) != 1:
         return _COMPOSITE
     d = n - 1
     s = 0
@@ -214,10 +203,7 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
         d //= 2
         s += 1
     if n < DETERMINISTIC_BOUND:
-        for bound, witnesses in _WITNESS_TIERS:
-            if n < bound:
-                break
-        for a in witnesses:
+        for a in _DECIDING_WITNESSES:
             if not _strong_probable_prime(n, a, d, s):
                 return _COMPOSITE
         return _PRIME

@@ -171,6 +171,56 @@ class TestSeries:
         assert (code, out) == (EXIT_USAGE, "")
         assert "k-terms must be non-negative, got -1" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-length", "100", "--k-terms", "600"],
+         "max_length * k_terms must be at most 1000, got 100 * 600"),
+        (["--max-length", "3", "--k-terms", "20000"],
+         "max_length * k_terms must be at most 1000, got 3 * 20000"),
+        (["--max-length", "1000"],
+         "max_length * k_terms must be at most 1000, got 1000 * 3"),
+        (["--max-length", "1600", "--k-terms", "0"],
+         "base**max_length must have at most 500 digits"),
+    ])
+    def test_costly_series_refused_before_any_s(
+        self, capsys, monkeypatch, argv, message
+    ):
+        monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+        code, out, err = run_cli(capsys, "series", "7", "10", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
+    def test_unprintable_residual_refused_before_any_s(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+        # 7 * (10**60)**900 has 54001 digits.
+        code, out, err = run_cli(
+            capsys, "series", "7", str(10**60), "--max-length", "1",
+            "--k-terms", "900",
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "p * base**(max_length * k_terms) must have at most 50000" in err
+
+    # 7 terms of 3: the sum reaches 7 * 3 terms, s stays below 10**7 (8
+    # digits) and the last residual's denominator is 7 * 10**21 (22 digits).
+    @pytest.mark.parametrize("name,limit,accepted,message", [
+        ("SERIES_TERMS_LIMIT", 21, True, "max_length * k_terms must be at most"),
+        ("SERIES_TERMS_LIMIT", 20, False, "max_length * k_terms must be at most"),
+        ("SERIES_S_DIGIT_LIMIT", 8, True, "base**max_length must have at most"),
+        ("SERIES_S_DIGIT_LIMIT", 7, False, "base**max_length must have at most"),
+        ("PRINT_DIGIT_LIMIT", 22, True, "k_terms) must have at most"),
+        ("PRINT_DIGIT_LIMIT", 21, False, "k_terms) must have at most"),
+    ])
+    def test_bounds_are_inclusive(
+        self, capsys, monkeypatch, name, limit, accepted, message
+    ):
+        monkeypatch.setattr(reptends.cli, name, limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+        code, out, err = run_cli(
+            capsys, "series", "7", "10", "--max-length", "7", "--k-terms", "3"
+        )
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"{message} {limit}" in err) is not accepted
+
     def test_zero_terms_residual_is_whole_fraction(self, capsys):
         code, out, _ = run_cli(
             capsys, "series", "7", "10", "--max-length", "1",
@@ -331,6 +381,47 @@ class TestCrossbase:
         code, _, err = run_cli(capsys, "crossbase", "suffix", "142857", "7", base)
         assert code == EXIT_USAGE
         assert "error:" in err
+
+    @pytest.mark.parametrize("p", ["8", "1", "-5"])
+    def test_suffix_p_must_be_prime(self, capsys, monkeypatch, p):
+        monkeypatch.setattr(reptends.cli, "shared_suffix_length", no_work)
+        code, out, err = run_cli(capsys, "crossbase", "suffix", "10", p, "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{p} is not prime" in err
+
+    def test_suffix_large_p_refused_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "_require_prime", no_work)
+        monkeypatch.setattr(reptends.cli, "shared_suffix_length", no_work)
+        code, out, err = run_cli(
+            capsys, "crossbase", "suffix", "10", "100000007", "10"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "(p - 1) must be at most 10000000, got 100000006" in err
+
+    def test_suffix_long_value_refused_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "shared_suffix_length", no_work)
+        code, out, err = run_cli(
+            capsys, "crossbase", "suffix", str(10**49999), "10007", "10"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "(p - 1) * value bits must be at most 1000000000, got" in err
+
+    # p - 1 = 6 numerators, and 10 has 4 bits: 6 * 4 = 24.
+    @pytest.mark.parametrize("name,limit,accepted,message", [
+        ("SUFFIX_WORK_LIMIT", 6, True, "(p - 1) must be at most"),
+        ("SUFFIX_WORK_LIMIT", 5, False, "(p - 1) must be at most"),
+        ("SUFFIX_COST_LIMIT", 24, True, "(p - 1) * value bits must be at most"),
+        ("SUFFIX_COST_LIMIT", 23, False, "(p - 1) * value bits must be at most"),
+    ])
+    def test_suffix_bounds_are_inclusive(
+        self, capsys, monkeypatch, name, limit, accepted, message
+    ):
+        monkeypatch.setattr(reptends.cli, name, limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "shared_suffix_length", no_work)
+        code, out, err = run_cli(capsys, "crossbase", "suffix", "10", "7", "3")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"{message} {limit}" in err) is not accepted
 
     def test_related_warns_on_divergence(self, capsys):
         code, out, err = run_cli(

@@ -11,7 +11,6 @@ from reptends.primality import (
     SMALL_PRIMES,
     TRIAL_DIVISION_BOUND,
     _TRIAL_PREFIX,
-    _WITNESS_TIERS,
     PrimalityVerdict,
     _derived_witnesses,
     _jacobi,
@@ -100,16 +99,28 @@ def selfridge_d(n):
 
 
 ORACLE_PRIMES = [q for q in range(2, 1000) if trial_division_is_prime(q)]
-# Bounds below 2**64, each the least strong pseudoprime to its tier's
-# witnesses; 1122004669633, 341550071728321 and 3825123056546413051 also
-# have no factor below 10**5, so only the tier boundary rejects them.
-TIER_BOUNDS = [bound for bound, _ in _WITNESS_TIERS if bound < DETERMINISTIC_BOUND]
+# Strong pseudoprimes below 2**64, each the least one to its witness set,
+# so a witness ladder that used these sets up to these bounds called them
+# prime; 1122004669633, 341550071728321 and 3825123056546413051 also have
+# no factor below 10**5, so only the witness rounds reject them.  The last,
+# psi_11 = 149491 * 747451 * 34233211, also passes bases 29 and 31: of the
+# twelve bases below 2**64, only 37 exposes it.
+FOOLED_WITNESS_SETS = (
+    (1122004669633, (2, 13, 23, 1662803)),
+    (2152302898747, (2, 3, 5, 7, 11)),
+    (3474749660383, (2, 3, 5, 7, 11, 13)),
+    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
+)
+TIER_BOUNDS = [bound for bound, _ in FOOLED_WITNESS_SETS]
 
 
 def miller_rabin_oracle(n):
     """Trial division below 1000, then Miller-Rabin to bases 2..37.
 
-    The twelve prime bases decide every n below 3.3 * 10**24.
+    The twelve prime bases decide every n below
+    psi_12 = 318665857834031151167461, about 3.19 * 10**23;
+    3.3 * 10**24 is psi_13, the bound for thirteen bases.
     """
     for q in ORACLE_PRIMES:
         if n % q == 0:
@@ -159,19 +170,20 @@ class TestSmallRange:
         for n in range(20000):
             assert (classify(n).status == "prime") == trial_division_is_prime(n), n
 
+    def test_agreement_across_lookup_handover(self):
+        # straddles 10**5, where the table lookup hands over to witnesses
+        for n in range(99900, 100101):
+            assert (classify(n).status == "prime") == trial_division_is_prime(n), n
+
     def test_agreement_past_trial_bound_squared_region(self):
-        # straddles 10**10, where the sieve prefilter hands over to witnesses
+        # straddles 10**10, the square of the table's bound, inside the
+        # witness regime
         for n in range(10**10 - 50, 10**10 + 50):
             assert (classify(n).status == "prime") == trial_division_is_prime(n), n
 
-
-    def test_witness_tiers_start_above_trial_division_range(self):
-        assert all(bound > TRIAL_DIVISION_BOUND**2 for bound, _ in _WITNESS_TIERS)
-        assert _WITNESS_TIERS[-1][0] == DETERMINISTIC_BOUND
-
     @pytest.mark.parametrize("tier", range(len(TIER_BOUNDS)))
     def test_each_bound_fools_its_own_tier(self, tier):
-        bound, witnesses = _WITNESS_TIERS[tier]
+        bound, witnesses = FOOLED_WITNESS_SETS[tier]
         d, s = bound - 1, 0
         while d % 2 == 0:
             d //= 2
@@ -300,6 +312,15 @@ def test_matches_per_prime_loop_past_trial_range(factors):
 @example(TIER_BOUNDS[4], 0)
 def test_matches_oracle_near_tier_bounds(center, offset):
     n = center + offset
+    assert (classify(n).status == "prime") == miller_rabin_oracle(n)
+
+
+@settings(deadline=None)
+@given(st.integers(TRIAL_DIVISION_BOUND, DETERMINISTIC_BOUND - 1))
+@example(TRIAL_DIVISION_BOUND)
+@example(DETERMINISTIC_BOUND - 59)  # the largest prime below 2**64
+@example(TIER_BOUNDS[-1])
+def test_matches_oracle_in_witness_regime(n):
     assert (classify(n).status == "prime") == miller_rabin_oracle(n)
 
 
