@@ -20,7 +20,7 @@ Groups and suffix reports are named tuples, so they also unpack, index and
 compare equal to plain tuples of their fields.
 """
 
-from math import gcd
+from math import gcd, log2
 from typing import NamedTuple
 
 from .cyclic_search import CyclicPrimeRecord, enumerate_cyclic_primes
@@ -74,7 +74,13 @@ def shared_suffix_length(value: int, p: int, target_base: int) -> SuffixReport:
         raise ValueError(f"base {target_base} shares a factor with {p}")
     if value < 1:
         raise ValueError("value must be positive")
-    length, scale = 0, 1
+    # value has L digits where base**(L-1) <= value < base**L, and L - 1 lies
+    # between (bits - 1) / log2(base) and bits / log2(base).  The float
+    # estimate can be one off either way (log2 rounds a large base to a
+    # double, so 2**60 + 1 looks like 2**60), so start one below it and
+    # count up, which takes at most a few steps.
+    length = max(0, int((value.bit_length() - 1) / log2(target_base)) - 1)
+    scale = target_base**length
     while scale <= value:
         length += 1
         scale *= target_base

@@ -98,6 +98,58 @@ def test_suffix_match_agrees_with_digitwise_oracle(value, p, base):
     )
 
 
+def multiplying_suffix_length(value, p, base):
+    """shared_suffix_length counting digits by repeated multiplication: the reference."""
+    length, scale = 0, 1
+    while scale <= value:
+        length += 1
+        scale *= base
+    best, best_a = 0, None
+    for a in range(1, p):
+        difference = value - a * scale // p
+        matched = 0
+        while matched < length and difference % base == 0:
+            difference //= base
+            matched += 1
+        if matched > best:
+            best, best_a = matched, a
+    return best, best_a
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7, 11, 13)),
+    st.one_of(
+        st.integers(2, 300),
+        st.sampled_from((2**30, 2**64, 10**20, 3**41)),
+        # log2 rounds these to k, so the float digit count is one off.
+        st.sampled_from((2**53 + 1, 2**60 + 1, 2**64 - 1, 2**100 + 1)),
+    ),
+    st.integers(0, 1500),
+    st.sampled_from((-1, 0, 1, None)),
+)
+@example(7, 10, 12, -1)  # 10**12 - 1, the largest 12-digit value
+@example(7, 10, 12, 0)  # 10**12, the smallest 13-digit value
+@example(3, 2, 1000, 0)
+@example(3, 2, 1000, -1)
+@example(3, 2**60 + 1, 1, -1)  # 2**60, one digit
+@example(3, 2**60 + 1, 2, (2**60 - 1) // 3 - 2**61 - 2)  # 2**120 + (2**60-1)//3 - 1
+def test_digit_count_matches_multiplying_loop(p, base, exponent, offset):
+    """Values at and next to powers of the base, and values between them."""
+    if gcd(base, p) > 1:
+        return
+    if offset is None:
+        value = (base**exponent * 7 + 3) // 5  # between powers
+    else:
+        value = base**exponent + offset
+    if value < 1:
+        return
+    report = shared_suffix_length(value, p, base)
+    assert (report.matched_digits, report.matched_rotation) == (
+        multiplying_suffix_length(value, p, base)
+    )
+
+
 class TestRelatedBasesLadder:
     def test_decimal_family(self):
         group = related_bases_alternating(10, 5)

@@ -1,19 +1,26 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reptends
 from reptends.primality import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
     SMALL_PRIMES,
     TRIAL_DIVISION_BOUND,
+    _SHALLOW_GCD_BITS,
+    _SHALLOW_GCD_BOUND,
     _TRIAL_PREFIX,
     PrimalityVerdict,
     _derived_witnesses,
     _jacobi,
+    _primorial,
     _strong_lucas_probable_prime,
     _sieve,
     _strong_probable_prime,
@@ -348,3 +355,85 @@ def test_derived_witnesses_match_hashlib(n, rounds):
 def test_sieve_matches_trial_division(limit):
     expected = tuple(n for n in range(limit) if trial_division_is_prime(n))
     assert _sieve(limit) == expected
+
+
+# Bit lengths on both sides of the split between the shallow and the full
+# gcd, and the two lowest above 2**64, where the shallow gcd starts.
+TIER_BITS = [
+    DETERMINISTIC_BOUND.bit_length(),
+    DETERMINISTIC_BOUND.bit_length() + 1,
+    _SHALLOW_GCD_BITS - 1,
+    _SHALLOW_GCD_BITS,
+    _SHALLOW_GCD_BITS + 1,
+]
+# Primes the shallow gcd skips and the full one divides by.
+DEEP_ONLY_PRIMES = [q for q in SMALL_PRIMES if q >= _SHALLOW_GCD_BOUND]
+FULL_PRIMORIAL = math.prod(SMALL_PRIMES)
+
+
+def full_depth_classify(n, rounds=DEFAULT_ROUNDS):
+    """classify with one gcd against every prime below 10**5 at every size.
+
+    The reference for size-dependent trial depth: the same prefix, the same
+    witness rounds and Lucas check, and the full-depth gcd from 2**64 up.
+    """
+    if n < DETERMINISTIC_BOUND:
+        return classify(n, rounds)
+    if math.gcd(n, FULL_PRIMORIAL) != 1:
+        return PrimalityVerdict("composite", 0)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    witnesses = [2, *_derived_witnesses(n, rounds)]
+    if not all(_strong_probable_prime(n, a, d, s) for a in witnesses):
+        return PrimalityVerdict("composite", 0)
+    if not _strong_lucas_probable_prime(n):
+        return PrimalityVerdict("composite", 0)
+    return PrimalityVerdict("probable_prime", rounds)
+
+
+def rough_at_least(m):
+    """The least odd integer from m up with no prime factor below 10**5."""
+    m |= 1
+    while math.gcd(m, FULL_PRIMORIAL) != 1:
+        m += 2
+    return m
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(TIER_BITS).flatmap(
+    lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)
+))
+def test_matches_full_depth_trial_division(n):
+    assert classify(n) == full_depth_classify(n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(TIER_BITS), st.sampled_from(DEEP_ONLY_PRIMES))
+@example(DETERMINISTIC_BOUND.bit_length(), DEEP_ONLY_PRIMES[0])
+@example(_SHALLOW_GCD_BITS - 1, DEEP_ONLY_PRIMES[-1])
+@example(_SHALLOW_GCD_BITS, DEEP_ONLY_PRIMES[0])
+def test_factor_past_the_shallow_bound_is_still_found(bits, q):
+    """n = q * m with q a prime in (4096, 10**5) and m rough: only q is small."""
+    n = q * rough_at_least(2 ** (bits - 1) // q + 1)
+    assert n.bit_length() in (bits, bits + 1)
+    assert classify(n) == full_depth_classify(n) == ("composite", 0)
+
+
+@pytest.mark.parametrize("bound", [_SHALLOW_GCD_BOUND, TRIAL_DIVISION_BOUND])
+def test_tier_primorial_is_product_of_its_primes(bound):
+    named = [q for q in SMALL_PRIMES[len(_TRIAL_PREFIX) :] if q < bound]
+    assert _primorial(bound) == math.prod(named)
+
+
+def test_import_builds_no_tier():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import reptends.cli, reptends.primality as p; "
+         "print(p._primorial.cache_info().currsize)"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.strip() == "0"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reptends.digits import to_integer
@@ -155,6 +155,30 @@ def test_closed_form_identity(p, base, length, k):
     spec = series_params(p, base, length)
     closed = (1 - Fraction(spec.r**k, base ** (length * k))) / p
     assert partial_sum(spec, k) == closed
+
+
+def term_loop_partial_sum(spec, k):
+    """The first k series terms added one by one: the reference."""
+    total = Fraction(0)
+    for n in range(k):
+        total += Fraction(spec.s * spec.r**n, spec.base ** (spec.length * (n + 1)))
+    return total
+
+
+@given(
+    st.sampled_from((3, 7, 11, 13, 17, 19, 97, 101, 9973)),
+    st.integers(2, 40),
+    st.integers(1, 8),
+    st.integers(0, 30),
+)
+@example(17, 10, 1, 3)  # s = 0: 10 < 17
+@example(9973, 10, 3, 0)  # s = 0 with no terms
+@example(7, 10, 6, 5)  # r = 1
+def test_partial_sum_matches_term_loop(p, base, length, k):
+    if base % p == 0:
+        return
+    spec = series_params(p, base, length)
+    assert partial_sum(spec, k) == term_loop_partial_sum(spec, k)
 
 
 class TestFibonacci:
