@@ -67,55 +67,10 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHABET",
-    "CheckpointError",
-    "CheckpointMismatchError",
-    "CyclicPrimeRecord",
-    "DEFAULT_ROUNDS",
-    "DigitString",
-    "ExactRational",
-    "NotFullReptendError",
-    "PrimalityVerdict",
-    "RelatedBaseGroup",
-    "ReptendProfile",
-    "SearchCheckpoint",
-    "SeriesSpec",
-    "SuffixReport",
-    "alternating_formula_disagreements",
-    "candidate_value",
-    "classify",
-    "cross_render",
-    "cycles",
-    "cyclic_number",
-    "digit_stream",
-    "empirical_related_bases",
-    "enumerate_cyclic_primes",
-    "enumerate_series",
-    "enumerate_subcyclic_primes",
-    "expand_fraction",
-    "fibonacci_partial",
-    "from_integer",
-    "from_integer_padded",
-    "full_reptend_bases",
-    "is_full_reptend",
-    "is_probably_prime",
-    "load_checkpoint",
-    "multiplicative_order",
-    "orbits",
-    "parse_digit_string",
-    "partial_sum",
-    "related_bases_alternating",
-    "related_bases_formula",
-    "render_digit_string",
-    "reptend_level",
-    "reptend_profile",
-    "residual",
-    "rotate",
-    "save_checkpoint",
-    "series_params",
-    "shared_suffix_length",
-    "to_integer",
-    "verify_cyclic_property",
-    "verify_series",
-]
+# Every public name imported above.  Importing a submodule also binds it here
+# (reptends.digits and the rest); modules are left out, as is __version__.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(digits))
+)

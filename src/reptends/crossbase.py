@@ -20,13 +20,12 @@ Groups and suffix reports are named tuples, so they also unpack, index and
 compare equal to plain tuples of their fields.
 """
 
-from math import gcd, log2
 from typing import NamedTuple
 
 from .cyclic_search import CyclicPrimeRecord, enumerate_cyclic_primes
-from .digits import DigitString, from_integer
+from .digits import DigitString, _digit_count, from_integer
 from .primality import DEFAULT_ROUNDS
-from .reptend import is_full_reptend, multiplicative_order
+from .reptend import _require_coprime, is_full_reptend, multiplicative_order
 
 RULE_ALTERNATING = "alternating_3n_4n"
 
@@ -70,20 +69,11 @@ def shared_suffix_length(value: int, p: int, target_base: int) -> SuffixReport:
     """
     if target_base < 2:
         raise ValueError(f"base must be at least 2, got {target_base}")
-    if gcd(target_base, p) > 1:
-        raise ValueError(f"base {target_base} shares a factor with {p}")
+    _require_coprime(target_base, p)
     if value < 1:
         raise ValueError("value must be positive")
-    # value has L digits where base**(L-1) <= value < base**L, and L - 1 lies
-    # between (bits - 1) / log2(base) and bits / log2(base).  The float
-    # estimate can be one off either way (log2 rounds a large base to a
-    # double, so 2**60 + 1 looks like 2**60), so start one below it and
-    # count up, which takes at most a few steps.
-    length = max(0, int((value.bit_length() - 1) / log2(target_base)) - 1)
+    length = _digit_count(value, target_base)
     scale = target_base**length
-    while scale <= value:
-        length += 1
-        scale *= target_base
     best, best_a = 0, None
     for a in range(1, p):
         difference = value - a * scale // p
@@ -187,8 +177,7 @@ def empirical_related_bases(
     """
     if anchor_base < 2:
         raise ValueError(f"anchor base must be at least 2, got {anchor_base}")
-    if gcd(anchor_base, p) > 1:
-        raise ValueError(f"base {anchor_base} shares a factor with {p}")
+    _require_coprime(anchor_base, p)
     if base_limit < 2:
         raise ValueError(f"base_limit must be at least 2, got {base_limit}")
     anchor_period = multiplicative_order(anchor_base, p)

@@ -141,6 +141,7 @@ def enumerate_cyclic_primes(
                 f"checkpoint is for p={checkpoint.p} base={checkpoint.base} "
                 f"rounds={checkpoint.rounds}, not p={p} base={base} rounds={rounds}"
             )
+        _check_progress(checkpoint, period, max_digits, checkpoint_path)
         completed = checkpoint.completed_through_digits
         # The file is outside input, so its records are put in order here;
         # every level searched below appends its records in order.
@@ -197,6 +198,11 @@ def enumerate_subcyclic_primes(
     return sorted(primes)
 
 
+def _cycle_of(p: int, base: int) -> dict[int, int]:
+    """The index in orbits(p, base) of each numerator's rotation class."""
+    return {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
+
+
 def _walk_levels(
     p: int, base: int, first: int, last: int, rounds: int, jobs: int,
     on_level: Callable[[int, list[CyclicPrimeRecord]], None],
@@ -209,7 +215,7 @@ def _walk_levels(
     by an exception from on_level.
     """
     numerators = [a for a in range(1, p) if a * base // p > 0]
-    cycle_of = {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
+    cycle_of = _cycle_of(p, base)
     scale = base ** (first - 1)
     executor = None
     if jobs > 1:
@@ -250,10 +256,47 @@ def _walk_levels(
 
 
 def _from_fields(cls, fields):
-    """cls(**fields), refusing a missing or unknown key, defaulted or not."""
+    """cls(**fields), refusing a missing or unknown key, defaulted or not.
+
+    An int field refuses any other type, bool included.
+    """
     if set(fields) != set(cls._fields):
         raise KeyError(f"{cls.__name__} fields {sorted(fields)}")
+    for name, kind in cls.__annotations__.items():
+        if kind is int and type(fields[name]) is not int:
+            raise TypeError(f"{cls.__name__}.{name} is not an int: {fields[name]!r}")
     return cls(**fields)
+
+
+def _check_progress(
+    checkpoint: SearchCheckpoint, period: int, max_digits: int, path: str
+) -> None:
+    """Refuse progress or records that this search's level walk cannot write.
+
+    A record within max_digits must also pass a base-2 Fermat test, which
+    refuses a digit count moved to a composite; a deleted record is missed.
+    """
+    p, base, done = checkpoint.p, checkpoint.base, checkpoint.completed_through_digits
+    if done < period:
+        raise CheckpointError(
+            f"unusable checkpoint {path}: completed_through_digits {done} "
+            f"is below the period {period}"
+        )
+    cycle_of = _cycle_of(p, base)
+    verdicts = (("prime", 0), ("probable_prime", checkpoint.rounds))
+    seen = set()
+    for rec in checkpoint.found:
+        a, ndigits = rec.rotation_numerator, rec.digit_count
+        walked = rec._replace(
+            p=p, base=base, cycle_index=cycle_of.get(a), first_digit=a * base // p
+        )
+        if (rec != walked or not rec.first_digit or not period < ndigits <= done
+                or rec.verdict not in verdicts or (ndigits, a) in seen
+                or ndigits <= max_digits and pow(2, rec.value - 1, rec.value) != 1):
+            raise CheckpointError(
+                f"unusable checkpoint {path}: the search writes no record {rec}"
+            )
+        seen.add((ndigits, a))
 
 
 def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:
@@ -290,6 +333,8 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
         version = doc["format_version"]
         if version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointMismatchError(f"checkpoint format {version} unsupported")
+        if type(doc["found"]) is not list:
+            raise TypeError(f"found must be a list, got {doc['found']!r}")
         found = tuple(
             _from_fields(
                 CyclicPrimeRecord,

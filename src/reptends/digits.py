@@ -3,8 +3,11 @@
 A digit string is an ordered sequence of digit values (most significant
 first) together with its radix.  Unlike a plain integer, a digit string may
 carry leading zeros: the repeating block of 1/13 in base 10 is 076923, and
-the zero is part of the cycle.
+the zero is part of the cycle.  Integers become digits only through
+from_integer_padded, and so do the first L digits of a/p: a * base**L // p.
 """
+
+from math import log2
 
 ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 MAX_BASE = len(ALPHABET)
@@ -101,6 +104,20 @@ def to_integer(ds: DigitString) -> int:
     return value
 
 
+def _digit_count(value: int, base: int) -> int:
+    """The L with base**(L-1) <= value < base**L; 0 for value 0.
+
+    The estimate from bit_length can be one off either way (log2 rounds
+    2**60 + 1 to 2**60), so counting starts one below it.
+    """
+    length = max(0, int((value.bit_length() - 1) / log2(base)) - 1)
+    scale = base**length
+    while scale <= value:
+        length += 1
+        scale *= base
+    return length
+
+
 def from_integer(value: int, base: int) -> DigitString:
     """Canonical numeral of a non-negative integer: no leading zeros.
 
@@ -109,14 +126,7 @@ def from_integer(value: int, base: int) -> DigitString:
     _check_base(base)
     if value < 0:
         raise ValueError("value must be non-negative")
-    if value == 0:
-        return DigitString(base, (0,))
-    digits = []
-    while value:
-        value, d = divmod(value, base)
-        digits.append(d)
-    digits.reverse()
-    return DigitString(base, tuple(digits))
+    return from_integer_padded(value, base, _digit_count(value, base) or 1)
 
 
 def from_integer_padded(value: int, base: int, length: int) -> DigitString:

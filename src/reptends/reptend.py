@@ -5,7 +5,8 @@ period equal to the multiplicative order of the base modulo p.  When that
 period is p-1 the prime is a full reptend in this base and its repeating
 block is a cyclic number: multiplying it by 1..p-1 permutes its digits
 cyclically.  When the period is (p-1)/k the numerators 1..p-1 split into k
-rotation classes ("level k"), each with its own digit cycle.
+rotation classes ("level k"), each with its own digit cycle.  The first L
+digits of a/p are a * base**L // p written with L digits, zeros leading.
 
 A profile is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple of its fields.
@@ -28,12 +29,16 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _require_coprime(base: int, p: int) -> None:
+    if gcd(base, p) > 1:
+        raise ValueError(f"base {base} shares a factor with {p}")
+
+
 def _require_fraction(a: int, p: int, base: int) -> None:
     """Check that a/p is a proper fraction with a period in this base."""
     if not 1 <= a < p:
         raise ValueError(f"numerator must be in [1, {p - 1}], got {a}")
-    if gcd(base, p) > 1:
-        raise ValueError(f"base {base} shares a factor with {p}")
+    _require_coprime(base, p)
 
 
 @lru_cache(maxsize=512)
@@ -90,10 +95,10 @@ def reptend_level(p: int, base: int) -> int | None:
 def expand_fraction(
     a: int, p: int, base: int, count: int
 ) -> tuple[DigitString, list[int]]:
-    """First `count` digits of a/p by long division, with the remainder trail.
+    """First `count` digits of a/p, with the long division's remainder trail.
 
-    remainders[i] equals a * base**(i+1) mod p, the closed form of the long
-    division recurrence.
+    The digits are those of a * base**count // p, and remainders[i] equals
+    a * base**(i+1) mod p: the closed forms of the long division recurrence.
 
     >>> digits, remainders = expand_fraction(1, 7, 10, 6)
     >>> str(digits), remainders
@@ -102,15 +107,8 @@ def expand_fraction(
     _require_fraction(a, p, base)
     if count < 1:
         raise ValueError("count must be at least 1")
-    digits = []
-    remainders = []
-    r = a
-    for _ in range(count):
-        r *= base
-        digits.append(r // p)
-        r %= p
-        remainders.append(r)
-    return DigitString(base, tuple(digits)), remainders
+    digits = from_integer_padded(a * base**count // p, base, count)
+    return digits, [a * pow(base, i, p) % p for i in range(1, count + 1)]
 
 
 def cyclic_number(p: int, base: int) -> DigitString:
@@ -123,8 +121,7 @@ def cyclic_number(p: int, base: int) -> DigitString:
         raise NotFullReptendError("p = 2 has no cyclic number")
     if not is_full_reptend(p, base):
         raise NotFullReptendError(f"{p} is not a full reptend prime in base {base}")
-    digits, _ = expand_fraction(1, p, base, p - 1)
-    return digits
+    return expand_fraction(1, p, base, p - 1)[0]
 
 
 def orbits(p: int, base: int) -> list[tuple[int, ...]]:

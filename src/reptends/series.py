@@ -15,11 +15,10 @@ equal to the plain tuple of its fields.
 """
 
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
 from .primality import DEFAULT_ROUNDS, classify
-from .reptend import _require_prime
+from .reptend import _require_coprime, _require_prime
 
 ExactRational = Fraction
 
@@ -49,8 +48,7 @@ def series_params(
     _require_prime(p)
     if base < 2:
         raise ValueError("base must be at least 2")
-    if gcd(base, p) > 1:
-        raise ValueError(f"base {base} shares a factor with {p}")
+    _require_coprime(base, p)
     if length < 1:
         raise ValueError("length must be at least 1")
     s, r = divmod(base**length, p)

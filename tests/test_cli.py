@@ -1,10 +1,17 @@
 import argparse
 import concurrent.futures
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import reptends.cli
 import reptends.crossbase
@@ -271,6 +278,27 @@ class TestSearch:
         assert code == EXIT_CHECKPOINT
         assert "checkpoint" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.update(completed_through_digits="7"),
+        lambda doc: doc.update(completed_through_digits=2),  # below the period 6
+        lambda doc: doc.update(completed_through_digits=7),  # a record at 8 kept
+        lambda doc: doc["found"][0].update(p=11),
+        lambda doc: doc.update(rounds="40"),
+    ], ids=["string-progress", "progress-below-period", "record-past-progress",
+            "record-of-another-p", "string-rounds"])
+    def test_malformed_checkpoint_exits_3_before_any_output(
+        self, capsys, tmp_path, edit
+    ):
+        path = tmp_path / "ck.json"
+        argv = ["search", "7", "10", "--jobs", "1", "--checkpoint", str(path)]
+        assert run_cli(capsys, *argv, "--max-digits", "12")[0] == EXIT_OK
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, *argv, "--max-digits", "14")
+        assert (code, out) == (EXIT_CHECKPOINT, "")
+        assert "unusable checkpoint" in err
+
     def test_max_digits_below_period_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "search", "7", "10", "--max-digits", "6")
         assert code == EXIT_USAGE
@@ -282,6 +310,60 @@ class TestSearch:
         many = subprocess.run(base_cmd + ["--jobs", "4"], capture_output=True)
         assert one.returncode == many.returncode == 0
         assert one.stdout == many.stdout
+
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CHECKPOINT = json.loads(
+    (GOLDEN / "search-7-10-60.checkpoint.json").read_text(encoding="utf-8")
+)
+
+
+def _scalar_fields(doc, path=()):
+    """Paths to every scalar field of a checkpoint document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _scalar_fields(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(list(_scalar_fields(GOLDEN_CHECKPOINT))),
+    st.one_of(
+        st.integers(-2, 70),
+        st.sampled_from([True, False, None, 7.0, "7", "prime", "probable_prime",
+                         "composite", 2**64]),
+    ),
+)
+@example(("found", 0, "digit_count"), 9)  # a composite level: refused
+@example(("completed_through_digits",), 40)  # levels 41..60 searched again
+@example(("max_digits",), 12)  # not read on resume
+def test_checkpoint_with_one_field_changed_is_refused_or_harmless(field, value):
+    """A resumed run exits 3 with no output, or prints the uninterrupted run's.
+
+    The golden checkpoint is complete through 60 digits; one scalar changes.
+    Lists stay whole: a deleted record reads like a level with no prime, which
+    only classifying that level again could tell.
+    """
+    doc = json.loads(json.dumps(GOLDEN_CHECKPOINT))
+    parent = doc
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "ck.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        argv = ["search", "7", "10", "--max-digits", "60", "--jobs", "1",
+                "--format", "json", "--checkpoint", path]
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    expected = (GOLDEN / "search-7-10-60-json.txt").read_text(encoding="utf-8")
+    assert (code, out.getvalue()) in ((EXIT_CHECKPOINT, ""), (EXIT_OK, expected))
 
 
 class TestSubcyclic:

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reptends.digits import (
     DigitString,
+    _digit_count,
     from_integer,
     from_integer_padded,
     parse_digit_string,
@@ -162,3 +163,39 @@ def test_rotate_full_cycle_is_identity(ds):
 @given(digit_strings(), st.integers(-50, 50), st.integers(-50, 50))
 def test_rotate_composes_additively(ds, i, j):
     assert rotate(rotate(ds, i), j).digits == rotate(ds, i + j).digits
+
+
+def divmod_numeral(value, base):
+    """from_integer's former divmod loop, stopping at zero: the reference."""
+    if value == 0:
+        return (0,)
+    digits = []
+    while value:
+        value, d = divmod(value, base)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+@given(st.integers(2, 62), st.integers(0, 80), st.integers(-2, 2))
+@example(2, 0, -1)  # zero
+@example(62, 1, -1)  # the largest one-digit value
+def test_from_integer_matches_divmod_loop_next_to_powers(base, exponent, offset):
+    value = max(0, base**exponent + offset)
+    numeral = from_integer(value, base)
+    assert numeral.base == base
+    assert numeral.digits == divmod_numeral(value, base)
+
+
+@given(
+    st.sampled_from((2, 3, 10, 62, 2**53 + 1, 2**60 + 1, 2**64 - 1)),
+    st.integers(0, 40),
+    st.integers(-2, 2),
+)
+def test_digit_count_matches_multiplying_loop(base, exponent, offset):
+    """Bases that log2 rounds to an integer (2**53 + 1, 2**60 + 1, 2**64 - 1)."""
+    value = max(0, base**exponent + offset)
+    length, scale = 0, 1
+    while scale <= value:
+        length += 1
+        scale *= base
+    assert _digit_count(value, base) == length

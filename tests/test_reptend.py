@@ -1,7 +1,10 @@
+from math import gcd
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from reptends.crossbase import empirical_related_bases, shared_suffix_length
 from reptends.digits import parse_digit_string, rotate
 from reptends.reptend import (
     NotFullReptendError,
@@ -16,6 +19,7 @@ from reptends.reptend import (
     reptend_profile,
     verify_cyclic_property,
 )
+from reptends.series import series_params
 
 SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -124,6 +128,47 @@ class TestExpandFraction:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             expand_fraction(1, 7, 10, 0)
+
+
+def long_division(a, p, base, count):
+    """expand_fraction's former digit-by-digit loop: the reference."""
+    digits, remainders = [], []
+    r = a
+    for _ in range(count):
+        r *= base
+        digits.append(r // p)
+        r %= p
+        remainders.append(r)
+    return tuple(digits), remainders
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 13, 17, 97, 257, 65537)),
+    st.one_of(st.integers(2, 62), st.integers(63, 10**6), st.just(2**64 + 1)),
+    st.integers(1, 10**6),
+    st.integers(1, 80),
+)
+@example(13, 10, 1, 6)  # 076923: a leading zero
+@example(13, 10, 2, 6)
+@example(65537, 1000, 1, 5)  # a leading zero in a base above 62
+def test_expand_fraction_matches_long_division(p, base, a, count):
+    a = (a - 1) % (p - 1) + 1
+    if gcd(base, p) > 1:
+        return
+    digits, remainders = expand_fraction(a, p, base, count)
+    assert digits.base == base
+    assert (digits.digits, remainders) == long_division(a, p, base, count)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: expand_fraction(1, 7, 14, 6),
+    lambda: shared_suffix_length(10, 7, 14),
+    lambda: empirical_related_bases(7, 14, 20),
+    lambda: series_params(7, 14, 2),
+], ids=["fraction", "suffix", "sweep", "series"])
+def test_every_coprime_check_names_base_and_p(call):
+    with pytest.raises(ValueError, match="^base 14 shares a factor with 7$"):
+        call()
 
 
 class TestCyclicNumber:
