@@ -122,9 +122,11 @@ def enumerate_cyclic_primes(
     deterministic for any number of jobs.  on_level receives each level's
     records as soon as the level is done.
 
-    With a checkpoint_path, progress is saved after each level.  An existing
-    checkpoint must describe the same (p, base, rounds) search; max_digits
-    may differ, so an interrupted or shorter run can be extended.
+    With a checkpoint_path, progress is saved after each level.  A path in a
+    missing directory raises CheckpointError before the first level, and so
+    does a failed write after it.  An existing checkpoint must describe the
+    same (p, base, rounds) search; max_digits may differ, so an interrupted
+    or shorter run can be extended.
     Resumption reproduces exactly the records an uninterrupted run returns.
     """
     period = multiplicative_order(base, p)
@@ -134,6 +136,12 @@ def enumerate_cyclic_primes(
         raise ValueError(f"max_digits must exceed the period {period}")
     found: list[CyclicPrimeRecord] = []
     completed = period
+    if checkpoint_path is not None and not os.path.isdir(
+        os.path.dirname(os.path.abspath(checkpoint_path))
+    ):
+        raise CheckpointError(
+            f"unusable checkpoint {checkpoint_path}: its directory does not exist"
+        )
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         checkpoint = load_checkpoint(checkpoint_path)
         if (checkpoint.p, checkpoint.base, checkpoint.rounds) != (p, base, rounds):
@@ -157,18 +165,23 @@ def enumerate_cyclic_primes(
         if on_level is not None:
             on_level(ndigits, records)
         if checkpoint_path is not None:
-            save_checkpoint(
-                SearchCheckpoint(
-                    format_version=CHECKPOINT_FORMAT_VERSION,
-                    p=p,
-                    base=base,
-                    max_digits=max_digits,
-                    completed_through_digits=ndigits,
-                    found=tuple(found),
-                    rounds=rounds,
-                ),
-                checkpoint_path,
-            )
+            try:
+                save_checkpoint(
+                    SearchCheckpoint(
+                        format_version=CHECKPOINT_FORMAT_VERSION,
+                        p=p,
+                        base=base,
+                        max_digits=max_digits,
+                        completed_through_digits=ndigits,
+                        found=tuple(found),
+                        rounds=rounds,
+                    ),
+                    checkpoint_path,
+                )
+            except OSError as exc:
+                raise CheckpointError(
+                    f"cannot write checkpoint {checkpoint_path}: {exc}"
+                ) from exc
 
     _walk_levels(p, base, completed + 1, max_digits, rounds, jobs, level_done)
     return found
@@ -247,7 +260,7 @@ def _walk_levels(
                     verdict=verdict,
                 )
                 for a, verdict in zip(numerators, verdicts)
-                if verdict.status != "composite"
+                if verdict.is_prime
             ]
             on_level(ndigits, records)
     finally:

@@ -135,14 +135,35 @@ def from_integer_padded(value: int, base: int, length: int) -> DigitString:
     >>> from_integer_padded(76923, 10, 6).digits
     (0, 7, 6, 9, 2, 3)
     """
-    digits = []
+    if not 0 <= value < base**length:
+        raise ValueError(f"value needs more than {length} digits in base {base}")
+    digits: list[int] = []
+    _extend_digits(digits, value, base, length)
+    return DigitString(base, tuple(digits))
+
+
+# Numerals up to this long are peeled one digit at a time.
+_DIGIT_LOOP_LENGTH = 64
+
+
+def _extend_digits(digits: list[int], value: int, base: int, length: int) -> None:
+    """Append the `length` digits of value < base**length, most significant first.
+
+    Splitting a long numeral in halves by one divmod with base**(length // 2)
+    costs a few large divisions, where one whole-value divmod per digit would
+    be quadratic in the length.
+    """
+    if length > _DIGIT_LOOP_LENGTH:
+        low = length // 2
+        high, value = divmod(value, base**low)
+        _extend_digits(digits, high, base, length - low)
+        _extend_digits(digits, value, base, low)
+        return
+    low_first = []
     for _ in range(length):
         value, d = divmod(value, base)
-        digits.append(d)
-    if value:
-        raise ValueError(f"value needs more than {length} digits in base {base}")
-    digits.reverse()
-    return DigitString(base, tuple(digits))
+        low_first.append(d)
+    digits.extend(reversed(low_first))
 
 
 def rotate(ds: DigitString, k: int) -> DigitString:

@@ -1,24 +1,21 @@
 """Primality classification for arbitrary-precision integers.
 
-Three regimes, by size:
+Two regimes, by size:
 
 1. Below 10**5, n is looked up among the primes under 10**5.
-2. From 10**5 to 2**64, a prefix of those primes is tried with `%`, then
-   strong-pseudoprime rounds to the first twelve primes, 2..37, decide.
-   Those bases expose every composite below
-   psi_12 = 318665857834031151167461 (Jiang & Deng, Math. Comp. 2014;
-   Sorenson & Webster, Math. Comp. 2017), which exceeds 2**64.
-3. From 2**64 up, the same prefix and one gcd with the product of the
-   primes past it up to a bound that grows with n find small factors, and
-   one strong-pseudoprime round to base 2 screens out most composites
-   cheaply.  The bound is 4096 below 768 bits and 10**5 from 768 bits up:
-   below that the gcd with every prime under 10**5 costs about as much as
-   the base-2 rounds it saves, or more.
-   The requested number of rounds with witnesses derived from a hash of the
-   candidate (so results are reproducible across runs and worker processes)
-   and a strong Lucas check with Selfridge parameters follow.  No composite
-   is known to survive that combination, and a survivor is reported as a
-   probable prime.
+2. From 10**5 up, a prefix of those primes is tried with `%`, and one gcd
+   with the product of the primes past it up to a bound that grows with n
+   finds small factors.  The bound is 4096 below 768 bits and 10**5 from
+   768 bits up: below that the gcd with every prime under 10**5 costs about
+   as much as the base-2 rounds it saves, or more.  One strong-pseudoprime
+   round to base 2 then screens out most composites cheaply, and a strong
+   Lucas check with Selfridge parameters follows.  Below 2**64 those two
+   checks (BPSW: Baillie & Wagstaff, Math. Comp. 1980) decide, since no
+   composite there passes both (Baillie, Fiori & Wagstaff, Math. Comp.
+   2021).  From 2**64 up, the requested number of rounds with witnesses
+   derived from a hash of the candidate (so results are reproducible across
+   runs and worker processes) run between them.  No composite is known to
+   survive that combination, and a survivor is reported as a probable prime.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -54,39 +51,26 @@ def _sieve(limit: int) -> tuple[int, ...]:
 SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
 # Primes tried one by one before the gcd; most trial-division kills land here.
 _TRIAL_PREFIX = SMALL_PRIMES[:128]
-# Strong-pseudoprime bases that decide every n below psi_12 > 2**64.
-_DECIDING_WITNESSES = SMALL_PRIMES[:12]
 
 
-# n from 2**64 up with fewer bits than this takes the gcd with the primes
-# below _SHALLOW_GCD_BOUND only, larger n with every prime below 10**5.
+# n with fewer bits than this takes the gcd with the primes below
+# _SHALLOW_GCD_BOUND only, larger n with every prime below 10**5.
 # Below 768 bits a gcd costs about 10 us at bound 4096 and 0.1-0.3 ms at
 # 10**5, and the primes in between expose about 1 - ln 4096 / ln 10**5 =
 # 28 % of the composites that reach them.  That saves more than the extra
 # gcd costs only from about 520 bits, and by under 0.3 ms a candidate up to
-# 768 bits (CPython 3.11), while the 10**5 product takes 6-10 ms to build
-# once per process.  So runs that stay below 768 bits never build it; a run
-# would need some 30-100 candidates of 520-767 bits to repay the build.
+# 768 bits (CPython 3.11), while the 10**5 product takes about 20 ms to
+# build once per process.  So runs that stay below 768 bits never build it;
+# a run would need some 80-200 candidates of 520-767 bits to repay it.
 _SHALLOW_GCD_BITS = 768
 _SHALLOW_GCD_BOUND = 4096
 
 
 @functools.cache
 def _primorial(bound: int) -> int:
-    """Product of SMALL_PRIMES past the prefix and below bound, built on first use.
-
-    Products of runs of 600 primes, combined in a balanced tree, build it
-    about three times faster than one left-to-right product while keeping
-    few intermediates alive.  Building it lazily keeps it out of import.
-    """
+    """Product of SMALL_PRIMES past the prefix and below bound, built on first use."""
     stop = bisect_left(SMALL_PRIMES, bound)
-    level = [
-        math.prod(SMALL_PRIMES[i : min(i + 600, stop)])
-        for i in range(len(_TRIAL_PREFIX), stop, 600)
-    ]
-    while len(level) > 1:
-        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-    return level[0]
+    return math.prod(SMALL_PRIMES[len(_TRIAL_PREFIX) : stop])
 
 
 Status = Literal["prime", "composite", "probable_prime"]
@@ -149,8 +133,9 @@ def _jacobi(a: int, n: int) -> int:
 def _strong_lucas_probable_prime(n: int) -> bool:
     """Strong Lucas test with Selfridge parameters (P=1, Q=(1-D)/4).
 
-    Expects odd n > 5 above every |D| the parameter search reaches, so that
-    a Jacobi symbol of 0 proves n composite; classify calls it from 2**64 up.
+    Expects odd n from 10**5 up: every |D| the parameter search reaches
+    before a Jacobi symbol of -1 is then far below n, so a symbol of 0 proves
+    n composite.  classify calls it from 10**5 up.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -195,10 +180,11 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """Classify a non-negative integer as prime, composite or probable prime.
 
-    Deterministic (witness_rounds 0) below 2**64; above that, a base-2
-    screen, `rounds` hash-derived strong-pseudoprime rounds and a strong
-    Lucas check yield probable_prime or composite.  Identical inputs give
-    identical verdicts in every run and every worker.
+    Deterministic (witness_rounds 0) below 2**64, where a base-2
+    strong-pseudoprime round and a strong Lucas check decide; from 2**64 up,
+    `rounds` hash-derived rounds run between the two, and a survivor is a
+    probable_prime.  Identical inputs give identical verdicts in every run
+    and every worker.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -212,34 +198,31 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     for p in _TRIAL_PREFIX:
         if n % p == 0:
             return _COMPOSITE
-    # Below 2**64 a witness round costs far less than the gcd.
-    if n >= DETERMINISTIC_BOUND:
-        if n.bit_length() < _SHALLOW_GCD_BITS:
-            bound = _SHALLOW_GCD_BOUND
-        else:
-            bound = TRIAL_DIVISION_BOUND
-        if math.gcd(n, _primorial(bound)) != 1:
-            return _COMPOSITE
+    if n.bit_length() < _SHALLOW_GCD_BITS:
+        bound = _SHALLOW_GCD_BOUND
+    else:
+        bound = TRIAL_DIVISION_BOUND
+    if math.gcd(n, _primorial(bound)) != 1:
+        return _COMPOSITE
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < DETERMINISTIC_BOUND:
-        for a in _DECIDING_WITNESSES:
-            if not _strong_probable_prime(n, a, d, s):
-                return _COMPOSITE
-        return _PRIME
+    # Below 2**64 the base-2 round and strong Lucas decide on their own.
+    derived_rounds = rounds if n >= DETERMINISTIC_BOUND else 0
     if not _strong_probable_prime(n, 2, d, s):
         return _COMPOSITE
-    for a in _derived_witnesses(n, rounds):
+    for a in _derived_witnesses(n, derived_rounds):
         if not _strong_probable_prime(n, a, d, s):
             return _COMPOSITE
     if not _strong_lucas_probable_prime(n):
         return _COMPOSITE
-    return PrimalityVerdict("probable_prime", rounds)
+    if derived_rounds:
+        return PrimalityVerdict("probable_prime", derived_rounds)
+    return _PRIME
 
 
 def is_probably_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> bool:
     """True when classify does not declare n composite."""
-    return classify(n, rounds).status != "composite"
+    return classify(n, rounds).is_prime

@@ -25,7 +25,7 @@ class NotFullReptendError(ValueError):
 
 
 def _require_prime(p: int) -> None:
-    if classify(p).status == "composite":
+    if not classify(p).is_prime:
         raise ValueError(f"{p} is not prime")
 
 

@@ -52,7 +52,7 @@ def series_params(
     if length < 1:
         raise ValueError("length must be at least 1")
     s, r = divmod(base**length, p)
-    s_is_prime = classify(s, rounds).status != "composite"
+    s_is_prime = classify(s, rounds).is_prime
     return SeriesSpec(p, base, length, s, r, s_is_prime)
 
 

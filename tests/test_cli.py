@@ -299,6 +299,49 @@ class TestSearch:
         assert (code, out) == (EXIT_CHECKPOINT, "")
         assert "unusable checkpoint" in err
 
+    def test_checkpoint_in_missing_directory_exits_3_before_any_level(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "missing" / "ck.json"
+        code, out, err = run_cli(
+            capsys, "search", "7", "10", "--max-digits", "8",
+            "--checkpoint", str(path),
+        )
+        assert (code, out) == (EXIT_CHECKPOINT, "")
+        assert "found:" not in err
+        assert "directory does not exist" in err
+        assert not path.parent.exists()
+
+    def test_failed_checkpoint_write_exits_3_and_keeps_the_last_one(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "ck.json"
+        argv = ["search", "7", "10", "--checkpoint", str(path)]
+        assert run_cli(capsys, *argv, "--max-digits", "10")[0] == EXIT_OK
+        replace = os.replace
+        writes = []
+
+        def replace_then_fail(src, dst):
+            writes.append(dst)
+            if len(writes) > 2:
+                raise OSError(28, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_then_fail)
+        code, out, err = run_cli(capsys, *argv, "--max-digits", "16")
+        assert code == EXIT_CHECKPOINT
+        assert "cannot write checkpoint" in err
+        assert "No space left on device" in err
+        assert len(writes) == 3
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["completed_through_digits"] == 12
+        assert [entry.name for entry in tmp_path.iterdir()] == ["ck.json"]
+        monkeypatch.undo()
+        resumed = run_cli(capsys, *argv, "--max-digits", "16")
+        fresh = run_cli(capsys, "search", "7", "10", "--max-digits", "16")
+        assert resumed[:2] == fresh[:2]
+        assert resumed[0] == EXIT_OK
+
     def test_max_digits_below_period_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "search", "7", "10", "--max-digits", "6")
         assert code == EXIT_USAGE
@@ -531,6 +574,26 @@ class TestCrossbase:
         code, _, err = run_cli(capsys, "crossbase", "related", *argv)
         assert code == EXIT_OK
         assert err == ("" if warning is None else f"warning: closed form {warning}\n")
+
+    def test_related_large_count_refused_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "related_bases_alternating", no_work)
+        code, out, err = run_cli(
+            capsys, "crossbase", "related", "10", "--count", str(10**9)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"count must be at most 100000, got {10**9}" in err
+
+    @pytest.mark.parametrize("limit,accepted", [(6, True), (5, False)])
+    def test_related_count_bound_is_inclusive(
+        self, capsys, monkeypatch, limit, accepted
+    ):
+        monkeypatch.setattr(reptends.cli, "RELATED_COUNT_LIMIT", limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "related_bases_alternating", no_work)
+        code, out, err = run_cli(capsys, "crossbase", "related", "10", "--count", "6")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"count must be at most {limit}, got 6" in err) is not accepted
+        assert (out == "") is not accepted
 
     def test_sweep(self, capsys):
         code, out, _ = run_cli(

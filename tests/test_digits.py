@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reptends.digits import (
@@ -199,3 +199,52 @@ def test_digit_count_matches_multiplying_loop(base, exponent, offset):
         length += 1
         scale *= base
     assert _digit_count(value, base) == length
+
+
+def padded_divmod_loop(value, base, length):
+    """from_integer_padded's former one-divmod-per-digit loop: the reference."""
+    digits = []
+    for _ in range(length):
+        value, d = divmod(value, base)
+        digits.append(d)
+    if value:
+        raise ValueError(f"value needs more than {length} digits in base {base}")
+    digits.reverse()
+    return DigitString(base, tuple(digits))
+
+
+def outcome(convert, value, base, length):
+    try:
+        return convert(value, base, length)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def padded_cases(draw):
+    """(value, base, length): values next to powers of the base or drawn digit
+    by digit, lengths from three too short to well past the split length."""
+    base = draw(st.one_of(st.integers(2, 62), st.integers(63, 2**70)))
+    if draw(st.booleans()):
+        exponent = draw(st.integers(0, 600))
+        value = max(0, base**exponent + draw(st.integers(-2, 2)))
+    else:
+        value = 0
+        for d in draw(st.lists(st.integers(0, base - 1), max_size=300)):
+            value = value * base + d
+    length = max(0, _digit_count(value, base) + draw(st.integers(-3, 150)))
+    return value, base, length
+
+
+@settings(deadline=None)
+@given(padded_cases())
+@example((10**96 // 97, 10, 96))  # 1/97's block: 96 digits, the first 0
+@example((10**128, 10, 129))  # the low half of the split is all zeros
+@example((10**128, 10, 128))  # one digit too short
+@example((0, 62, 200))
+@example((0, 10, 0))
+def test_padded_matches_divmod_loop(case):
+    value, base, length = case
+    assert outcome(from_integer_padded, value, base, length) == outcome(
+        padded_divmod_loop, value, base, length
+    )

@@ -23,6 +23,8 @@ CASES = {
     "cyclic-7-10": ["cyclic", "7", "10"],
     "cyclic-13-10": ["cyclic", "13", "10"],
     "cyclic-17-10-json": ["cyclic", "17", "10", "--format", "json"],
+    # 96-digit rows opening with 0: long enough for from_integer_padded to split.
+    "cyclic-97-10-json": ["cyclic", "97", "10", "--format", "json"],
     "series-7-10": ["series", "7", "10"],
     "search-7-10-60": ["search", "7", "10", "--max-digits", "60", "--jobs", "1"],
     "search-7-10-60-json": ["search", "7", "10", "--max-digits", "60",

@@ -109,9 +109,10 @@ ORACLE_PRIMES = [q for q in range(2, 1000) if trial_division_is_prime(q)]
 # Strong pseudoprimes below 2**64, each the least one to its witness set,
 # so a witness ladder that used these sets up to these bounds called them
 # prime; 1122004669633, 341550071728321 and 3825123056546413051 also have
-# no factor below 10**5, so only the witness rounds reject them.  The last,
+# no factor below 10**5, and all five pass the base-2 round, so classify
+# rejects them only by the strong Lucas check.  The last,
 # psi_11 = 149491 * 747451 * 34233211, also passes bases 29 and 31: of the
-# twelve bases below 2**64, only 37 exposes it.
+# twelve oracle bases below 2**64, only 37 exposes it.
 FOOLED_WITNESS_SETS = (
     (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, (2, 3, 5, 7, 11)),
@@ -178,13 +179,13 @@ class TestSmallRange:
             assert (classify(n).status == "prime") == trial_division_is_prime(n), n
 
     def test_agreement_across_lookup_handover(self):
-        # straddles 10**5, where the table lookup hands over to witnesses
+        # straddles 10**5, where the table lookup hands over to trial
+        # division and the strong tests
         for n in range(99900, 100101):
             assert (classify(n).status == "prime") == trial_division_is_prime(n), n
 
     def test_agreement_past_trial_bound_squared_region(self):
-        # straddles 10**10, the square of the table's bound, inside the
-        # witness regime
+        # straddles 10**10, the square of the table's bound
         for n in range(10**10 - 50, 10**10 + 50):
             assert (classify(n).status == "prime") == trial_division_is_prime(n), n
 
@@ -331,6 +332,75 @@ def test_matches_oracle_in_witness_regime(n):
     assert (classify(n).status == "prime") == miller_rabin_oracle(n)
 
 
+def strong_base2(n):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return _strong_probable_prime(n, 2, d, s)
+
+
+# The base-2 strong pseudoprimes in [10**5, 3 * 10**5).
+BASE2_SPSP_PAST_LOOKUP = (
+    104653, 130561, 196093, 220729, 233017,
+    252601, 253241, 256999, 271951, 280601,
+)
+
+
+def test_every_n_past_the_lookup_matches_trial_division():
+    lo, hi = TRIAL_DIVISION_BOUND, 3 * TRIAL_DIVISION_BOUND
+    flags = bytearray([1]) * hi
+    for q in range(2, math.isqrt(hi - 1) + 1):
+        flags[q * q :: q] = bytearray(len(flags[q * q :: q]))
+    assert tuple(
+        n for n in range(lo | 1, hi, 2) if not flags[n] and strong_base2(n)
+    ) == BASE2_SPSP_PAST_LOOKUP
+    assert all(trial_division_is_prime(n) for n in range(lo, hi) if flags[n])
+    for n in range(lo, hi):
+        assert (classify(n) == ("prime", 0)) == bool(flags[n]), n
+
+
+def next_fermat_pair(start):
+    """The least prime p from start up with q = 2p - 1 prime and q = +-1 mod 8.
+
+    Then p - 1 divides p*q - 1 = (2p + 1)(p - 1), and 2 is a square mod q,
+    so 2**(p-1) = 1 mod q as well as mod p: p*q is a base-2 Fermat
+    pseudoprime.
+    """
+    p = start | 1
+    while not (
+        (2 * p - 1) % 8 in (1, 7)
+        and miller_rabin_oracle(p)
+        and miller_rabin_oracle(2 * p - 1)
+    ):
+        p += 2
+    return p, 2 * p - 1
+
+
+# Starts whose p*q is also a strong pseudoprime to base 2, so only the strong
+# Lucas check rejects it.
+LUCAS_ONLY_STARTS = (4654597, 61007437, 288676249, 1064070757, 1935932461)
+
+
+@pytest.mark.parametrize("start", LUCAS_ONLY_STARTS)
+def test_pinned_pairs_pass_the_base2_round(start):
+    p, q = next_fermat_pair(start)
+    assert p == start
+    assert strong_base2(p * q)
+    assert not _strong_lucas_probable_prime(p * q)
+    assert classify(p * q) == ("composite", 0)
+
+
+@settings(deadline=None)
+@given(st.integers(2**17, 2**31))
+def test_base2_fermat_pseudoprimes_below_2_64_are_composite(start):
+    p, q = next_fermat_pair(start)
+    n = p * q
+    assert TRIAL_DIVISION_BOUND < p < q and n < DETERMINISTIC_BOUND
+    assert pow(2, n - 1, n) == 1
+    assert classify(n) == ("composite", 0)
+
+
 def hashlib_witnesses(n, rounds):
     """The witness derivation written with hashlib.sha256: the reference."""
     material = n.to_bytes((n.bit_length() + 7) // 8, "big")
@@ -358,7 +428,7 @@ def test_sieve_matches_trial_division(limit):
 
 
 # Bit lengths on both sides of the split between the shallow and the full
-# gcd, and the two lowest above 2**64, where the shallow gcd starts.
+# gcd, and the two lowest above 2**64, where the witness rounds start.
 TIER_BITS = [
     DETERMINISTIC_BOUND.bit_length(),
     DETERMINISTIC_BOUND.bit_length() + 1,
