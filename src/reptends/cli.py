@@ -2,7 +2,7 @@
 
 Every command emits one of three formats (table, csv, json) on stdout;
 progress chatter goes to stderr so machine-readable output stays clean.
-Identical invocations produce byte-identical stdout regardless of --jobs.
+Identical invocations produce byte-identical stdout.
 
 Exit codes: 0 success, 2 usage error, 3 checkpoint mismatch, 4 internal
 invariant violation.
@@ -50,6 +50,15 @@ SERIES_TERMS_LIMIT = 1000
 # `crossbase related` holds and prints about 450 bytes a row: 10**5 rows
 # take about 0.3 s and 60 MiB, 10**6 rows 3 s and 450 MiB.
 RELATED_COUNT_LIMIT = 10**5
+# `crossbase sweep` searches every full-reptend base up to --base-limit.
+# From base 10 at --max-digits 130, limit 1000 took 6.5 s for p = 7 (19 s
+# to 2000), 16 s for p = 11 and 27 s for p = 17; at --max-digits 12, p = 7
+# took 2.6 s to 10**4 and 33 s to 10**5.
+SWEEP_BASE_LIMIT = 1000
+# Every candidate above 2**64 that passes the base-2 round costs --rounds
+# more rounds: `search 7 10 --max-digits 30` took 0.2 s at 40 and 6.9 s at
+# 100000.
+ROUNDS_LIMIT = 1000
 # Integers up to this many digits print; main raises the interpreter's limit.
 PRINT_DIGIT_LIMIT = 50000
 
@@ -282,7 +291,6 @@ def cmd_search(args) -> int:
         args.max_digits,
         rounds=args.rounds,
         checkpoint_path=args.checkpoint,
-        jobs=args.jobs,
         on_level=on_level,
     )
     params = {"p": args.p, "base": args.base, "max_digits": args.max_digits,
@@ -312,8 +320,7 @@ def cmd_crossbase_render(args) -> int:
     _require_alphabet("anchor base", args.anchor_base)
     _require_alphabet("target base", args.target_base)
     records = search_with_checkpoint(
-        args.p, args.anchor_base, args.max_digits,
-        rounds=args.rounds, jobs=args.jobs,
+        args.p, args.anchor_base, args.max_digits, rounds=args.rounds
     )
     rows = []
     for rec in records:
@@ -390,6 +397,10 @@ def cmd_crossbase_related(args) -> int:
 
 
 def cmd_crossbase_sweep(args) -> int:
+    if args.base_limit > SWEEP_BASE_LIMIT:
+        raise ValueError(
+            f"base_limit must be at most {SWEEP_BASE_LIMIT}, got {args.base_limit}"
+        )
     results = empirical_related_bases(
         args.p,
         args.anchor_base,
@@ -397,7 +408,6 @@ def cmd_crossbase_sweep(args) -> int:
         min_suffix=args.min_suffix,
         max_digits=args.max_digits,
         rounds=args.rounds,
-        jobs=args.jobs,
     )
     rows = []
     for base, evidence in results:
@@ -425,8 +435,8 @@ def cmd_crossbase_sweep(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
-# --jobs defaults to the serial path: on a 2-vCPU VM a process pool made the
-# catalog search and the cross-base sweep slower, not faster.
+# --jobs is range-checked and otherwise ignored: classification runs in the
+# calling process.  It stays because benchmarks/workloads.py passes it.
 _SHARED_OPTIONS = {
     "--format": dict(choices=("table", "csv", "json"), default="table",
                      help="output format"),
@@ -436,7 +446,7 @@ _SHARED_OPTIONS = {
                           help="print digit strings longer than this as "
                                "'<first digit>…(<n> digits)'"),
     "--jobs": dict(type=int, default=1,
-                   help="worker processes for primality classification"),
+                   help="ignored; accepted for compatibility"),
 }
 
 
@@ -497,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_render.add_argument("anchor_base", type=int)
     c_render.add_argument("target_base", type=int)
     c_render.add_argument("--max-digits", type=int, default=35)
-    _add_shared(c_render, "--rounds", "--elide-above", "--jobs")
+    _add_shared(c_render, "--rounds", "--elide-above")
     c_render.set_defaults(handler=cmd_crossbase_render)
 
     c_suffix = cross_sub.add_parser("suffix", help="trailing-digit stream match")
@@ -538,6 +548,8 @@ def main(argv=None) -> int:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and value < 1:
             parser.error(f"{flag} must be at least 1")
+    if getattr(args, "rounds", DEFAULT_ROUNDS) > ROUNDS_LIMIT:
+        parser.error(f"--rounds must be at most {ROUNDS_LIMIT}")
     try:
         return args.handler(args)
     except CheckpointError as exc:

@@ -153,7 +153,6 @@ def empirical_related_bases(
     min_suffix: int | None = None,
     max_digits: int = 130,
     rounds: int = DEFAULT_ROUNDS,
-    jobs: int = 1,
 ) -> list[tuple[int, list[SuffixReport]]]:
     """Sweep candidate bases for measurable suffix links with the anchor.
 
@@ -214,7 +213,7 @@ def empirical_related_bases(
 
         try:
             records = enumerate_cyclic_primes(
-                p, base, max_digits, rounds, jobs=jobs, on_level=link_up
+                p, base, max_digits, rounds, on_level=link_up
             )
         except _Unlinked:
             return [], None

@@ -5,9 +5,8 @@ stream of a/p (any numerator whose stream starts with a nonzero digit) and
 landing on a prime.  A subcyclic prime is a prime read from a contiguous
 circular substring of a single period: the first L <= period digits of
 another such stream.  Both searches walk digit-count levels of the streams,
-1..period for subcyclic primes and onward for cyclic ones.  Primality work
-within a level can fan out to worker processes, and a checkpoint file (JSON,
-written atomically and synced to disk) makes long runs resumable.
+1..period for subcyclic primes and onward for cyclic ones.  A checkpoint
+file (JSON, written atomically and synced to disk) makes long runs resumable.
 
 Records and checkpoints are named tuples, so they also unpack, index and
 compare equal to plain tuples of their fields.
@@ -18,7 +17,6 @@ import os
 import tempfile
 from typing import Callable, Iterator, NamedTuple
 
-from . import primality
 from .digits import DigitString, from_integer
 from .primality import DEFAULT_ROUNDS, PrimalityVerdict, classify
 from .reptend import _require_fraction, multiplicative_order, orbits
@@ -111,16 +109,14 @@ def enumerate_cyclic_primes(
     base: int,
     max_digits: int,
     rounds: int = DEFAULT_ROUNDS,
-    jobs: int = 1,
     on_level: Callable[[int, list[CyclicPrimeRecord]], None] | None = None,
     checkpoint_path: str | None = None,
 ) -> list[CyclicPrimeRecord]:
     """All non-composite repetend prefixes with period < digits <= max_digits.
 
     Every digit-count level checks the streams of all numerators that open
-    with a nonzero digit; results are sorted by (digit_count, numerator) and
-    deterministic for any number of jobs.  on_level receives each level's
-    records as soon as the level is done.
+    with a nonzero digit; results are sorted by (digit_count, numerator).
+    on_level receives each level's records as soon as the level is done.
 
     With a checkpoint_path, progress is saved after each level.  A path in a
     missing directory raises CheckpointError before the first level, and so
@@ -160,7 +156,7 @@ def enumerate_cyclic_primes(
     if completed >= max_digits:
         return found
 
-    def level_done(ndigits: int, records: list[CyclicPrimeRecord]) -> None:
+    for ndigits, records in _walk_levels(p, base, completed + 1, max_digits, rounds):
         found.extend(records)
         if on_level is not None:
             on_level(ndigits, records)
@@ -182,8 +178,6 @@ def enumerate_cyclic_primes(
                 raise CheckpointError(
                     f"cannot write checkpoint {checkpoint_path}: {exc}"
                 ) from exc
-
-    _walk_levels(p, base, completed + 1, max_digits, rounds, jobs, level_done)
     return found
 
 
@@ -203,11 +197,11 @@ def enumerate_subcyclic_primes(
     period = multiplicative_order(base, p)
     if period is None:
         raise ValueError(f"base {base} shares a factor with {p}")
-    primes: set[int] = set()
-    _walk_levels(
-        p, base, 1, period, rounds, 1,
-        lambda ndigits, records: primes.update(rec.value for rec in records),
-    )
+    primes = {
+        rec.value
+        for _, records in _walk_levels(p, base, 1, period, rounds)
+        for rec in records
+    }
     return sorted(primes)
 
 
@@ -217,55 +211,34 @@ def _cycle_of(p: int, base: int) -> dict[int, int]:
 
 
 def _walk_levels(
-    p: int, base: int, first: int, last: int, rounds: int, jobs: int,
-    on_level: Callable[[int, list[CyclicPrimeRecord]], None],
-) -> None:
+    p: int, base: int, first: int, last: int, rounds: int
+) -> Iterator[tuple[int, list[CyclicPrimeRecord]]]:
     """Classify the first..last digit prefixes of every a/p opening nonzero.
 
-    Each level's non-composite prefixes go to on_level as records ordered by
-    numerator, before the next level starts.  With jobs > 1 a process pool
-    classifies each level; it is shut down however the walk ends, including
-    by an exception from on_level.
+    Yields (ndigits, records) per level, the non-composite prefixes ordered
+    by numerator; the next level is classified only when asked for.
     """
     numerators = [a for a in range(1, p) if a * base // p > 0]
     cycle_of = _cycle_of(p, base)
     scale = base ** (first - 1)
-    executor = None
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        executor = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        for ndigits in range(first, last + 1):
-            scale *= base
-            # The first ndigits digits of a/p, in candidate_value's closed form.
-            values = [a * scale // p for a in numerators]
-            if executor is None:
-                verdicts = [classify(v, rounds) for v in values]
-            else:
-                # Workers look the function up by its import path, which the
-                # module global `classify` need not keep (the benchmark's
-                # tracer rebinds it).
-                verdicts = list(
-                    executor.map(primality.classify, values, [rounds] * len(values))
-                )
-            records = [
-                CyclicPrimeRecord(
-                    p=p,
-                    base=base,
-                    cycle_index=cycle_of[a],
-                    rotation_numerator=a,
-                    digit_count=ndigits,
-                    first_digit=a * base // p,
-                    verdict=verdict,
-                )
-                for a, verdict in zip(numerators, verdicts)
-                if verdict.is_prime
-            ]
-            on_level(ndigits, records)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for ndigits in range(first, last + 1):
+        scale *= base
+        # The first ndigits digits of a/p, in candidate_value's closed form.
+        verdicts = [classify(a * scale // p, rounds) for a in numerators]
+        records = [
+            CyclicPrimeRecord(
+                p=p,
+                base=base,
+                cycle_index=cycle_of[a],
+                rotation_numerator=a,
+                digit_count=ndigits,
+                first_digit=a * base // p,
+                verdict=verdict,
+            )
+            for a, verdict in zip(numerators, verdicts)
+            if verdict.is_prime
+        ]
+        yield ndigits, records
 
 
 def _from_fields(cls, fields):

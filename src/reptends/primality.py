@@ -14,7 +14,7 @@ Two regimes, by size:
    composite there passes both (Baillie, Fiori & Wagstaff, Math. Comp.
    2021).  From 2**64 up, the requested number of rounds with witnesses
    derived from a hash of the candidate (so results are reproducible across
-   runs and worker processes) run between them.  No composite is known to
+   runs and processes) run between them.  No composite is known to
    survive that combination, and a survivor is reported as a probable prime.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
@@ -183,8 +183,7 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     Deterministic (witness_rounds 0) below 2**64, where a base-2
     strong-pseudoprime round and a strong Lucas check decide; from 2**64 up,
     `rounds` hash-derived rounds run between the two, and a survivor is a
-    probable_prime.  Identical inputs give identical verdicts in every run
-    and every worker.
+    probable_prime.  Identical inputs give identical verdicts in every run.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")

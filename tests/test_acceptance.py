@@ -173,7 +173,7 @@ def test_criterion_06_fibonacci_convergence():
 
 def test_criterion_07_catalog_to_823_digits():
     with criterion("7: cyclic prime catalog to 823 digits"):
-        records = enumerate_cyclic_primes(7, 10, 823, jobs=2)
+        records = enumerate_cyclic_primes(7, 10, 823)
         assert [(r.first_digit, r.digit_count) for r in records] == CATALOG_TO_823
 
 
@@ -260,7 +260,7 @@ def test_criterion_11_primality_agreement_and_determinism():
 @pytest.mark.slow
 def test_extended_full_catalog_to_9536_digits():
     with criterion("7 extended: full catalog to 9536 digits"):
-        records = enumerate_cyclic_primes(7, 10, 9536, jobs=2)
+        records = enumerate_cyclic_primes(7, 10, 9536)
         assert [(r.first_digit, r.digit_count) for r in records] == CATALOG_TO_9536
         assert len(records) == 24
         for record in records:

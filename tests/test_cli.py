@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 import reptends.cli
 import reptends.crossbase
-from reptends.cli import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, build_parser, main
+from reptends.cli import (
+    EXIT_CHECKPOINT,
+    EXIT_OK,
+    EXIT_USAGE,
+    ROUNDS_LIMIT,
+    SWEEP_BASE_LIMIT,
+    build_parser,
+    main,
+)
 from reptends.primality import DEFAULT_ROUNDS
 
 
@@ -477,7 +485,7 @@ class TestCrossbase:
     def test_render(self, capsys):
         code, out, _ = run_cli(
             capsys, "crossbase", "render", "7", "10", "40",
-            "--max-digits", "16", "--jobs", "1", "--format", "json",
+            "--max-digits", "16", "--format", "json",
         )
         assert code == EXIT_OK
         doc = parse_json(out)
@@ -595,6 +603,31 @@ class TestCrossbase:
         assert (f"count must be at most {limit}, got 6" in err) is not accepted
         assert (out == "") is not accepted
 
+    def test_sweep_large_base_limit_refused_before_any_work(
+        self, capsys, monkeypatch
+    ):
+        # The README's 160 and the goldens' 20 and 50 stay within the bound.
+        assert SWEEP_BASE_LIMIT >= 160
+        monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+        code, out, err = run_cli(
+            capsys, "crossbase", "sweep", "7", "10", "--base-limit", str(10**6)
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"base_limit must be at most {SWEEP_BASE_LIMIT}, got {10**6}" in err
+
+    @pytest.mark.parametrize("limit,accepted", [(12, True), (11, False)])
+    def test_sweep_base_limit_bound_is_inclusive(
+        self, capsys, monkeypatch, limit, accepted
+    ):
+        monkeypatch.setattr(reptends.cli, "SWEEP_BASE_LIMIT", limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+        code, out, err = run_cli(capsys, "crossbase", "sweep", "7", "10",
+                                 "--base-limit", "12", "--max-digits", "12")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"base_limit must be at most {limit}, got 12" in err) is not accepted
+        assert (out == "") is not accepted
+
     def test_sweep(self, capsys):
         code, out, _ = run_cli(
             capsys, "crossbase", "sweep", "7", "40", "--base-limit", "10",
@@ -619,7 +652,7 @@ class TestCrossbase:
         assert bases == [5, 10, 40, 80]
 
     def test_sweep_stdout_identical_across_jobs(self, capsys):
-        # Refuted bases stop their search by raising through a live pool.
+        # The benchmark's pool workloads pass --jobs 2 and compare stdout.
         argv = ["crossbase", "sweep", "7", "10", "--base-limit", "50",
                 "--max-digits", "60", "--format", "json"]
         serial, pooled = (run_cli(capsys, *argv, "--jobs", jobs) for jobs in "12")
@@ -667,18 +700,22 @@ class TestParser:
         ["crossbase", "render", "7", "10", "40"],
     ])
     def test_jobs_below_one_exits_2(self, capsys, command, jobs):
+        # render has no --jobs, so there the parser refuses the option itself.
         with pytest.raises(SystemExit) as exc:
             main([*command, "--jobs", jobs])
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert "--jobs must be at least 1" in captured.err
+        if "render" in command:
+            assert f"unrecognized arguments: --jobs {jobs}" in captured.err
+        else:
+            assert "--jobs must be at least 1" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", [
         ["search", "7", "100", "--max-digits", "8", "--jobs", "1"],
         ["cyclic", "11", "100"],
-        ["crossbase", "render", "7", "70", "10", "--jobs", "1"],
-        ["crossbase", "render", "7", "10", "70", "--jobs", "1"],
+        ["crossbase", "render", "7", "70", "10"],
+        ["crossbase", "render", "7", "10", "70"],
         ["crossbase", "render", "7", "10", "1", "--max-digits", "600"],
         ["crossbase", "render", "7", "10", "0"],
     ])
@@ -697,7 +734,8 @@ class TestParser:
         assert out == ""
 
     # Every option of every command with its default: --format everywhere,
-    # and --rounds, --elide-above and --jobs only where the handler reads them.
+    # --rounds and --elide-above only where the handler reads them, and the
+    # ignored --jobs only on search and sweep.
     OPTIONS = {
         ("period",): {"--primes-max": 31, "--base-min": 2, "--base-max": 14},
         ("cyclic",): {},
@@ -708,7 +746,7 @@ class TestParser:
                       "--jobs": 1},
         ("subcyclic",): {"--rounds": DEFAULT_ROUNDS},
         ("crossbase", "render"): {"--max-digits": 35, "--rounds": DEFAULT_ROUNDS,
-                                  "--elide-above": 1000, "--jobs": 1},
+                                  "--elide-above": 1000},
         ("crossbase", "suffix"): {},
         ("crossbase", "related"): {"--count": 5, "--variant": "three_four"},
         ("crossbase", "sweep"): {"--base-limit": None, "--min-suffix": None,
@@ -735,7 +773,7 @@ class TestParser:
             for path, options in self.OPTIONS.items()
         }
         assert found == expected
-        assert sum(len(options) for options in found.values()) == 32
+        assert sum(len(options) for options in found.values()) == 31
 
     @pytest.mark.parametrize("command,flag", [
         (["period"], "--rounds"),
@@ -749,6 +787,7 @@ class TestParser:
         (["crossbase", "related", "10"], "--rounds"),
         (["crossbase", "related", "10"], "--elide-above"),
         (["crossbase", "sweep", "7", "10", "--base-limit", "12"], "--elide-above"),
+        (["crossbase", "render", "7", "10", "40"], "--jobs"),
     ])
     def test_option_the_command_does_not_read_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
@@ -776,9 +815,44 @@ class TestParser:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", [
+        ["series", "7", "10"],
         ["search", "7", "10", "--max-digits", "20"],
-        ["crossbase", "sweep", "7", "10", "--base-limit", "12", "--max-digits", "20"],
+        ["subcyclic", "7", "10"],
+        ["crossbase", "render", "7", "10", "40"],
+        ["crossbase", "sweep", "7", "10", "--base-limit", "12"],
+    ])
+    def test_rounds_above_limit_exits_2_before_any_work(
+        self, capsys, monkeypatch, command
+    ):
+        for name in ("enumerate_series", "search_with_checkpoint",
+                     "enumerate_subcyclic_primes", "empirical_related_bases"):
+            monkeypatch.setattr(reptends.cli, name, no_work)
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--rounds", str(ROUNDS_LIMIT + 1)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--rounds must be at most {ROUNDS_LIMIT}" in captured.err
+        assert captured.out == ""
+
+    def test_rounds_at_limit_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "search", "7", "10", "--max-digits", "20",
+                               "--rounds", str(ROUNDS_LIMIT), "--format", "json")
+        assert code == EXIT_OK
+        assert parse_json(out)["params"]["rounds"] == ROUNDS_LIMIT
+
+    SEARCH = ["search", "7", "10", "--max-digits", "20"]
+    SWEEP = ["crossbase", "sweep", "7", "10", "--base-limit", "12",
+             "--max-digits", "20"]
+
+    # --jobs is ignored: no value of it starts a pool.
+    @pytest.mark.parametrize("command", [
+        SEARCH,
+        SWEEP,
         ["crossbase", "render", "7", "10", "40", "--max-digits", "16"],
+        [*SEARCH, "--jobs", "1"],
+        [*SEARCH, "--jobs", "4"],
+        [*SWEEP, "--jobs", "1"],
+        [*SWEEP, "--jobs", "4"],
     ])
     def test_default_jobs_never_starts_a_pool(self, capsys, monkeypatch, command):
         def no_pool(*args, **kwargs):

@@ -32,11 +32,10 @@ CASES = {
     "search-13-10-40-elided": ["search", "13", "10", "--max-digits", "40",
                                "--jobs", "1", "--elide-above", "12"],
     "subcyclic-13-10": ["subcyclic", "13", "10"],
-    "crossbase-render-7-10-40": ["crossbase", "render", "7", "10", "40",
-                                 "--jobs", "1"],
+    "crossbase-render-7-10-40": ["crossbase", "render", "7", "10", "40"],
     "crossbase-render-7-10-40-elided": ["crossbase", "render", "7", "10", "40",
                                         "--max-digits", "16", "--elide-above",
-                                        "5", "--jobs", "1"],
+                                        "5"],
     "crossbase-suffix-70217142857-7-10": ["crossbase", "suffix", "70217142857",
                                           "7", "10"],
     "crossbase-suffix-1428571-7-40": ["crossbase", "suffix", "1428571", "7", "40"],
