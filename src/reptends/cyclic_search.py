@@ -18,7 +18,13 @@ import tempfile
 from typing import Callable, Iterator, NamedTuple
 
 from .digits import DigitString, from_integer
-from .primality import DEFAULT_ROUNDS, PrimalityVerdict, classify
+from .primality import (
+    DEFAULT_ROUNDS,
+    TRIAL_DIVISION_BOUND,
+    PrimalityVerdict,
+    _strong_probable_prime,
+    classify,
+)
 from .reptend import _require_fraction, multiplicative_order, orbits
 # Unused here: benchmarks/tracing.py wraps reptends.cyclic_search.cycles by
 # name, and a traced run fails without it.
@@ -259,8 +265,10 @@ def _check_progress(
 ) -> None:
     """Refuse progress or records that this search's level walk cannot write.
 
-    A record within max_digits must also pass a base-2 Fermat test, which
-    refuses a digit count moved to a composite; a deleted record is missed.
+    A record within max_digits must also pass classify's base-2 strong
+    round (its lookup below 10**5), which refuses a digit count moved to a
+    composite, base-2 Fermat pseudoprimes such as 341 included; a deleted
+    record is missed.
     """
     p, base, done = checkpoint.p, checkpoint.base, checkpoint.completed_through_digits
     if done < period:
@@ -278,11 +286,19 @@ def _check_progress(
         )
         if (rec != walked or not rec.first_digit or not period < ndigits <= done
                 or rec.verdict not in verdicts or (ndigits, a) in seen
-                or ndigits <= max_digits and pow(2, rec.value - 1, rec.value) != 1):
+                or ndigits <= max_digits and not _passes_base2_round(rec.value)):
             raise CheckpointError(
                 f"unusable checkpoint {path}: the search writes no record {rec}"
             )
         seen.add((ndigits, a))
+
+
+def _passes_base2_round(v: int) -> bool:
+    """classify's lookup below 10**5, its strong base-2 round from there up."""
+    if v < TRIAL_DIVISION_BOUND:
+        return classify(v).is_prime
+    s = ((v - 1) & -(v - 1)).bit_length() - 1  # 2**s exactly divides v - 1
+    return _strong_probable_prime(v, 2, (v - 1) >> s, s)
 
 
 def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:

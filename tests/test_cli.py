@@ -307,6 +307,28 @@ class TestSearch:
         assert (code, out) == (EXIT_CHECKPOINT, "")
         assert "unusable checkpoint" in err
 
+    def test_record_moved_to_a_fermat_pseudoprime_exits_3(self, capsys, tmp_path):
+        """341 = 11 * 31 = (4**5 - 1) / 3 passes base-2 Fermat, not the strong round.
+
+        search 3 4 finds only "11" (5); a copy of that record at 5 digits
+        reads 11111 in base 4, which is 341.
+        """
+        path = tmp_path / "ck.json"
+        argv = ["search", "3", "4", "--checkpoint", str(path)]
+        assert run_cli(capsys, *argv, "--max-digits", "12")[0] == EXIT_OK
+        resumed = run_cli(capsys, *argv, "--max-digits", "16")
+        fresh = run_cli(capsys, "search", "3", "4", "--max-digits", "16")
+        assert resumed[:2] == fresh[:2]
+        assert resumed[0] == EXIT_OK
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert [rec["digit_count"] for rec in doc["found"]] == [2]
+        doc["found"].append({**doc["found"][0], "digit_count": 5})
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert pow(2, 340, 341) == 1
+        code, out, err = run_cli(capsys, *argv, "--max-digits", "16")
+        assert (code, out) == (EXIT_CHECKPOINT, "")
+        assert "unusable checkpoint" in err and "digit_count=5" in err
+
     def test_checkpoint_in_missing_directory_exits_3_before_any_level(
         self, capsys, tmp_path
     ):

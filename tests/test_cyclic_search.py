@@ -13,6 +13,7 @@ from reptends.cyclic_search import (
     CheckpointMismatchError,
     CyclicPrimeRecord,
     SearchCheckpoint,
+    _passes_base2_round,
     candidate_value,
     digit_stream,
     enumerate_cyclic_primes,
@@ -263,6 +264,23 @@ class TestSubcyclicPrimes:
                     if classify(value).status != "composite":
                         expected.add(value)
         assert enumerate_subcyclic_primes(p, base) == sorted(expected)
+
+
+# Cipolla (1904): for every prime q >= 5, (4**q - 1) / 3 is a base-2 Fermat
+# pseudoprime; it is "11...1" (q ones) in base 4, the level-q candidate of
+# numerator 1 in search 3 4.
+def test_resume_check_refuses_cipolla_pseudoprimes():
+    for q in (q for q in range(5, 400) if trial_division_is_prime(q)):
+        v = (4**q - 1) // 3
+        assert v == candidate_value(3, 4, 1, q)
+        assert pow(2, v - 1, v) == 1, q
+        assert not _passes_base2_round(v), q
+        assert classify(v).status == "composite", q
+
+
+@pytest.mark.parametrize("v", [2, 5, 99991, 1428571, 2**61 - 1, 2**127 - 1])
+def test_resume_check_passes_primes(v):
+    assert _passes_base2_round(v)
 
 
 class TestCheckpoint:

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reptends
+from reptends import primality
+from reptends.cyclic_search import candidate_value
 from reptends.primality import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
@@ -19,6 +21,7 @@ from reptends.primality import (
     _TRIAL_PREFIX,
     PrimalityVerdict,
     _derived_witnesses,
+    _gmp_powmod,
     _jacobi,
     _primorial,
     _strong_lucas_probable_prime,
@@ -27,6 +30,7 @@ from reptends.primality import (
     classify,
     is_probably_prime,
 )
+from test_acceptance import CATALOG_TO_823
 
 MERSENNE_PRIME_127 = 2**127 - 1
 # 2**101 - 1 factors as 7432339208719 * 341117531003194129: both factors are
@@ -507,3 +511,71 @@ def test_import_builds_no_tier():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert done.stdout.strip() == "0"
+
+
+@st.composite
+def powmod_cases(draw):
+    """(a, e, m): m of 1 to 32 000 bits, a in [0, 2m], e from 1 up."""
+    bits = draw(st.integers(1, 32_000))
+    m = draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+    # The builtin pow costs about bits**2 per exponent bit.
+    e = draw(st.integers(1, 2 ** max(16, 2**17 // bits)))
+    return draw(st.integers(0, 2 * m)), e, m
+
+
+@pytest.mark.skipif(_gmp_powmod() is None, reason="libgmp does not load here")
+@settings(deadline=None, max_examples=60)
+@given(powmod_cases())
+@example((0, 5, 7))
+@example((5, 3, 1))
+@example((2**64 + 20, 1, 2**64 + 13))
+@example((0, 2**64, 2**64 + 1))
+@example((2, (2**64 + 12) // 4, 2**64 + 13))
+@example((3, 2**16 + 1, 2**32_000 - 1))
+def test_gmp_powmod_matches_pow(case):
+    a, e, m = case
+    assert _gmp_powmod()(a, e, m) == pow(a, e, m)
+
+
+def verdicts_with_and_without_gmp(n):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primality, "_gmp_powmod", lambda: None)
+        builtin_only = classify(n)
+    return classify(n), builtin_only
+
+
+def catalog_value(first_digit, digit_count):
+    """The (7, 10) catalog entry: the numerator is fixed by the first digit."""
+    a = next(a for a in range(1, 7) if a * 10 // 7 == first_digit)
+    return candidate_value(7, 10, a, digit_count)
+
+
+@pytest.mark.parametrize("hit", [h for h in CATALOG_TO_823 if h[1] <= 300])
+def test_catalog_hits_have_one_verdict_on_both_paths(hit):
+    with_gmp, builtin_only = verdicts_with_and_without_gmp(catalog_value(*hit))
+    assert with_gmp == builtin_only
+    assert with_gmp.is_prime
+
+
+# p whose p * (2p - 1) is a strong pseudoprime to base 2 above 2**64, from
+# 66 to 202 bits (found as next_fermat_pair finds the pinned starts above).
+STRONG_PAIRS_ABOVE_2_64 = (
+    5368709629, 1099511633629, 18446744073709555501,
+    1267650600228229401496703211889,
+)
+
+
+@pytest.mark.parametrize("n", [
+    BASE2_STRONG_PSEUDOPRIME, *(p * (2 * p - 1) for p in STRONG_PAIRS_ABOVE_2_64)
+])
+def test_base2_strong_pseudoprimes_have_one_verdict_on_both_paths(n):
+    assert n >= DETERMINISTIC_BOUND and strong_base2(n)
+    assert verdicts_with_and_without_gmp(n) == (("composite", 0),) * 2
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2**32, 2**600), st.integers(2**32, 2**600))
+def test_rough_composites_have_one_verdict_on_both_paths(x, y):
+    """Both factors have no prime below 10**5, so n reaches the base-2 round."""
+    n = rough_at_least(x) * rough_at_least(y)
+    assert verdicts_with_and_without_gmp(n) == (("composite", 0),) * 2
