@@ -22,6 +22,7 @@ from .primality import (
     DEFAULT_ROUNDS,
     TRIAL_DIVISION_BOUND,
     PrimalityVerdict,
+    _odd_part,
     _strong_probable_prime,
     classify,
 )
@@ -297,8 +298,7 @@ def _passes_base2_round(v: int) -> bool:
     """classify's lookup below 10**5, its strong base-2 round from there up."""
     if v < TRIAL_DIVISION_BOUND:
         return classify(v).is_prime
-    s = ((v - 1) & -(v - 1)).bit_length() - 1  # 2**s exactly divides v - 1
-    return _strong_probable_prime(v, 2, (v - 1) >> s, s)
+    return _strong_probable_prime(v, 2, *_odd_part(v - 1))
 
 
 def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:

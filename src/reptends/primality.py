@@ -17,10 +17,12 @@ Two regimes, by size:
    runs and processes) run between them.  No composite is known to
    survive that combination, and a survivor is reported as a probable prime.
 
-From 2**64 up, each round's power a**d mod n goes through the mpz_powm of
-the system's GNU MP library (libgmp) where it loads, through ctypes, and
-through the builtin pow elsewhere.  Both give the same integer, so every
-verdict is the same with or without the library.
+Three kernels go through the system's GNU MP library (libgmp), by ctypes,
+where it loads: from 2**64 up each round's power a**d mod n (mpz_powm),
+and from 768 bits up the gcd with the primes below 10**5 (mpz_gcd) and the
+strong Lucas chain.  Elsewhere, and wherever the library does not load,
+the builtin pow, math.gcd and a Python chain compute the same integers, so
+every verdict is the same with or without the library.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -68,6 +70,20 @@ _TRIAL_PREFIX = SMALL_PRIMES[:128]
 # 768 bits (CPython 3.11), while the 10**5 product takes about 20 ms to
 # build once per process.  So runs that stay below 768 bits never build it;
 # a run would need some 80-200 candidates of 520-767 bits to repay it.
+# From 768 bits up libgmp also takes the gcd and the strong Lucas chain.
+# Each ctypes call costs about 0.5 us, and the chain makes about 13 a bit
+# of n, so libgmp pays only on large n.  Best of 5, median of 3 random n:
+#
+#   bits                    65     512    768    1024   1280   2734
+#   chain, Python (ms)      0.079  2.4    4.8    14.5   17     172
+#   chain, libgmp (ms)      0.63   3.8    5.7    11.7   9.5    55
+#   gcd 10**5, Python (us)  102    225    276    360    399    839
+#   gcd 10**5, libgmp (us)  23     41     50     69     73     150
+#
+# The chains break even near 1000 bits and are within 10 % of each other
+# from 700 bits up, so one split serves all three choices.  Runs below 768
+# bits, the cross-base sweep's included, use the library for powers only,
+# and a chain of 768-1000 bits loses at most 0.6 ms to it.
 _SHALLOW_GCD_BITS = 768
 _SHALLOW_GCD_BOUND = 4096
 
@@ -104,31 +120,30 @@ _COMPOSITE = PrimalityVerdict("composite", 0)
 _GMP_SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
 
 
-@functools.cache
-def _gmp_powmod() -> Callable[[int, int, int], int] | None:
-    """libgmp's mpz_powm as powmod(a, e, m) == pow(a, e, m), or None.
+class _Gmp(NamedTuple):
+    """libgmp's kernels; each returns what its builtin counterpart returns."""
 
-    None where ctypes or the library does not load.  Loaded on first call,
-    so importing the package maps neither.  ctypes.util.find_library is not
-    used: on Linux it runs ldconfig or gcc in a subprocess.  Values cross as
-    big-endian 1-byte words, so the limb size does not matter.  Takes
-    a >= 0, e >= 1 and m >= 1.
+    # powmod(a, e, m) == pow(a, e, m) for a >= 0, e >= 1 and m >= 1.
+    powmod: Callable[[int, int, int], int]
+    # deep_coprime(n) == (math.gcd(n, _primorial(TRIAL_DIVISION_BOUND)) == 1).
+    deep_coprime: Callable[[int], bool]
+    # strong_lucas(n, d, s, D, Q) == _lucas_chain(n, d, s, D, Q).
+    strong_lucas: Callable[[int, int, int, int, int], bool]
+
+
+@functools.cache
+def _gmp() -> _Gmp | None:
+    """The system libgmp's kernels, through ctypes, or None.
+
+    None where ctypes, the library or one of its symbols does not load, so
+    there is never a partial set.  Loaded on first call, so importing the
+    package maps neither.  ctypes.util.find_library is not used: on Linux
+    it runs ldconfig or gcc in a subprocess.  Values cross as big-endian
+    1-byte words, so the limb size does not matter.
     """
     try:
         import ctypes
     except ImportError:
-        return None
-    for soname in _GMP_SONAMES:
-        try:
-            gmp = ctypes.CDLL(soname)
-            init, load, store, powm = (
-                getattr(gmp, "__gmpz_" + name)
-                for name in ("init", "import", "export", "powm")
-            )
-            break
-        except (OSError, AttributeError):
-            continue
-    else:
         return None
 
     class Mpz(ctypes.Structure):  # GMP's __mpz_struct
@@ -136,44 +151,135 @@ def _gmp_powmod() -> Callable[[int, int, int], int] | None:
                     ("limbs", ctypes.c_void_p)]
 
     mpz, size_t, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
-    init.argtypes = [mpz]
-    load.argtypes = [mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p]
-    store.argtypes = [ctypes.c_void_p, ctypes.POINTER(size_t), c_int, size_t,
-                      c_int, size_t, mpz]
-    powm.argtypes = [mpz, mpz, mpz, mpz]
-    init.restype = load.restype = powm.restype = None
-    store.restype = ctypes.c_void_p
+    ulong = ctypes.c_ulong  # also GMP's mp_bitcnt_t
+    signatures = {
+        "init": ([mpz], None),
+        "import": ([mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p],
+                   None),
+        "export": ([ctypes.c_void_p, ctypes.POINTER(size_t), c_int, size_t,
+                    c_int, size_t, mpz], ctypes.c_void_p),
+        "powm": ([mpz, mpz, mpz, mpz], None),
+        "gcd": ([mpz, mpz, mpz], None),
+        "mul": ([mpz, mpz, mpz], None),
+        "mod": ([mpz, mpz, mpz], None),
+        "add": ([mpz, mpz, mpz], None),
+        "submul_ui": ([mpz, mpz, ulong], None),
+        "mul_si": ([mpz, mpz, ctypes.c_long], None),
+        "fdiv_q_2exp": ([mpz, mpz, ulong], None),
+        "tstbit": ([mpz, ulong], c_int),
+        "cmp_ui": ([mpz, ulong], c_int),
+    }
+    for soname in _GMP_SONAMES:
+        try:
+            gmp = ctypes.CDLL(soname)
+            f = {name: getattr(gmp, "__gmpz_" + name) for name in signatures}
+            break
+        except (OSError, AttributeError):
+            continue
+    else:
+        return None
+    for name, (argtypes, restype) in signatures.items():
+        f[name].argtypes, f[name].restype = argtypes, restype
+    load, store, gcd, cmp_ui = f["import"], f["export"], f["gcd"], f["cmp_ui"]
+    mul, mod, add, submul_ui = f["mul"], f["mod"], f["add"], f["submul_ui"]
+    mul_si, tstbit, halve_floor = f["mul_si"], f["tstbit"], f["fdiv_q_2exp"]
     # One set of temporaries per process; the lock keeps threads off them,
-    # since ctypes releases the GIL during each call.
-    result, base, exponent, modulus = Mpz(), Mpz(), Mpz(), Mpz()
-    for z in (result, base, exponent, modulus):
-        init(z)
+    # since ctypes releases the GIL during each call.  P holds the product
+    # of the primes past the prefix below 10**5 once deep_coprime needs it.
+    N, T, U, V, q, P = (Mpz() for _ in range(6))
+    for z in (N, T, U, V, q, P):
+        f["init"](z)
+    loaded_p = False
     count = size_t()
     lock = threading.Lock()
+
+    def put(z, v: int) -> None:  # z = v, for v >= 0
+        raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
+        load(z, len(raw), 1, 1, 1, 0, raw)
 
     def powmod(a: int, e: int, m: int) -> int:
         out = ctypes.create_string_buffer((m.bit_length() + 7) // 8)
         with lock:
-            for z, v in ((base, a), (exponent, e), (modulus, m)):
-                raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
-                load(z, len(raw), 1, 1, 1, 0, raw)
-            powm(result, base, exponent, modulus)
-            store(out, count, 1, 1, 1, 0, result)
+            put(U, a)
+            put(V, e)
+            put(N, m)
+            f["powm"](T, U, V, N)
+            store(out, count, 1, 1, 1, 0, T)
             return int.from_bytes(out.raw[: count.value], "big")
 
-    return powmod
+    def deep_coprime(n: int) -> bool:
+        nonlocal loaded_p
+        with lock:
+            if not loaded_p:
+                put(P, _primorial(TRIAL_DIVISION_BOUND))
+                loaded_p = True
+            put(N, n)
+            gcd(T, N, P)
+            return cmp_ui(T, 1) == 0
+
+    def halve(z) -> None:  # z = z / 2 mod N, exact after adding N to odd z
+        if tstbit(z, 0):
+            add(z, z, N)
+        halve_floor(z, z, 1)
+        mod(z, z, N)
+
+    def strong_lucas(n: int, d: int, s: int, D: int, Q: int) -> bool:
+        # _lucas_chain line by line; u, v and t rename U, V and T as the
+        # step U, V = U + V, D * U + V moves the sum into the temporary.
+        with lock:
+            put(N, n)
+            put(U, 1)
+            put(V, 1)
+            put(q, Q % n)
+            u, v, t = U, V, T
+            for bit in bin(d)[3:]:
+                mul(t, u, v)
+                mod(u, t, N)
+                mul(t, v, v)
+                submul_ui(t, q, 2)
+                mod(v, t, N)
+                mul(t, q, q)
+                mod(q, t, N)
+                if bit == "1":
+                    add(t, u, v)
+                    mul_si(u, u, D)
+                    add(v, u, v)
+                    u, t = t, u
+                    halve(u)
+                    halve(v)
+                    mul_si(q, q, Q)
+                    mod(q, q, N)
+            if cmp_ui(u, 0) == 0 or cmp_ui(v, 0) == 0:
+                return True
+            for _ in range(s - 1):
+                mul(t, v, v)
+                submul_ui(t, q, 2)
+                mod(v, t, N)
+                if cmp_ui(v, 0) == 0:
+                    return True
+                mul(t, q, q)
+                mod(q, t, N)
+            return False
+
+    return _Gmp(powmod, deep_coprime, strong_lucas)
+
+
+def _odd_part(m: int) -> tuple[int, int]:
+    """(d, s) with m = d * 2**s and d odd, for m >= 1."""
+    s = (m & -m).bit_length() - 1
+    return m >> s, s
 
 
 def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     """One strong-pseudoprime round: n-1 = d * 2**s with d odd.
 
-    From 2**64 up a**d mod n comes from _gmp_powmod where libgmp loads.
+    From 2**64 up a**d mod n comes from libgmp's powmod where it loads.
     The builtin pow wins below about 60 bits, where the ctypes calls' 8 us
     are most of the cost (6 against 8 us at 40 bits), and loses 1.3x at 65
     bits and 7-10x from 512 bits up.
     """
-    powmod = _gmp_powmod() if n >= DETERMINISTIC_BOUND else None
-    x = powmod(a, d, n) if powmod is not None else pow(a, d, n)
+    gmp = _gmp() if n >= DETERMINISTIC_BOUND else None
+    x = gmp.powmod(a, d, n) if gmp is not None else pow(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -212,7 +318,8 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
     Expects odd n from 10**5 up: every |D| the parameter search reaches
     before a Jacobi symbol of -1 is then far below n, so a symbol of 0 proves
-    n composite.  classify calls it from 10**5 up.
+    n composite.  classify calls it from 10**5 up.  The chain runs in
+    libgmp from _SHALLOW_GCD_BITS up, where it loads.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -224,12 +331,18 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         if j == -1:
             break
         D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    d = n + 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n + 1)
+    gmp = _gmp() if n.bit_length() >= _SHALLOW_GCD_BITS else None
+    chain = gmp.strong_lucas if gmp is not None else _lucas_chain
+    return chain(n, d, s, D, (1 - D) // 4)
+
+
+def _lucas_chain(n: int, d: int, s: int, D: int, Q: int) -> bool:
+    """True when U_d = 0 or V_(d*2**r) = 0 mod n for some r < s.
+
+    The Lucas sequences have P = 1 and Q, D = 1 - 4Q; n + 1 = d * 2**s with
+    d odd, and n is odd.
+    """
     # U_d, V_d by binary double-and-add; q tracks Q**k mod n.  Division by 2
     # mod odd n is exact after adding n to an odd value.
     U, V, q = 1, 1, Q % n
@@ -275,16 +388,14 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
         if n % p == 0:
             return _COMPOSITE
     if n.bit_length() < _SHALLOW_GCD_BITS:
-        bound = _SHALLOW_GCD_BOUND
+        coprime = math.gcd(n, _primorial(_SHALLOW_GCD_BOUND)) == 1
+    elif (gmp := _gmp()) is not None:
+        coprime = gmp.deep_coprime(n)
     else:
-        bound = TRIAL_DIVISION_BOUND
-    if math.gcd(n, _primorial(bound)) != 1:
+        coprime = math.gcd(n, _primorial(TRIAL_DIVISION_BOUND)) == 1
+    if not coprime:
         return _COMPOSITE
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(n - 1)
     # Below 2**64 the base-2 round and strong Lucas decide on their own.
     derived_rounds = rounds if n >= DETERMINISTIC_BOUND else 0
     if not _strong_probable_prime(n, 2, d, s):

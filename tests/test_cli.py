@@ -21,6 +21,8 @@ from reptends.cli import (
     EXIT_USAGE,
     ROUNDS_LIMIT,
     SWEEP_BASE_LIMIT,
+    SWEEP_WORK_LIMIT,
+    _bound_sweep,
     build_parser,
     main,
 )
@@ -649,6 +651,45 @@ class TestCrossbase:
         assert code == (EXIT_OK if accepted else EXIT_USAGE)
         assert (f"base_limit must be at most {limit}, got 12" in err) is not accepted
         assert (out == "") is not accepted
+
+    # 7 10 --base-limit 12 --max-digits 12 may search base 10 past its period
+    # 6 and bases 3, 5 and 12 past p - 1 = 6: (6 + 3 * 6) levels * 6 = 144.
+    @pytest.mark.parametrize("limit,accepted", [(144, True), (143, False)])
+    def test_sweep_work_bound_is_inclusive(
+        self, capsys, monkeypatch, limit, accepted
+    ):
+        monkeypatch.setattr(reptends.cli, "SWEEP_WORK_LIMIT", limit)
+        if not accepted:
+            monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+        code, out, err = run_cli(capsys, "crossbase", "sweep", "7", "10",
+                                 "--base-limit", "12", "--max-digits", "12")
+        assert code == (EXIT_OK if accepted else EXIT_USAGE)
+        assert (f"must be at most {limit}, got 144" in err) is not accepted
+        assert (out == "") is not accepted
+
+    @pytest.mark.parametrize("argv,count", [
+        (["17", "10", "--base-limit", "1000", "--max-digits", "130"], 860_928),
+        (["7", "10", "--base-limit", "2", "--max-digits", str(10**6)],
+         (10**6 - 6) * 6),
+    ])
+    def test_sweep_large_work_refused_before_any_search(
+        self, capsys, monkeypatch, argv, count
+    ):
+        monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+        code, out, err = run_cli(capsys, "crossbase", "sweep", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"must be at most {SWEEP_WORK_LIMIT}, got {count}" in err
+
+    @pytest.mark.parametrize("p,anchor,base_limit,max_digits", [
+        (7, 10, 20, 30), (7, 10, 50, 60),  # goldens
+        (7, 10, 160, 130), (7, 10, 50, 12), (7, 10, 50, 130),  # README
+        (7, 10, 12, 60),  # benchmark
+        (7, 10, 1000, 130),
+    ])
+    def test_sweep_work_bound_admits_documented_sweeps(
+        self, p, anchor, base_limit, max_digits
+    ):
+        _bound_sweep(p, anchor, base_limit, max_digits)
 
     def test_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reptends
@@ -21,8 +21,10 @@ from reptends.primality import (
     _TRIAL_PREFIX,
     PrimalityVerdict,
     _derived_witnesses,
-    _gmp_powmod,
+    _gmp,
     _jacobi,
+    _lucas_chain,
+    _odd_part,
     _primorial,
     _strong_lucas_probable_prime,
     _sieve,
@@ -523,7 +525,10 @@ def powmod_cases(draw):
     return draw(st.integers(0, 2 * m)), e, m
 
 
-@pytest.mark.skipif(_gmp_powmod() is None, reason="libgmp does not load here")
+needs_gmp = pytest.mark.skipif(_gmp() is None, reason="libgmp does not load here")
+
+
+@needs_gmp
 @settings(deadline=None, max_examples=60)
 @given(powmod_cases())
 @example((0, 5, 7))
@@ -534,12 +539,13 @@ def powmod_cases(draw):
 @example((3, 2**16 + 1, 2**32_000 - 1))
 def test_gmp_powmod_matches_pow(case):
     a, e, m = case
-    assert _gmp_powmod()(a, e, m) == pow(a, e, m)
+    assert _gmp().powmod(a, e, m) == pow(a, e, m)
 
 
 def verdicts_with_and_without_gmp(n):
+    """classify(n) as it runs, and with every libgmp kernel left out."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(primality, "_gmp_powmod", lambda: None)
+        patch.setattr(primality, "_gmp", lambda: None)
         builtin_only = classify(n)
     return classify(n), builtin_only
 
@@ -550,7 +556,9 @@ def catalog_value(first_digit, digit_count):
     return candidate_value(7, 10, a, digit_count)
 
 
-@pytest.mark.parametrize("hit", [h for h in CATALOG_TO_823 if h[1] <= 300])
+# Hits from 273 digits up (907 bits) also take the gcd and strong Lucas
+# through libgmp.
+@pytest.mark.parametrize("hit", [h for h in CATALOG_TO_823 if h[1] <= 304])
 def test_catalog_hits_have_one_verdict_on_both_paths(hit):
     with_gmp, builtin_only = verdicts_with_and_without_gmp(catalog_value(*hit))
     assert with_gmp == builtin_only
@@ -579,3 +587,97 @@ def test_rough_composites_have_one_verdict_on_both_paths(x, y):
     """Both factors have no prime below 10**5, so n reaches the base-2 round."""
     n = rough_at_least(x) * rough_at_least(y)
     assert verdicts_with_and_without_gmp(n) == (("composite", 0),) * 2
+
+
+def selfridge_chain(n):
+    """(n, d, s, D, Q) as _strong_lucas_probable_prime hands them to a chain."""
+    D = selfridge_d(n)
+    return (n, *_odd_part(n + 1), D, (1 - D) // 4)
+
+
+# OEIS A217255, the strong Lucas pseudoprimes (Selfridge parameters), in
+# (10**5, 3.3 * 10**5): every odd composite there that passes the chain.
+STRONG_LUCAS_PSEUDOPRIMES = (
+    100127, 113573, 115639, 130139, 155819, 158399, 161027, 162133, 176399,
+    176471, 189419, 192509, 197801, 224369, 230691, 231703, 243629, 253259,
+    268349, 288919, 313499, 324899,
+)
+
+
+def test_strong_lucas_pseudoprimes_are_every_one_in_range():
+    primes = set(_sieve(330_000))
+    assert tuple(
+        n for n in range(TRIAL_DIVISION_BOUND | 1, 330_000, 2)
+        if n not in primes and _strong_lucas_probable_prime(n)
+    ) == STRONG_LUCAS_PSEUDOPRIMES
+
+
+@needs_gmp
+@pytest.mark.parametrize("n", STRONG_LUCAS_PSEUDOPRIMES)
+def test_gmp_chain_passes_strong_lucas_pseudoprimes(n):
+    chain = selfridge_chain(n)
+    assert _gmp().strong_lucas(*chain) is _lucas_chain(*chain) is True
+
+
+@st.composite
+def lucas_chains(draw):
+    """(n, d, s, D, Q): odd n from 10**5 to 12 000 bits, Selfridge D and Q.
+
+    d and s come from n + 1, but d keeps only its top 160 bits and s is at
+    most 40: the Python chain costs d's bits times n's bits squared, about
+    10 s for a whole 12 000-bit chain, and a cut chain takes the same steps
+    on the same n.
+    """
+    bits = draw(st.integers(17, 12_000))
+    n = draw(st.integers(max(2 ** (bits - 1), TRIAL_DIVISION_BOUND), 2**bits - 1))
+    n |= 1
+    # A square has no D with Jacobi symbol -1: the search would run on
+    # until |D| met a factor of n.
+    assume(math.isqrt(n) ** 2 != n)
+    n, d, s, D, Q = selfridge_chain(n)
+    return n, d >> max(0, d.bit_length() - 160) | 1, min(s, 40), D, Q
+
+
+@needs_gmp
+@settings(deadline=None, max_examples=40)
+@given(lucas_chains())
+@example(selfridge_chain(TRIAL_DIVISION_BOUND + 3))
+@example(selfridge_chain(5459))  # D = -11
+@example(selfridge_chain(MERSENNE_PRIME_127))  # d = 1, s = 127
+@example(selfridge_chain(catalog_value(1, 823)))
+def test_gmp_chain_matches_python_chain(chain):
+    assert _gmp().strong_lucas(*chain) == _lucas_chain(*chain)
+
+
+PRIMES_PAST_LOOKUP = [q for q in _sieve(103_000) if q > TRIAL_DIVISION_BOUND]
+
+
+@pytest.mark.parametrize("factors", [
+    # q in (4096, 10**5) times a rough cofactor: only the deep gcd finds q.
+    [DEEP_ONLY_PRIMES[0], rough_at_least(2**_SHALLOW_GCD_BITS)],
+    [DEEP_ONLY_PRIMES[-1], rough_at_least(2**3000)],
+    # The 47 and 180 least primes past 10**5: no factor below it.
+    PRIMES_PAST_LOOKUP[:47],
+    PRIMES_PAST_LOOKUP[:180],
+], ids=["deep-768", "deep-3000", "rough-47", "rough-180"])
+def test_deep_gcd_has_one_outcome_on_both_paths(factors, monkeypatch):
+    """From 768 bits up a factor in (4096, 10**5) ends classify at the gcd;
+    without one, n reaches the base-2 round, with libgmp or without."""
+    n = math.prod(factors)
+    assert n.bit_length() >= _SHALLOW_GCD_BITS
+    rounds = []
+
+    def spy(n, a, d, s):
+        rounds.append(a)
+        return _strong_probable_prime(n, a, d, s)
+
+    monkeypatch.setattr(primality, "_strong_probable_prime", spy)
+    assert verdicts_with_and_without_gmp(n) == (("composite", 0),) * 2
+    deep = factors[0] < TRIAL_DIVISION_BOUND
+    assert rounds == ([] if deep else [2, 2])
+
+
+@given(st.integers(1, 2**300))
+def test_odd_part_splits_off_every_factor_of_two(m):
+    d, s = _odd_part(m)
+    assert d % 2 == 1 and d << s == m

@@ -29,5 +29,5 @@ def test_import_skips_dataclasses_and_openssl():
     # hashlib maps OpenSSL's libcrypto through _hashlib.
     if importlib.util.find_spec("_sha256") is not None:
         assert "_hashlib" not in loaded
-    # libgmp is mapped through ctypes at the first round from 2**64 up.
+    # libgmp is mapped through ctypes at its first kernel call, from 2**64 up.
     assert "ctypes" not in loaded
