@@ -10,7 +10,6 @@ found.
 from .crossbase import (
     RelatedBaseGroup,
     SuffixReport,
-    alternating_formula_disagreements,
     cross_render,
     empirical_related_bases,
     related_bases_alternating,
@@ -35,27 +34,23 @@ from .digits import (
     from_integer,
     from_integer_padded,
     parse_digit_string,
-    render_digit_string,
     rotate,
     to_integer,
 )
-from .primality import DEFAULT_ROUNDS, PrimalityVerdict, classify, is_probably_prime
+from .primality import DEFAULT_ROUNDS, PrimalityVerdict, classify
 from .reptend import (
     NotFullReptendError,
     ReptendProfile,
     cycles,
     cyclic_number,
     expand_fraction,
-    full_reptend_bases,
     is_full_reptend,
     multiplicative_order,
     orbits,
-    reptend_level,
     reptend_profile,
     verify_cyclic_property,
 )
 from .series import (
-    ExactRational,
     SeriesSpec,
     enumerate_series,
     fibonacci_partial,

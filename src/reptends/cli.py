@@ -11,7 +11,6 @@ invariant violation.
 import argparse
 import csv
 import json
-import math
 import sys
 
 from .crossbase import (
@@ -28,12 +27,7 @@ from .cyclic_search import CheckpointError, enumerate_subcyclic_primes
 from .cyclic_search import enumerate_cyclic_primes as search_with_checkpoint
 from .digits import ALPHABET, MAX_BASE, from_integer_padded, to_integer
 from .primality import DEFAULT_ROUNDS, SMALL_PRIMES
-from .reptend import (
-    _require_prime,
-    is_full_reptend,
-    multiplicative_order,
-    reptend_profile,
-)
+from .reptend import _require_prime, multiplicative_order, reptend_profile
 from .series import enumerate_series, residual
 
 SCHEMA_VERSION = 1
@@ -56,19 +50,10 @@ SERIES_TERMS_LIMIT = 1000
 # `crossbase related` holds and prints about 450 bytes a row: 10**5 rows
 # take about 0.3 s and 60 MiB, 10**6 rows 3 s and 450 MiB.
 RELATED_COUNT_LIMIT = 10**5
-# `crossbase sweep` searches every full-reptend base up to --base-limit.
-# From base 10 at --max-digits 12, p = 7 took 2.6 s to 10**4 and 33 s to
-# 10**5.
+# `crossbase sweep` searches every full-reptend base up to --base-limit,
+# and crossbase.SWEEP_WORK_LIMIT bounds its candidates.  From base 10 at
+# --max-digits 12, p = 7 took 2.6 s to 10**4 and 33 s to 10**5.
 SWEEP_BASE_LIMIT = 1000
-# Its work also grows with p, since every base searched classifies p - 1
-# candidates a level.  SWEEP_WORK_LIMIT bounds the candidates as if every
-# base were searched to --max-digits; most are refuted within 15 digits.
-# From base 10 to --base-limit 1000 at --max-digits 130, p = 7 (212 784
-# candidates) took 2.0 s, p = 13 (437 616) 3.7 s, p = 11 (438 080) 4.2 s
-# and p = 17 (860 928) 7.2 s; p = 7 at --max-digits 400 (676 104) took
-# 40 s, since its linked bases search longer candidates.  The goldens',
-# README's and benchmark's sweeps count at most 34 224.
-SWEEP_WORK_LIMIT = 250_000
 # Every candidate above 2**64 that passes the base-2 round costs --rounds
 # more rounds: `search 7 10 --max-digits 30` took 0.2 s at 40 and 6.9 s at
 # 100000.
@@ -161,28 +146,6 @@ def _bound_work(
         raise ValueError(
             f"{label} * period{exponent} must be at most {limit}, "
             f"got {factor} * {period}{exponent}"
-        )
-
-
-def _bound_sweep(p: int, anchor: int, base_limit: int, max_digits: int) -> None:
-    """Refuse, before any search, a sweep of more than SWEEP_WORK_LIMIT candidates.
-
-    The count is an upper bound: the anchor's levels past its period and
-    each other full-reptend base's levels past p - 1, times p - 1
-    numerators.  Inputs that empirical_related_bases refuses are left to
-    it, so that its messages stay the same.
-    """
-    if anchor < 2 or base_limit < 2 or math.gcd(anchor, p) > 1:
-        return
-    levels = max_digits - multiplicative_order(anchor, p)
-    if max_digits > p - 1:
-        others = sum(1 for b in range(2, base_limit + 1)
-                     if b != anchor and is_full_reptend(p, b))
-        levels += others * (max_digits - (p - 1))
-    if levels * (p - 1) > SWEEP_WORK_LIMIT:
-        raise ValueError(
-            f"sweep candidates (levels * numerators over every base searched)"
-            f" must be at most {SWEEP_WORK_LIMIT}, got {levels * (p - 1)}"
         )
 
 
@@ -437,7 +400,6 @@ def cmd_crossbase_sweep(args) -> int:
         raise ValueError(
             f"base_limit must be at most {SWEEP_BASE_LIMIT}, got {args.base_limit}"
         )
-    _bound_sweep(args.p, args.anchor_base, args.base_limit, args.max_digits)
     results = empirical_related_bases(
         args.p,
         args.anchor_base,

@@ -29,6 +29,16 @@ from .reptend import _require_coprime, is_full_reptend, multiplicative_order
 
 RULE_ALTERNATING = "alternating_3n_4n"
 
+# A sweep's work grows with p, since every base searched classifies p - 1
+# candidates a level.  SWEEP_WORK_LIMIT bounds the candidates as if every
+# base were searched to max_digits; most are refuted within 15 digits.
+# From base 10 to base_limit 1000 at max_digits 130, p = 7 (212 784
+# candidates) took 2.0 s, p = 13 (437 616) 3.7 s, p = 11 (438 080) 4.2 s
+# and p = 17 (860 928) 7.2 s; p = 7 at max_digits 400 (676 104) took
+# 40 s, since its linked bases search longer candidates.  The goldens',
+# README's and benchmark's sweeps count at most 34 224.
+SWEEP_WORK_LIMIT = 250_000
+
 # Closed forms keyed by their step coefficients; all satisfy f(N, 0) = N.
 _CLOSED_FORMS = {
     "three_four": lambda n, i: n + 3 * n * i + ((i + 1) % 2) * i * n * 4,
@@ -106,30 +116,19 @@ def related_bases_alternating(anchor_base: int, count: int) -> RelatedBaseGroup:
 
 
 def related_bases_formula(anchor_base: int, i: int, variant: str) -> int:
-    """Literal evaluation of one of the printed closed forms at index i."""
+    """Literal evaluation of one of the printed closed forms at index i.
+
+    The "three_four" form meets the alternating ladder at i = 0 and 1 and
+    leaves it at i = 2, where the decimal ladder gives 80 and the form 150.
+
+    >>> related_bases_formula(10, 2, "three_four")
+    150
+    """
     if variant not in _CLOSED_FORMS:
         raise ValueError(f"variant must be one of {FORMULA_VARIANTS}")
     if i < 0:
         raise ValueError("i must be non-negative")
     return _CLOSED_FORMS[variant](anchor_base, i)
-
-
-def alternating_formula_disagreements(
-    anchor_base: int, count: int, variant: str = "three_four"
-) -> list[tuple[int, int, int]]:
-    """Indices where the alternating ladder and a closed form diverge.
-
-    Returns (i, ladder member, formula value) triples.  For the decimal
-    family the first divergence is at i = 2: the ladder gives 80, the
-    printed closed form 150.
-    """
-    members = related_bases_alternating(anchor_base, count).members
-    out = []
-    for i, member in enumerate(members):
-        formula = related_bases_formula(anchor_base, i, variant)
-        if formula != member:
-            out.append((i, member, formula))
-    return out
 
 
 def cross_render(record: CyclicPrimeRecord | int, target_base: int) -> DigitString:
@@ -164,8 +163,10 @@ def empirical_related_bases(
     suffix reports of the passing directions; a report's target_base tells
     the direction it belongs to.  min_suffix defaults to the period of 1/p
     in the anchor base; max_digits bounds each per-base search and must
-    exceed the period of every base searched, which is checked before the
-    first search.
+    exceed the period of every base searched.  Before the first search, a
+    sweep is also refused if it could classify more than SWEEP_WORK_LIMIT
+    candidates: the anchor's levels past its period and each other base's
+    levels past p - 1, times p - 1 numerators.
 
     One prime that fails to link refutes the upward direction, so a base's
     search stops at that prime and the base is decided by the downward
@@ -186,11 +187,18 @@ def empirical_related_bases(
     elif min_suffix < 1:
         raise ValueError(f"min_suffix must be at least 1, got {min_suffix}")
     bases = [b for b in range(2, base_limit + 1) if is_full_reptend(p, b)]
+    others = sum(1 for b in bases if b != anchor_base)
     # Every search needs max_digits above its base's period.  Checked here,
     # a short max_digits is refused before the anchor's search, not after.
-    period = p - 1 if any(b != anchor_base for b in bases) else anchor_period
+    period = p - 1 if others else anchor_period
     if max_digits <= period:
         raise ValueError(f"max_digits must exceed the period {period}")
+    levels = max_digits - anchor_period + (max_digits - (p - 1)) * others
+    if levels * (p - 1) > SWEEP_WORK_LIMIT:
+        raise ValueError(
+            f"sweep candidates (levels * numerators over every base searched)"
+            f" must be at most {SWEEP_WORK_LIMIT}, got {levels * (p - 1)}"
+        )
 
     def search(
         base: int,

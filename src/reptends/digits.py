@@ -61,7 +61,10 @@ class DigitString:
         return len(self.digits)
 
     def __str__(self) -> str:
-        return render_digit_string(self)
+        """The numeral under the alphabet 0-9, A-Z, a-z; leading zeros kept."""
+        if self.base > MAX_BASE:
+            raise ValueError(f"no digit alphabet beyond base {MAX_BASE}")
+        return "".join(ALPHABET[d] for d in self.digits)
 
 
 def _check_base(base: int) -> None:
@@ -87,13 +90,6 @@ def parse_digit_string(text: str, base: int) -> DigitString:
             raise ValueError(f"digit {c!r} (value {d}) not valid in base {base}")
         digits.append(d)
     return DigitString(base, tuple(digits))
-
-
-def render_digit_string(ds: DigitString) -> str:
-    """Inverse of parse_digit_string; leading zeros are kept."""
-    if ds.base > MAX_BASE:
-        raise ValueError(f"no digit alphabet beyond base {MAX_BASE}")
-    return "".join(ALPHABET[d] for d in ds.digits)
 
 
 def to_integer(ds: DigitString) -> int:

@@ -408,8 +408,3 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     if derived_rounds:
         return PrimalityVerdict("probable_prime", derived_rounds)
     return _PRIME
-
-
-def is_probably_prime(n: int, rounds: int = DEFAULT_ROUNDS) -> bool:
-    """True when classify does not declare n composite."""
-    return classify(n, rounds).is_prime

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .digits import DigitString, from_integer_padded, to_integer
+from .digits import DigitString, from_integer_padded, rotate, to_integer
 from .primality import classify
 
 
@@ -79,17 +79,6 @@ def multiplicative_order(base: int, p: int) -> int | None:
 def is_full_reptend(p: int, base: int) -> bool:
     """True when the period of 1/p in this base is exactly p - 1."""
     return multiplicative_order(base, p) == p - 1
-
-
-def reptend_level(p: int, base: int) -> int | None:
-    """(p - 1) / period: the number of rotation classes of numerators.
-
-    None when the base shares a factor with p (no period exists).
-    """
-    order = multiplicative_order(base, p)
-    if order is None:
-        return None
-    return (p - 1) // order
 
 
 def expand_fraction(
@@ -176,7 +165,7 @@ def verify_cyclic_property(ds: DigitString, p: int) -> bool:
         raise ValueError("digit block length must equal the period of 1/p")
     value = to_integer(ds)
     limit = base**length
-    rotations = {ds.digits[i:] + ds.digits[:i] for i in range(length)}
+    rotations = {rotate(ds, i).digits for i in range(length)}
     for j in range(length):
         k = pow(base, j, p)
         product = k * value
@@ -185,19 +174,6 @@ def verify_cyclic_property(ds: DigitString, p: int) -> bool:
         if from_integer_padded(product, base, length).digits not in rotations:
             return False
     return True
-
-
-def full_reptend_bases(p: int, limit: int) -> list[int]:
-    """Ascending bases in [2, limit] where p is a full reptend.
-
-    p = 2 reports an empty list: a length-1 period is vacuous.
-    """
-    if limit < 2:
-        raise ValueError("limit must be at least 2")
-    _require_prime(p)
-    if p == 2:
-        return []
-    return [b for b in range(2, limit + 1) if multiplicative_order(b, p) == p - 1]
 
 
 class ReptendProfile(NamedTuple):

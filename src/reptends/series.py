@@ -20,8 +20,6 @@ from typing import NamedTuple
 from .primality import DEFAULT_ROUNDS, classify
 from .reptend import _require_coprime, _require_prime
 
-ExactRational = Fraction
-
 FIBONACCI_VARIANTS = ("plain", "alternating")
 
 

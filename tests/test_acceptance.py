@@ -17,7 +17,6 @@ from math import isqrt
 import pytest
 
 from reptends.crossbase import (
-    alternating_formula_disagreements,
     cross_render,
     related_bases_alternating,
     related_bases_formula,
@@ -30,7 +29,6 @@ from reptends.reptend import (
     cycles,
     cyclic_number,
     expand_fraction,
-    full_reptend_bases,
     is_full_reptend,
     multiplicative_order,
     verify_cyclic_property,
@@ -154,7 +152,8 @@ def test_criterion_05_closed_form_identity():
     with criterion("5: closed-form identity"):
         checked = 0
         for p in (2,) + PRIMES_TO_31:
-            for base in full_reptend_bases(p, 16) if p > 2 else []:
+            bases = [b for b in range(2, 17) if p > 2 and is_full_reptend(p, b)]
+            for base in bases:
                 for length in range(1, 13):
                     spec = series_params(p, base, length)
                     for k in range(0, 21):
@@ -218,8 +217,17 @@ def test_criterion_10_related_bases():
         assert group.members == (10, 40, 80, 110, 150)
         for i in (0, 1):
             assert related_bases_formula(10, i, "three_four") == group.members[i]
-        disagreements = alternating_formula_disagreements(10, 5)
-        assert disagreements[0] == (2, 80, 150)
+        # The CLI reports the first index where the printed form leaves the ladder.
+        related = subprocess.run(
+            [sys.executable, "-m", "reptends", "crossbase", "related", "10",
+             "--count", "5"],
+            capture_output=True, text=True,
+        )
+        assert related.returncode == 0
+        assert related.stderr == (
+            "warning: closed form 'three_four' diverges from the alternating"
+            " ladder at i=2 (150 vs 80)\n"
+        )
 
 
 def test_criterion_11_primality_agreement_and_determinism():

@@ -21,11 +21,10 @@ from reptends.cli import (
     EXIT_USAGE,
     ROUNDS_LIMIT,
     SWEEP_BASE_LIMIT,
-    SWEEP_WORK_LIMIT,
-    _bound_sweep,
     build_parser,
     main,
 )
+from reptends.crossbase import SWEEP_WORK_LIMIT, empirical_related_bases
 from reptends.primality import DEFAULT_ROUNDS
 
 
@@ -658,9 +657,9 @@ class TestCrossbase:
     def test_sweep_work_bound_is_inclusive(
         self, capsys, monkeypatch, limit, accepted
     ):
-        monkeypatch.setattr(reptends.cli, "SWEEP_WORK_LIMIT", limit)
+        monkeypatch.setattr(reptends.crossbase, "SWEEP_WORK_LIMIT", limit)
         if not accepted:
-            monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+            monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_work)
         code, out, err = run_cli(capsys, "crossbase", "sweep", "7", "10",
                                  "--base-limit", "12", "--max-digits", "12")
         assert code == (EXIT_OK if accepted else EXIT_USAGE)
@@ -675,7 +674,7 @@ class TestCrossbase:
     def test_sweep_large_work_refused_before_any_search(
         self, capsys, monkeypatch, argv, count
     ):
-        monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+        monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_work)
         code, out, err = run_cli(capsys, "crossbase", "sweep", *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert f"must be at most {SWEEP_WORK_LIMIT}, got {count}" in err
@@ -687,9 +686,11 @@ class TestCrossbase:
         (7, 10, 1000, 130),
     ])
     def test_sweep_work_bound_admits_documented_sweeps(
-        self, p, anchor, base_limit, max_digits
+        self, monkeypatch, p, anchor, base_limit, max_digits
     ):
-        _bound_sweep(p, anchor, base_limit, max_digits)
+        monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes",
+                            lambda *args, **kwargs: [])
+        empirical_related_bases(p, anchor, base_limit, max_digits=max_digits)
 
     def test_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -1,13 +1,14 @@
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reptends.crossbase
+import reptends.cyclic_search
 from reptends.crossbase import (
     FORMULA_VARIANTS,
-    alternating_formula_disagreements,
     cross_render,
     empirical_related_bases,
     related_bases_alternating,
@@ -189,12 +190,14 @@ class TestClosedForms:
         assert values == [10, 40, 150]
 
     def test_divergence_from_ladder_detected(self):
-        disagreements = alternating_formula_disagreements(10, 5)
-        assert disagreements[0] == (2, 80, 150)
+        members = related_bases_alternating(10, 5).members
+        assert (members[2], related_bases_formula(10, 2, "three_four")) == (80, 150)
 
     def test_ladder_and_form_agree_at_first_two_indices(self):
-        disagreements = alternating_formula_disagreements(10, 2)
-        assert disagreements == []
+        members = related_bases_alternating(10, 2).members
+        assert members == tuple(
+            related_bases_formula(10, i, "three_four") for i in range(2)
+        )
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -349,3 +352,30 @@ def sweep_inputs(draw):
 @example((7, 10, 12, 8, 20))  # 1428571 keeps 7 < 8 digits: the anchor's own link fails
 def test_sweep_agrees_with_full_search(args):
     assert outcome(empirical_related_bases, *args) == outcome(full_search_sweep, *args)
+
+
+@st.composite
+def bounded_sweep_inputs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    anchor = draw(st.integers(2, 30).filter(lambda b: b % p != 0))
+    base_limit = draw(st.integers(2, 30))
+    # Above p - 1, so above the period of every base the sweep searches.
+    max_digits = draw(st.integers(p, p + 20))
+    return p, anchor, base_limit, max_digits
+
+
+@settings(deadline=None, max_examples=40)
+@given(bounded_sweep_inputs())
+@example((7, 10, 12, 12))  # (6 + 3 * 6) levels * 6 = 144 candidates
+@example((7, 10, 50, 130))  # the anchor and its linked bases searched in full
+@example((2, 3, 12, 4))  # every odd base is a full reptend for p = 2
+def test_sweep_work_bound_is_an_upper_bound(args):
+    p, anchor, base_limit, max_digits = args
+    with mock.patch.object(reptends.crossbase, "SWEEP_WORK_LIMIT", 0):
+        with pytest.raises(ValueError, match="must be at most 0, got ") as refused:
+            empirical_related_bases(p, anchor, base_limit, max_digits=max_digits)
+    bound = int(str(refused.value).rsplit(" ", 1)[1])
+    classify = reptends.cyclic_search.classify
+    with mock.patch.object(reptends.cyclic_search, "classify", wraps=classify) as spy:
+        empirical_related_bases(p, anchor, base_limit, max_digits=max_digits)
+    assert 0 < spy.call_count <= bound

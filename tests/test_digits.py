@@ -8,7 +8,6 @@ from reptends.digits import (
     from_integer,
     from_integer_padded,
     parse_digit_string,
-    render_digit_string,
     rotate,
     to_integer,
 )
@@ -68,18 +67,18 @@ class TestParse:
 
 class TestRender:
     def test_decimal(self):
-        assert render_digit_string(DigitString(10, (1, 4, 2, 8, 5, 7))) == "142857"
+        assert str(DigitString(10, (1, 4, 2, 8, 5, 7))) == "142857"
 
     def test_base40(self):
         ds = DigitString(40, (17, 5, 28, 22, 34, 11, 17))
-        assert render_digit_string(ds) == "H5SMYBH"
+        assert str(ds) == "H5SMYBH"
 
     def test_zero(self):
-        assert render_digit_string(DigitString(10, (0,))) == "0"
+        assert str(DigitString(10, (0,))) == "0"
 
     def test_no_alphabet_above_62(self):
         with pytest.raises(ValueError):
-            render_digit_string(DigitString(100, (63,)))
+            str(DigitString(100, (63,)))
 
 
 class TestIntegerConversion:
@@ -151,8 +150,8 @@ def test_integer_round_trip(value, base):
 
 @given(st.integers(0, 10**30), st.integers(2, 62))
 def test_parse_render_round_trip_on_canonical(value, base):
-    text = render_digit_string(from_integer(value, base))
-    assert render_digit_string(parse_digit_string(text, base)) == text
+    text = str(from_integer(value, base))
+    assert str(parse_digit_string(text, base)) == text
 
 
 @given(digit_strings())

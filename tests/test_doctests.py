@@ -1,6 +1,7 @@
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +25,13 @@ def test_docstring_examples_pass(module):
 
 def test_examples_are_found():
     assert sum(doctest.testmod(module).attempted for module in MODULES) > 0
+
+
+def test_readme_example_passes(tmp_path, monkeypatch):
+    # The example writes run.json into the working directory.
+    monkeypatch.chdir(tmp_path)
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    results = doctest.testfile(str(readme), module_relative=False, encoding="utf-8")
+    assert results.failed == 0
+    assert results.attempted > 0
+    assert (tmp_path / "run.json").exists()

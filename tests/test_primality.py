@@ -30,7 +30,6 @@ from reptends.primality import (
     _sieve,
     _strong_probable_prime,
     classify,
-    is_probably_prime,
 )
 from test_acceptance import CATALOG_TO_823
 
@@ -278,8 +277,8 @@ class TestVerdict:
         assert PrimalityVerdict("prime", 0).is_prime
         assert PrimalityVerdict("probable_prime", 40).is_prime
         assert not PrimalityVerdict("composite", 0).is_prime
-        assert is_probably_prime(1428571)
-        assert not is_probably_prime(142857)
+        assert classify(1428571).is_prime
+        assert not classify(142857).is_prime
 
 
 @given(st.integers(0, 2**20))

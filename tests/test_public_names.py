@@ -28,8 +28,8 @@ def test_name_is_the_object_of_the_submodule_it_comes_from(name):
         # A class or function is exported from the module that defines it.
         assert getattr(sys.modules[home], name) is value
     else:
-        # A constant, or an alias a submodule names (ExactRational is
-        # fractions.Fraction).  A foreign object under its own name is a leak.
+        # A constant a submodule names.  A foreign object under its own name
+        # is a leak.
         assert getattr(value, "__name__", None) != name
         assert any(getattr(m, name, None) is value for m in SUBMODULES.values())
 
@@ -39,3 +39,25 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from reptends import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == reptends.__all__
+
+
+# Every addition to the public surface is deliberate: it goes here too.
+PUBLIC_SURFACE = [
+    "ALPHABET", "CheckpointError", "CheckpointMismatchError",
+    "CyclicPrimeRecord", "DEFAULT_ROUNDS", "DigitString",
+    "NotFullReptendError", "PrimalityVerdict", "RelatedBaseGroup",
+    "ReptendProfile", "SearchCheckpoint", "SeriesSpec", "SuffixReport",
+    "candidate_value", "classify", "cross_render", "cycles", "cyclic_number",
+    "digit_stream", "empirical_related_bases", "enumerate_cyclic_primes",
+    "enumerate_series", "enumerate_subcyclic_primes", "expand_fraction",
+    "fibonacci_partial", "from_integer", "from_integer_padded",
+    "is_full_reptend", "load_checkpoint", "multiplicative_order", "orbits",
+    "parse_digit_string", "partial_sum", "related_bases_alternating",
+    "related_bases_formula", "reptend_profile", "residual", "rotate",
+    "save_checkpoint", "series_params", "shared_suffix_length", "to_integer",
+    "verify_cyclic_property", "verify_series",
+]
+
+
+def test_public_surface_is_exactly():
+    assert reptends.__all__ == PUBLIC_SURFACE

@@ -11,11 +11,9 @@ from reptends.reptend import (
     cycles,
     cyclic_number,
     expand_fraction,
-    full_reptend_bases,
     is_full_reptend,
     multiplicative_order,
     orbits,
-    reptend_level,
     reptend_profile,
     verify_cyclic_property,
 )
@@ -82,10 +80,10 @@ class TestClassification:
         assert not is_full_reptend(7, 2)
 
     def test_levels(self):
-        assert reptend_level(7, 10) == 1
-        assert reptend_level(13, 10) == 2
-        assert reptend_level(11, 10) == (11 - 1) // naive_order(10, 11)
-        assert reptend_level(5, 10) is None
+        assert reptend_profile(7, 10).level == 1
+        assert reptend_profile(13, 10).level == 2
+        assert reptend_profile(11, 10).level == (11 - 1) // naive_order(10, 11)
+        assert reptend_profile(5, 10).level is None
 
     def test_base10_full_reptend_primes_to_31(self):
         flagged = [p for p in SMALL_ODD_PRIMES if is_full_reptend(p, 10)]
@@ -266,19 +264,22 @@ class TestVerifyCyclicProperty:
 
 
 class TestFullReptendBases:
+    @staticmethod
+    def full_reptend_bases(p, limit):
+        """The bases in [2, limit] that empirical_related_bases sweeps."""
+        return [b for b in range(2, limit + 1) if is_full_reptend(p, b)]
+
     def test_seven_to_twenty(self):
-        assert full_reptend_bases(7, 20) == [3, 5, 10, 12, 17, 19]
+        assert self.full_reptend_bases(7, 20) == [3, 5, 10, 12, 17, 19]
 
     def test_three_to_ten(self):
-        assert full_reptend_bases(3, 10) == [2, 5, 8]
+        assert self.full_reptend_bases(3, 10) == [2, 5, 8]
 
-    def test_two_reports_none(self):
-        assert full_reptend_bases(2, 10) == []
+    def test_two_is_full_reptend_in_every_odd_base(self):
+        # 1/2 has period 1 = p - 1 in every odd base, so a sweep for p = 2
+        # searches them all.
+        assert self.full_reptend_bases(2, 10) == [3, 5, 7, 9]
 
     def test_repeats_with_period_p(self):
-        bases = full_reptend_bases(7, 40)
+        bases = self.full_reptend_bases(7, 40)
         assert all(b + 7 in bases or b + 7 > 40 for b in bases)
-
-    def test_rejects_bad_limit(self):
-        with pytest.raises(ValueError):
-            full_reptend_bases(7, 1)
