@@ -50,10 +50,6 @@ SERIES_TERMS_LIMIT = 1000
 # `crossbase related` holds and prints about 450 bytes a row: 10**5 rows
 # take about 0.3 s and 60 MiB, 10**6 rows 3 s and 450 MiB.
 RELATED_COUNT_LIMIT = 10**5
-# `crossbase sweep` searches every full-reptend base up to --base-limit,
-# and crossbase.SWEEP_WORK_LIMIT bounds its candidates.  From base 10 at
-# --max-digits 12, p = 7 took 2.6 s to 10**4 and 33 s to 10**5.
-SWEEP_BASE_LIMIT = 1000
 # Every candidate above 2**64 that passes the base-2 round costs --rounds
 # more rounds: `search 7 10 --max-digits 30` took 0.2 s at 40 and 6.9 s at
 # 100000.
@@ -396,10 +392,6 @@ def cmd_crossbase_related(args) -> int:
 
 
 def cmd_crossbase_sweep(args) -> int:
-    if args.base_limit > SWEEP_BASE_LIMIT:
-        raise ValueError(
-            f"base_limit must be at most {SWEEP_BASE_LIMIT}, got {args.base_limit}"
-        )
     results = empirical_related_bases(
         args.p,
         args.anchor_base,

@@ -20,6 +20,7 @@ from typing import Callable, Iterator, NamedTuple
 from .digits import DigitString, from_integer
 from .primality import (
     DEFAULT_ROUNDS,
+    DETERMINISTIC_BOUND,
     TRIAL_DIVISION_BOUND,
     PrimalityVerdict,
     _odd_part,
@@ -266,10 +267,11 @@ def _check_progress(
 ) -> None:
     """Refuse progress or records that this search's level walk cannot write.
 
-    A record within max_digits must also pass classify's base-2 strong
-    round (its lookup below 10**5), which refuses a digit count moved to a
-    composite, base-2 Fermat pseudoprimes such as 341 included; a deleted
-    record is missed.
+    A record's verdict must be the one classify gives a survivor of its
+    value's size.  A record within max_digits must also pass classify's
+    base-2 strong round (its lookup below 10**5), which refuses a digit
+    count moved to a composite, base-2 Fermat pseudoprimes such as 341
+    included; a deleted record is missed.
     """
     p, base, done = checkpoint.p, checkpoint.base, checkpoint.completed_through_digits
     if done < period:
@@ -278,15 +280,20 @@ def _check_progress(
             f"is below the period {period}"
         )
     cycle_of = _cycle_of(p, base)
-    verdicts = (("prime", 0), ("probable_prime", checkpoint.rounds))
+    # classify's verdict on a survivor, by size; a value below 2**64 has at
+    # most 64 digits, so a longer record's value is never built here.
+    prime = PrimalityVerdict("prime", 0)
+    probable = PrimalityVerdict("probable_prime", checkpoint.rounds)
     seen = set()
     for rec in checkpoint.found:
         a, ndigits = rec.rotation_numerator, rec.digit_count
+        small = 0 < ndigits <= 64 and a * base**ndigits // p < DETERMINISTIC_BOUND
         walked = rec._replace(
-            p=p, base=base, cycle_index=cycle_of.get(a), first_digit=a * base // p
+            p=p, base=base, cycle_index=cycle_of.get(a), first_digit=a * base // p,
+            verdict=prime if small else probable,
         )
         if (rec != walked or not rec.first_digit or not period < ndigits <= done
-                or rec.verdict not in verdicts or (ndigits, a) in seen
+                or (ndigits, a) in seen
                 or ndigits <= max_digits and not _passes_base2_round(rec.value)):
             raise CheckpointError(
                 f"unusable checkpoint {path}: the search writes no record {rec}"

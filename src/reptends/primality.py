@@ -71,19 +71,19 @@ _TRIAL_PREFIX = SMALL_PRIMES[:128]
 # build once per process.  So runs that stay below 768 bits never build it;
 # a run would need some 80-200 candidates of 520-767 bits to repay it.
 # From 768 bits up libgmp also takes the gcd and the strong Lucas chain.
-# Each ctypes call costs about 0.5 us, and the chain makes about 13 a bit
-# of n, so libgmp pays only on large n.  Best of 5, median of 3 random n:
+# Each ctypes call costs about 0.5 us, and the chain makes 8 on a 0-bit of
+# d and 10 on a 1-bit, so libgmp pays only on large n.  Best of 5 (chains:
+# of 7), median of 3 random n; repeated runs differ by up to 25 %:
 #
 #   bits                    65     512    768    1024   1280   2734
-#   chain, Python (ms)      0.079  2.4    4.8    14.5   17     172
-#   chain, libgmp (ms)      0.63   3.8    5.7    11.7   9.5    55
+#   chain, Python (ms)      0.058  2.4    5.6    12.5   20     165
+#   chain, libgmp (ms)      0.45   3.8    4.0    7.1    9.0    36
 #   gcd 10**5, Python (us)  102    225    276    360    399    839
 #   gcd 10**5, libgmp (us)  23     41     50     69     73     150
 #
-# The chains break even near 1000 bits and are within 10 % of each other
-# from 700 bits up, so one split serves all three choices.  Runs below 768
-# bits, the cross-base sweep's included, use the library for powers only,
-# and a chain of 768-1000 bits loses at most 0.6 ms to it.
+# The chains break even near 700 bits, so one split serves all three
+# choices.  Runs below 768 bits, the cross-base sweep's included, use the
+# library for powers only.
 _SHALLOW_GCD_BITS = 768
 _SHALLOW_GCD_BOUND = 4096
 
@@ -127,8 +127,8 @@ class _Gmp(NamedTuple):
     powmod: Callable[[int, int, int], int]
     # deep_coprime(n) == (math.gcd(n, _primorial(TRIAL_DIVISION_BOUND)) == 1).
     deep_coprime: Callable[[int], bool]
-    # strong_lucas(n, d, s, D, Q) == _lucas_chain(n, d, s, D, Q).
-    strong_lucas: Callable[[int, int, int, int, int], bool]
+    # strong_lucas(n, d, s, Q) == _lucas_chain(n, d, s, Q).
+    strong_lucas: Callable[[int, int, int, int], bool]
 
 
 @functools.cache
@@ -151,7 +151,7 @@ def _gmp() -> _Gmp | None:
                     ("limbs", ctypes.c_void_p)]
 
     mpz, size_t, c_int = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
-    ulong = ctypes.c_ulong  # also GMP's mp_bitcnt_t
+    ulong = ctypes.c_ulong
     signatures = {
         "init": ([mpz], None),
         "import": ([mpz, size_t, c_int, size_t, c_int, size_t, ctypes.c_char_p],
@@ -162,11 +162,8 @@ def _gmp() -> _Gmp | None:
         "gcd": ([mpz, mpz, mpz], None),
         "mul": ([mpz, mpz, mpz], None),
         "mod": ([mpz, mpz, mpz], None),
-        "add": ([mpz, mpz, mpz], None),
         "submul_ui": ([mpz, mpz, ulong], None),
         "mul_si": ([mpz, mpz, ctypes.c_long], None),
-        "fdiv_q_2exp": ([mpz, mpz, ulong], None),
-        "tstbit": ([mpz, ulong], c_int),
         "cmp_ui": ([mpz, ulong], c_int),
     }
     for soname in _GMP_SONAMES:
@@ -181,13 +178,12 @@ def _gmp() -> _Gmp | None:
     for name, (argtypes, restype) in signatures.items():
         f[name].argtypes, f[name].restype = argtypes, restype
     load, store, gcd, cmp_ui = f["import"], f["export"], f["gcd"], f["cmp_ui"]
-    mul, mod, add, submul_ui = f["mul"], f["mod"], f["add"], f["submul_ui"]
-    mul_si, tstbit, halve_floor = f["mul_si"], f["tstbit"], f["fdiv_q_2exp"]
+    mul, mod, mul_si, submul_ui = f["mul"], f["mod"], f["mul_si"], f["submul_ui"]
     # One set of temporaries per process; the lock keeps threads off them,
     # since ctypes releases the GIL during each call.  P holds the product
     # of the primes past the prefix below 10**5 once deep_coprime needs it.
-    N, T, U, V, q, P = (Mpz() for _ in range(6))
-    for z in (N, T, U, V, q, P):
+    N, T, X, V, W, q, P = (Mpz() for _ in range(7))
+    for z in (N, T, X, V, W, q, P):
         f["init"](z)
     loaded_p = False
     count = size_t()
@@ -200,10 +196,10 @@ def _gmp() -> _Gmp | None:
     def powmod(a: int, e: int, m: int) -> int:
         out = ctypes.create_string_buffer((m.bit_length() + 7) // 8)
         with lock:
-            put(U, a)
+            put(X, a)
             put(V, e)
             put(N, m)
-            f["powm"](T, U, V, N)
+            f["powm"](T, X, V, N)
             store(out, count, 1, 1, 1, 0, T)
             return int.from_bytes(out.raw[: count.value], "big")
 
@@ -217,48 +213,48 @@ def _gmp() -> _Gmp | None:
             gcd(T, N, P)
             return cmp_ui(T, 1) == 0
 
-    def halve(z) -> None:  # z = z / 2 mod N, exact after adding N to odd z
-        if tstbit(z, 0):
-            add(z, z, N)
-        halve_floor(z, z, 1)
-        mod(z, z, N)
+    def strong_lucas(n: int, d: int, s: int, Q: int) -> bool:
+        """_lucas_chain(n, d, s, Q) step by step, for gcd(1 - 4Q, n) = 1.
 
-    def strong_lucas(n: int, d: int, s: int, D: int, Q: int) -> bool:
-        # _lucas_chain line by line; u, v and t rename U, V and T as the
-        # step U, V = U + V, D * U + V moves the sum into the temporary.
+        V, W and q hold v, w and q; on a 1-bit X holds q * Q, and q is
+        squared before the multiply by Q, which keeps GMP's squaring path.
+        """
         with lock:
             put(N, n)
-            put(U, 1)
-            put(V, 1)
-            put(q, Q % n)
-            u, v, t = U, V, T
-            for bit in bin(d)[3:]:
-                mul(t, u, v)
-                mod(u, t, N)
-                mul(t, v, v)
-                submul_ui(t, q, 2)
-                mod(v, t, N)
-                mul(t, q, q)
-                mod(q, t, N)
+            put(V, 2)
+            put(W, 1)
+            put(q, 1)
+            for bit in bin(d)[2:]:
+                mul(T, V, W)
+                submul_ui(T, q, 1)  # v's next value on a 1-bit, w's on a 0-bit
                 if bit == "1":
-                    add(t, u, v)
-                    mul_si(u, u, D)
-                    add(v, u, v)
-                    u, t = t, u
-                    halve(u)
-                    halve(v)
-                    mul_si(q, q, Q)
-                    mod(q, q, N)
-            if cmp_ui(u, 0) == 0 or cmp_ui(v, 0) == 0:
+                    mod(V, T, N)
+                    mul_si(X, q, Q)
+                    mul(T, W, W)
+                    submul_ui(T, X, 2)
+                    mod(W, T, N)
+                    mul(T, q, q)
+                    mul_si(T, T, Q)
+                else:
+                    mod(W, T, N)
+                    mul(T, V, V)
+                    submul_ui(T, q, 2)
+                    mod(V, T, N)
+                    mul(T, q, q)
+                mod(q, T, N)
+            mul_si(T, W, 2)
+            submul_ui(T, V, 1)
+            mod(T, T, N)
+            if cmp_ui(V, 0) == 0 or cmp_ui(T, 0) == 0:
                 return True
             for _ in range(s - 1):
-                mul(t, v, v)
-                submul_ui(t, q, 2)
-                mod(v, t, N)
-                if cmp_ui(v, 0) == 0:
+                mul(T, V, V)
+                submul_ui(T, q, 2)
+                mod(V, T, N)
+                if cmp_ui(V, 0) == 0:
                     return True
-                mul(t, q, q)
-                mod(q, t, N)
+                mul(T, q, q)
+                mod(q, T, N)
             return False
 
     return _Gmp(powmod, deep_coprime, strong_lucas)
@@ -334,34 +330,29 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     d, s = _odd_part(n + 1)
     gmp = _gmp() if n.bit_length() >= _SHALLOW_GCD_BITS else None
     chain = gmp.strong_lucas if gmp is not None else _lucas_chain
-    return chain(n, d, s, D, (1 - D) // 4)
+    return chain(n, d, s, (1 - D) // 4)
 
 
-def _lucas_chain(n: int, d: int, s: int, D: int, Q: int) -> bool:
+def _lucas_chain(n: int, d: int, s: int, Q: int) -> bool:
     """True when U_d = 0 or V_(d*2**r) = 0 mod n for some r < s.
 
-    The Lucas sequences have P = 1 and Q, D = 1 - 4Q; n + 1 = d * 2**s with
-    d odd, and n is odd.
+    The Lucas sequences have P = 1, Q and D = 1 - 4Q; n is odd, gcd(D, n) = 1
+    (Selfridge's (D|n) = -1 ensures it) and n + 1 = d * 2**s with d odd.
     """
-    # U_d, V_d by binary double-and-add; q tracks Q**k mod n.  Division by 2
-    # mod odd n is exact after adding n to an odd value.
-    U, V, q = 1, 1, Q % n
-    for bit in bin(d)[3:]:
-        U, V = U * V % n, (V * V - 2 * q) % n
-        q = q * q % n
+    # (v, w, q) = (V_k, V_(k+1), Q**k) mod n, from k = 0 up through d's
+    # bits: k -> 2k on a 0-bit, k -> 2k + 1 on a 1-bit.  U_d is not kept:
+    # D * U_d = 2 * V_(d+1) - V_d, and D is a unit mod n.
+    v, w, q = 2, 1, 1
+    for bit in bin(d)[2:]:
         if bit == "1":
-            U, V = U + V, D * U + V
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U, V = (U >> 1) % n, (V >> 1) % n
-            q = q * Q % n
-    if U == 0 or V == 0:
+            v, w, q = (v * w - q) % n, (w * w - 2 * q * Q) % n, q * q * Q % n
+        else:
+            v, w, q = (v * v - 2 * q) % n, (v * w - q) % n, q * q % n
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
-        V = (V * V - 2 * q) % n
-        if V == 0:
+        v = (v * v - 2 * q) % n
+        if v == 0:
             return True
         q = q * q % n
     return False

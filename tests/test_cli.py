@@ -20,11 +20,14 @@ from reptends.cli import (
     EXIT_OK,
     EXIT_USAGE,
     ROUNDS_LIMIT,
-    SWEEP_BASE_LIMIT,
     build_parser,
     main,
 )
-from reptends.crossbase import SWEEP_WORK_LIMIT, empirical_related_bases
+from reptends.crossbase import (
+    SWEEP_BASE_LIMIT,
+    SWEEP_WORK_LIMIT,
+    empirical_related_bases,
+)
 from reptends.primality import DEFAULT_ROUNDS
 
 
@@ -440,6 +443,27 @@ def test_checkpoint_with_one_field_changed_is_refused_or_harmless(field, value):
     assert (code, out.getvalue()) in ((EXIT_CHECKPOINT, ""), (EXIT_OK, expected))
 
 
+@pytest.mark.parametrize("index,field,value", [
+    (0, "verdict", {"status": "probable_prime", "witness_rounds": 40}),  # 7 digits
+    (4, "verdict", {"status": "prime", "witness_rounds": 0}),  # 25, above 2**64
+    (0, "digit_count", -(10**400)),  # beyond a float's range
+], ids=["small-probable", "large-prime", "huge-negative-digits"])
+def test_checkpoint_record_the_walk_never_writes_exits_3(
+    capsys, tmp_path, index, field, value
+):
+    """classify calls a survivor prime below 2**64 and probable_prime from
+    there up; a record with the other verdict, or with a digit count no
+    level has, is not one the walk writes."""
+    doc = json.loads(json.dumps(GOLDEN_CHECKPOINT))
+    doc["found"][index][field] = value
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "search", "7", "10", "--max-digits", "60",
+                             "--checkpoint", str(path))
+    assert (code, out) == (EXIT_CHECKPOINT, "")
+    assert "unusable checkpoint" in err
+
+
 class TestSubcyclic:
     def test_values(self, capsys):
         code, out, _ = run_cli(capsys, "subcyclic", "7", "10", "--format", "json")
@@ -631,7 +655,7 @@ class TestCrossbase:
     ):
         # The README's 160 and the goldens' 20 and 50 stay within the bound.
         assert SWEEP_BASE_LIMIT >= 160
-        monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+        monkeypatch.setattr(reptends.crossbase, "is_full_reptend", no_work)
         code, out, err = run_cli(
             capsys, "crossbase", "sweep", "7", "10", "--base-limit", str(10**6)
         )
@@ -642,9 +666,9 @@ class TestCrossbase:
     def test_sweep_base_limit_bound_is_inclusive(
         self, capsys, monkeypatch, limit, accepted
     ):
-        monkeypatch.setattr(reptends.cli, "SWEEP_BASE_LIMIT", limit)
+        monkeypatch.setattr(reptends.crossbase, "SWEEP_BASE_LIMIT", limit)
         if not accepted:
-            monkeypatch.setattr(reptends.cli, "empirical_related_bases", no_work)
+            monkeypatch.setattr(reptends.crossbase, "is_full_reptend", no_work)
         code, out, err = run_cli(capsys, "crossbase", "sweep", "7", "10",
                                  "--base-limit", "12", "--max-digits", "12")
         assert code == (EXIT_OK if accepted else EXIT_USAGE)

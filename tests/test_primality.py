@@ -589,9 +589,9 @@ def test_rough_composites_have_one_verdict_on_both_paths(x, y):
 
 
 def selfridge_chain(n):
-    """(n, d, s, D, Q) as _strong_lucas_probable_prime hands them to a chain."""
+    """(n, d, s, Q) as _strong_lucas_probable_prime hands them to a chain."""
     D = selfridge_d(n)
-    return (n, *_odd_part(n + 1), D, (1 - D) // 4)
+    return (n, *_odd_part(n + 1), (1 - D) // 4)
 
 
 # OEIS A217255, the strong Lucas pseudoprimes (Selfridge parameters), in
@@ -620,7 +620,7 @@ def test_gmp_chain_passes_strong_lucas_pseudoprimes(n):
 
 @st.composite
 def lucas_chains(draw):
-    """(n, d, s, D, Q): odd n from 10**5 to 12 000 bits, Selfridge D and Q.
+    """(n, d, s, Q): odd n from 10**5 to 12 000 bits, Selfridge Q.
 
     d and s come from n + 1, but d keeps only its top 160 bits and s is at
     most 40: the Python chain costs d's bits times n's bits squared, about
@@ -633,14 +633,26 @@ def lucas_chains(draw):
     # A square has no D with Jacobi symbol -1: the search would run on
     # until |D| met a factor of n.
     assume(math.isqrt(n) ** 2 != n)
-    n, d, s, D, Q = selfridge_chain(n)
-    return n, d >> max(0, d.bit_length() - 160) | 1, min(s, 40), D, Q
+    n, d, s, Q = selfridge_chain(n)
+    return n, d >> max(0, d.bit_length() - 160) | 1, min(s, 40), Q
+
+
+# Primes whose Selfridge D gives each sign and size of Q the chain multiplies
+# by: D = 5 (Q = -1), D = -7 (Q = 2) and D = 13 (Q = -3).
+Q_SIGN_PRIMES = {5: TRIAL_DIVISION_BOUND + 3, -7: 100019, 13: 100391}
+
+
+@pytest.mark.parametrize("D", Q_SIGN_PRIMES)
+def test_q_sign_examples_have_their_selfridge_d(D):
+    assert selfridge_d(Q_SIGN_PRIMES[D]) == D
 
 
 @needs_gmp
 @settings(deadline=None, max_examples=40)
 @given(lucas_chains())
 @example(selfridge_chain(TRIAL_DIVISION_BOUND + 3))
+@example(selfridge_chain(Q_SIGN_PRIMES[-7]))
+@example(selfridge_chain(Q_SIGN_PRIMES[13]))
 @example(selfridge_chain(5459))  # D = -11
 @example(selfridge_chain(MERSENNE_PRIME_127))  # d = 1, s = 127
 @example(selfridge_chain(catalog_value(1, 823)))
