@@ -3,18 +3,20 @@
 A prime found by reading the repetend stream in one base, when rendered in
 another base, can end with a long run of digits that again follows some
 repetend stream of p there.  The trailing-match length is measurable, which
-turns "these numeric systems are related" into a concrete sweep: a base
-qualifies when every prime found on one side keeps at least a threshold of
-trailing digits on the other side.  Measured from base 10 for p = 7 the
-qualifying systems follow the alternating +3N/+4N ladder 10, 40, 80, 110,
-150, ...; a printed closed form for the same ladder disagrees with it from
-i = 2 on, so both generators are provided and the divergence is reported
-rather than silently resolved.
+turns "these numeric systems are related" into a concrete sweep with one
+link rule: a base qualifies when every prime found on one side keeps at
+least a threshold of trailing digits on the other side, in either direction.
+Measured from base 10 for p = 7 the qualifying systems follow the
+alternating +3N/+4N ladder 10, 40, 80, 110, 150, ..., whose i-th member is
+N * (1 + 7 * (i // 2) + 3 * (i % 2)), the multiples N * k with k = 1 or 4
+(mod 7).  The paper's printed closed forms disagree with the ladder from
+i = 2 on, so they are evaluated literally beside it and the divergence is
+reported rather than silently resolved.
 
 One prime that keeps too few digits refutes a base's upward link, so the
-sweep stops that base's search there: from base 10 to base 160 with 130-digit
-searches, most bases fall within 15 digits, and only the anchor and the
-linked bases are searched in full.
+sweep stops that base's search at the first level that does not link: from
+base 10 to base 160 with 130-digit searches, most bases fall within 15
+digits, and only the anchor and the linked bases are searched in full.
 
 Groups and suffix reports are named tuples, so they also unpack, index and
 compare equal to plain tuples of their fields.
@@ -103,6 +105,8 @@ def shared_suffix_length(value: int, p: int, target_base: int) -> SuffixReport:
 def related_bases_alternating(anchor_base: int, count: int) -> RelatedBaseGroup:
     """Members generated from the anchor by adding 3N, then 4N, alternately.
 
+    The i-th member is N * (1 + 7 * (i // 2) + 3 * (i % 2)).
+
     >>> related_bases_alternating(10, 5).members
     (10, 40, 80, 110, 150)
     """
@@ -110,12 +114,7 @@ def related_bases_alternating(anchor_base: int, count: int) -> RelatedBaseGroup:
         raise ValueError("anchor base must be at least 2")
     if count < 1:
         raise ValueError("count must be at least 1")
-    members = [anchor_base]
-    step_three = True
-    while len(members) < count:
-        step = 3 * anchor_base if step_three else 4 * anchor_base
-        members.append(members[-1] + step)
-        step_three = not step_three
+    members = (anchor_base * (1 + 7 * (i // 2) + 3 * (i % 2)) for i in range(count))
     return RelatedBaseGroup(anchor_base, tuple(members), RULE_ALTERNATING)
 
 
@@ -146,7 +145,7 @@ def cross_render(record: CyclicPrimeRecord | int, target_base: int) -> DigitStri
 
 
 class _Unlinked(Exception):
-    """Stops a base's search at its first prime that fails the upward link."""
+    """Stops a base's search at its first level that fails the upward link."""
 
 
 def empirical_related_bases(
@@ -173,12 +172,14 @@ def empirical_related_bases(
     levels past p - 1, times p - 1 numerators.  A base_limit above
     SWEEP_BASE_LIMIT is refused before any other check.
 
-    One prime that fails to link refutes the upward direction, so a base's
-    search stops at that prime and the base is decided by the downward
-    direction alone.  Only the anchor and the bases whose primes all link
-    are searched to max_digits.  For p = 7 from base 10 with base_limit 160
-    and max_digits 130, most bases are refuted within 15 digits, and the
-    sweep returns the ladder 5, 10, 40, 80, 110, 150.
+    Both directions use one rule, and for the anchor they coincide: its
+    primes are linked to the anchor itself.  One prime that fails to link
+    refutes the upward direction, so a base's search stops at that prime's
+    level and the base is decided by the downward direction alone.  Only
+    the anchor and the bases whose primes all link are searched to
+    max_digits.  For p = 7 from base 10 with base_limit 160 and max_digits
+    130, most bases are refuted within 15 digits, and the sweep returns the
+    ladder 5, 10, 40, 80, 110, 150.
     """
     if base_limit > SWEEP_BASE_LIMIT:
         raise ValueError(
@@ -209,43 +210,38 @@ def empirical_related_bases(
             f" must be at most {SWEEP_WORK_LIMIT}, got {levels * (p - 1)}"
         )
 
-    def search(
-        base: int,
-    ) -> tuple[list[CyclicPrimeRecord], list[SuffixReport] | None]:
-        """The primes found in base and their upward reports, None if refuted."""
-        upward: list[SuffixReport] | None = []
+    def linked(values: list[int], target: int) -> list[SuffixReport]:
+        """The reports of values in target if every one keeps min_suffix."""
+        reports = [shared_suffix_length(v, p, target) for v in values]
+        if all(rep.matched_digits >= min_suffix for rep in reports):
+            return reports
+        return []
 
-        def link_up(ndigits: int, records: list[CyclicPrimeRecord]) -> None:
-            nonlocal upward
-            if upward is None:
-                return
-            for rec in records:
-                report = shared_suffix_length(rec.value, p, anchor_base)
-                if report.matched_digits < min_suffix:
-                    if base != anchor_base:
-                        raise _Unlinked
-                    upward = None  # the anchor's primes still serve downward
-                    return
-                upward.append(report)
+    def upward(base: int) -> list[SuffixReport]:
+        """linked() of base's primes in the anchor, level by level."""
+        reports: list[SuffixReport] = []
+
+        def link_level(ndigits: int, records: list[CyclicPrimeRecord]) -> None:
+            level = linked([rec.value for rec in records], anchor_base)
+            if len(level) < len(records):
+                raise _Unlinked
+            reports.extend(level)
 
         try:
-            records = enumerate_cyclic_primes(
-                p, base, max_digits, rounds, on_level=link_up
-            )
+            enumerate_cyclic_primes(p, base, max_digits, rounds, on_level=link_level)
         except _Unlinked:
-            return [], None
-        return records, upward
+            return []
+        return reports
 
-    anchor_records, anchor_upward = search(anchor_base)
-    anchor_values = [rec.value for rec in anchor_records]
+    anchor_values = [
+        rec.value for rec in enumerate_cyclic_primes(p, anchor_base, max_digits, rounds)
+    ]
     results = []
     for b in bases:
-        upward = anchor_upward if b == anchor_base else search(b)[1]
-        evidence = list(upward or [])
-        if b != anchor_base:
-            downward = [shared_suffix_length(v, p, b) for v in anchor_values]
-            if downward and all(rep.matched_digits >= min_suffix for rep in downward):
-                evidence.extend(downward)
+        if b == anchor_base:
+            evidence = linked(anchor_values, b)
+        else:
+            evidence = upward(b) + linked(anchor_values, b)
         if evidence:
             results.append((b, evidence))
     return results

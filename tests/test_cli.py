@@ -17,6 +17,7 @@ import reptends.cli
 import reptends.crossbase
 from reptends.cli import (
     EXIT_CHECKPOINT,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     ROUNDS_LIMIT,
@@ -462,6 +463,31 @@ def test_checkpoint_record_the_walk_never_writes_exits_3(
                              "--checkpoint", str(path))
     assert (code, out) == (EXIT_CHECKPOINT, "")
     assert "unusable checkpoint" in err
+
+
+@pytest.mark.parametrize("found", [{}, "", 0, None],
+                         ids=["dict", "string", "zero", "null"])
+def test_checkpoint_found_not_a_list_exits_3(capsys, tmp_path, found):
+    """An empty dict or string iterates as no records, which would read as
+    a run that found nothing, so anything but a list is refused."""
+    doc = json.loads(json.dumps(GOLDEN_CHECKPOINT))
+    doc["found"] = found
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "search", "7", "10", "--max-digits", "60",
+                             "--format", "json", "--checkpoint", str(path))
+    assert (code, out) == (EXIT_CHECKPOINT, "")
+    assert "unusable checkpoint" in err
+
+
+def test_unexpected_exception_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant violated")
+
+    monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", broken)
+    code, out, err = run_cli(capsys, "subcyclic", "7", "10")
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert "internal error: RuntimeError(" in err
 
 
 class TestSubcyclic:

@@ -173,6 +173,16 @@ class TestRelatedBasesLadder:
         with pytest.raises(ValueError):
             related_bases_alternating(10, 0)
 
+    def test_closed_form_matches_the_alternating_recurrence(self):
+        for anchor in range(2, 201):
+            ladder = [anchor]
+            while len(ladder) < 60:
+                step = 3 if len(ladder) % 2 else 4
+                ladder.append(ladder[-1] + step * anchor)
+            for count in range(1, 61):
+                members = related_bases_alternating(anchor, count).members
+                assert members == tuple(ladder[:count])
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("variant", FORMULA_VARIANTS)
@@ -284,7 +294,8 @@ class TestEmpiricalSweep:
         def recording_search(p, base, *args, on_level=None, **kwargs):
             def record(ndigits, records):
                 deepest[base] = ndigits
-                on_level(ndigits, records)
+                if on_level is not None:
+                    on_level(ndigits, records)
 
             return search(p, base, *args, on_level=record, **kwargs)
 

@@ -514,6 +514,19 @@ def test_import_builds_no_tier():
     assert done.stdout.strip() == "0"
 
 
+@pytest.mark.parametrize("sonames", [("libc.so.6",), ("libreptends-absent.so.0",)],
+                         ids=["no-gmpz-symbols", "not-loadable"])
+def test_gmp_loader_returns_none_not_a_partial_set(monkeypatch, sonames):
+    """A library without the __gmpz_ symbols raises AttributeError, a name
+    that does not load raises OSError; either way no kernel is used."""
+    _gmp.cache_clear()
+    monkeypatch.setattr(primality, "_GMP_SONAMES", sonames)
+    try:
+        assert _gmp() is None
+    finally:
+        _gmp.cache_clear()
+
+
 @st.composite
 def powmod_cases(draw):
     """(a, e, m): m of 1 to 32 000 bits, a in [0, 2m], e from 1 up."""
