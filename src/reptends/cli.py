@@ -4,8 +4,8 @@ Every command emits one of three formats (table, csv, json) on stdout;
 progress chatter goes to stderr so machine-readable output stays clean.
 Identical invocations produce byte-identical stdout.
 
-Exit codes: 0 success, 2 usage error, 3 checkpoint mismatch, 4 internal
-invariant violation.
+Exit codes: 0 success (also when the reader closes stdout early), 2 usage
+error, 3 checkpoint mismatch, 4 internal invariant violation.
 """
 
 import argparse
@@ -32,12 +32,9 @@ from .series import enumerate_series, residual
 
 SCHEMA_VERSION = 1
 DEFAULT_ELIDE_DIGITS = 1000
-# `cyclic` prints p * period digits at most and walks p numerators;
-# `subcyclic` classifies (p - 1) * period circular substrings of up to
-# period digits, and its time grows as (p - 1) * period**3.
+# `cyclic` prints p * period digits at most and walks p numerators.  The
+# commands that classify candidates are bounded by cyclic_search.WORK_LIMIT.
 CYCLIC_WORK_LIMIT = 10**7
-SUBCYCLIC_WORK_LIMIT = 10**6
-SUBCYCLIC_COST_LIMIT = 25 * 10**9
 PERIOD_CELL_LIMIT = 10**6
 # `crossbase suffix` computes one value-sized quotient per numerator, so its
 # time grows as (p - 1) * the value's bits.
@@ -123,28 +120,6 @@ def _require_alphabet(label: str, base: int) -> None:
         )
 
 
-def _bound_work(
-    p: int, base: int, factor: int, label: str, limit: int, power: int = 1
-) -> None:
-    """Refuse, before any work, a command whose factor * period**power > limit.
-
-    Every period is at least 1, so factor alone is checked first: computing
-    the period factors p - 1, which is itself O(sqrt(p)).
-    """
-    exponent = f"**{power}" if power > 1 else ""
-    if factor > limit:
-        raise ValueError(
-            f"{label} * period{exponent} must be at most {limit}; "
-            f"{label} = {factor} alone exceeds it"
-        )
-    period = multiplicative_order(base, p)
-    if period is not None and factor * period**power > limit:
-        raise ValueError(
-            f"{label} * period{exponent} must be at most {limit}, "
-            f"got {factor} * {period}{exponent}"
-        )
-
-
 def _require_digits(label: str, factor: int, base: int, exponent: int,
                     limit: int) -> None:
     """Refuse factor * base**exponent of more than limit digits.
@@ -200,7 +175,13 @@ def cmd_period(args) -> int:
 
 def cmd_cyclic(args) -> int:
     _require_alphabet("base", args.base)
-    _bound_work(args.p, args.base, args.p, "p", CYCLIC_WORK_LIMIT)
+    # Every period is at least 1, so p alone is checked before the period,
+    # which costs O(sqrt(p)) to find.
+    p, limit = args.p, CYCLIC_WORK_LIMIT
+    period = multiplicative_order(args.base, p) if p <= limit else None
+    if p > limit or period is not None and p * period > limit:
+        got = f"got {p} * {period}" if period else f"p = {p} alone exceeds it"
+        raise ValueError(f"p * period must be at most {limit}; {got}")
     profile = reptend_profile(args.p, args.base)
     if profile.period is None:
         raise ValueError(f"1/{args.p} has no period in base {args.base}")
@@ -236,15 +217,9 @@ def cmd_series(args) -> int:
     rows = []
     for spec in specs:
         rem = residual(spec, args.k_terms)
-        rows.append(
-            {
-                "length": spec.length,
-                "s": spec.s,
-                "r": spec.r,
-                "s_is_prime": spec.s_is_prime,
-                "residual": f"{rem.numerator}/{rem.denominator}",
-            }
-        )
+        rows.append({"length": spec.length, "s": spec.s, "r": spec.r,
+                     "s_is_prime": spec.s_is_prime,
+                     "residual": f"{rem.numerator}/{rem.denominator}"})
     params = {"p": args.p, "base": args.base, "max_length": args.max_length,
               "k_terms": args.k_terms}
     _emit(args, "series", params,
@@ -253,20 +228,13 @@ def cmd_series(args) -> int:
 
 
 def _search_rows(records, elide_above):
-    rows = []
-    for rec in records:
-        rows.append(
-            {
-                "digit_count": rec.digit_count,
-                "rotation_numerator": rec.rotation_numerator,
-                "cycle_index": rec.cycle_index,
-                "first_digit": rec.first_digit,
-                "status": rec.verdict.status,
-                "witness_rounds": rec.verdict.witness_rounds,
-                "value": _record_cell(rec, elide_above),
-            }
-        )
-    return rows
+    return [
+        {"digit_count": rec.digit_count, "rotation_numerator": rec.rotation_numerator,
+         "cycle_index": rec.cycle_index, "first_digit": rec.first_digit,
+         "status": rec.verdict.status, "witness_rounds": rec.verdict.witness_rounds,
+         "value": _record_cell(rec, elide_above)}
+        for rec in records
+    ]
 
 
 def cmd_search(args) -> int:
@@ -302,8 +270,6 @@ def cmd_search(args) -> int:
 
 
 def cmd_subcyclic(args) -> int:
-    _bound_work(args.p, args.base, args.p - 1, "(p - 1)", SUBCYCLIC_WORK_LIMIT)
-    _bound_work(args.p, args.base, args.p - 1, "(p - 1)", SUBCYCLIC_COST_LIMIT, 3)
     values = enumerate_subcyclic_primes(args.p, args.base, args.rounds)
     rows = [{"value": v} for v in values]
     params = {"p": args.p, "base": args.base}
@@ -320,18 +286,12 @@ def cmd_crossbase_render(args) -> int:
     rows = []
     for rec in records:
         rendered = cross_render(rec, args.target_base)
-        rows.append(
-            {
-                "digit_count": rec.digit_count,
-                "value": _record_cell(rec, args.elide_above),
-                "target_digit_count": len(rendered),
-                "rendered": (
-                    str(rendered)
-                    if len(rendered) <= args.elide_above
-                    else _elided(rendered.digits[0], len(rendered))
-                ),
-            }
-        )
+        count = len(rendered)
+        if count > args.elide_above:
+            rendered = _elided(rendered.digits[0], count)
+        rows.append({"digit_count": rec.digit_count,
+                     "value": _record_cell(rec, args.elide_above),
+                     "target_digit_count": count, "rendered": str(rendered)})
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "target_base": args.target_base, "max_digits": args.max_digits}
     _emit(args, "crossbase-render", params,
@@ -352,14 +312,9 @@ def cmd_crossbase_suffix(args) -> int:
             f"got {args.p - 1} * {bits}"
         )
     report = shared_suffix_length(args.value, args.p, args.target_base)
-    rows = [
-        {
-            "value": report.value,
-            "target_base": report.target_base,
-            "matched_digits": report.matched_digits,
-            "matched_rotation": report.matched_rotation,
-        }
-    ]
+    rows = [{"value": report.value, "target_base": report.target_base,
+             "matched_digits": report.matched_digits,
+             "matched_rotation": report.matched_rotation}]
     params = {"p": args.p, "target_base": args.target_base}
     _emit(args, "crossbase-suffix", params,
           ["value", "target_base", "matched_digits", "matched_rotation"], rows)
@@ -400,20 +355,15 @@ def cmd_crossbase_sweep(args) -> int:
         max_digits=args.max_digits,
         rounds=args.rounds,
     )
-    rows = []
-    for base, evidence in results:
-        for report in evidence:
-            direction = "up" if report.target_base == args.anchor_base else "down"
-            rows.append(
-                {
-                    "base": base,
-                    "direction": direction,
-                    "target_base": report.target_base,
-                    "value": report.value,
-                    "matched_digits": report.matched_digits,
-                    "matched_rotation": report.matched_rotation,
-                }
-            )
+    rows = [
+        {"base": base,
+         "direction": "up" if report.target_base == args.anchor_base else "down",
+         "target_base": report.target_base, "value": report.value,
+         "matched_digits": report.matched_digits,
+         "matched_rotation": report.matched_rotation}
+        for base, evidence in results
+        for report in evidence
+    ]
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "base_limit": args.base_limit, "min_suffix": args.min_suffix,
               "max_digits": args.max_digits}
@@ -542,7 +492,16 @@ def main(argv=None) -> int:
     if getattr(args, "rounds", DEFAULT_ROUNDS) > ROUNDS_LIMIT:
         parser.error(f"--rounds must be at most {ROUNDS_LIMIT}")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`), which ends the output.  Its fd
+        # now writes to the null device, so the exit-time flush cannot fail.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT

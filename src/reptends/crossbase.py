@@ -25,6 +25,7 @@ compare equal to plain tuples of their fields.
 from typing import NamedTuple
 
 from .cyclic_search import CyclicPrimeRecord, enumerate_cyclic_primes
+from .cyclic_search import _require_work, work_estimate
 from .digits import DigitString, _digit_count, from_integer
 from .primality import DEFAULT_ROUNDS
 from .reptend import _require_coprime, is_full_reptend, multiplicative_order
@@ -32,18 +33,9 @@ from .reptend import _require_coprime, is_full_reptend, multiplicative_order
 RULE_ALTERNATING = "alternating_3n_4n"
 
 # A sweep tests every base up to base_limit for a full reptend before the
-# work bound below, and searches those that are: from base 10 at max_digits
-# 12, p = 7 took 2.6 s to base_limit 10**4 and 33 s to 10**5.
+# work bound, and searches those that are: from base 10 at max_digits 12,
+# p = 7 took 2.6 s to base_limit 10**4 and 33 s to 10**5.
 SWEEP_BASE_LIMIT = 1000
-# A sweep's work grows with p, since every base searched classifies p - 1
-# candidates a level.  SWEEP_WORK_LIMIT bounds the candidates as if every
-# base were searched to max_digits; most are refuted within 15 digits.
-# From base 10 to base_limit 1000 at max_digits 130, p = 7 (212 784
-# candidates) took 2.0 s, p = 13 (437 616) 3.7 s, p = 11 (438 080) 4.2 s
-# and p = 17 (860 928) 7.2 s; p = 7 at max_digits 400 (676 104) took
-# 40 s, since its linked bases search longer candidates.  The goldens',
-# README's and benchmark's sweeps count at most 34 224.
-SWEEP_WORK_LIMIT = 250_000
 
 # Closed forms keyed by their step coefficients; all satisfy f(N, 0) = N.
 _CLOSED_FORMS = {
@@ -167,10 +159,11 @@ def empirical_related_bases(
     the direction it belongs to.  min_suffix defaults to the period of 1/p
     in the anchor base; max_digits bounds each per-base search and must
     exceed the period of every base searched.  Before the first search, a
-    sweep is also refused if it could classify more than SWEEP_WORK_LIMIT
-    candidates: the anchor's levels past its period and each other base's
-    levels past p - 1, times p - 1 numerators.  A base_limit above
-    SWEEP_BASE_LIMIT is refused before any other check.
+    sweep is also refused if work_estimate, summed as if every base were
+    searched to max_digits, exceeds WORK_LIMIT: the anchor's levels past
+    its period and each other base's levels past p - 1.  A base_limit above
+    SWEEP_BASE_LIMIT is refused before any other check, and a p whose one
+    level outweighs WORK_LIMIT before any period.
 
     Both directions use one rule, and for the anchor they coincide: its
     primes are linked to the anchor itself.  One prime that fails to link
@@ -190,6 +183,7 @@ def empirical_related_bases(
     _require_coprime(anchor_base, p)
     if base_limit < 2:
         raise ValueError(f"base_limit must be at least 2, got {base_limit}")
+    _require_work(p)
     anchor_period = multiplicative_order(anchor_base, p)
     assert anchor_period is not None
     if min_suffix is None:
@@ -197,18 +191,16 @@ def empirical_related_bases(
     elif min_suffix < 1:
         raise ValueError(f"min_suffix must be at least 1, got {min_suffix}")
     bases = [b for b in range(2, base_limit + 1) if is_full_reptend(p, b)]
-    others = sum(1 for b in bases if b != anchor_base)
+    others = [b for b in bases if b != anchor_base]
     # Every search needs max_digits above its base's period.  Checked here,
     # a short max_digits is refused before the anchor's search, not after.
     period = p - 1 if others else anchor_period
     if max_digits <= period:
         raise ValueError(f"max_digits must exceed the period {period}")
-    levels = max_digits - anchor_period + (max_digits - (p - 1)) * others
-    if levels * (p - 1) > SWEEP_WORK_LIMIT:
-        raise ValueError(
-            f"sweep candidates (levels * numerators over every base searched)"
-            f" must be at most {SWEEP_WORK_LIMIT}, got {levels * (p - 1)}"
-        )
+    work = work_estimate(p, anchor_base, anchor_period + 1, max_digits) + sum(
+        work_estimate(p, b, p, max_digits) for b in others
+    )
+    _require_work(p, work, "the sweep's searches")
 
     def linked(values: list[int], target: int) -> list[SuffixReport]:
         """The reports of values in target if every one keeps min_suffix."""

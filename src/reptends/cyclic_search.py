@@ -27,12 +27,17 @@ from .primality import (
     _strong_probable_prime,
     classify,
 )
-from .reptend import _require_fraction, multiplicative_order, orbits
+from .reptend import _require_fraction, multiplicative_order
 # Unused here: benchmarks/tracing.py wraps reptends.cyclic_search.cycles by
 # name, and a traced run fails without it.
 from .reptend import cycles  # noqa: F401
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# The one bound on a walk of candidates, in work_estimate's units.  With
+# libgmp on a 2-core VM, classify's mean cost per candidate is 0.5-1.2x
+# max(bits, 300)**2 / 7200 µs from 300 to 2732 bits: about 17 s of classify.
+WORK_LIMIT = 125 * 10**9
 
 
 class CheckpointError(RuntimeError):
@@ -132,7 +137,9 @@ def enumerate_cyclic_primes(
     same (p, base, rounds) search; max_digits may differ, so an interrupted
     or shorter run can be extended.
     Resumption reproduces exactly the records an uninterrupted run returns.
+    A p whose one level outweighs WORK_LIMIT is refused before its period.
     """
+    _require_work(p)
     period = multiplicative_order(base, p)
     if period is None:
         raise ValueError(f"base {base} shares a factor with {p}")
@@ -164,7 +171,8 @@ def enumerate_cyclic_primes(
     if completed >= max_digits:
         return found
 
-    for ndigits, records in _walk_levels(p, base, completed + 1, max_digits, rounds):
+    levels = _walk_levels(p, base, period, completed + 1, max_digits, rounds)
+    for ndigits, records in levels:
         found.extend(records)
         if on_level is not None:
             on_level(ndigits, records)
@@ -197,54 +205,95 @@ def enumerate_subcyclic_primes(
     Substrings of every cycle, lengths 1..period, with nonzero leading
     digit; the result is ascending and always finite.  The substring of
     length L at position s of the cycle of c is the first L digits of a/p
-    with a = c * base**s mod p: level L of the cyclic-prime walk.
+    with a = c * base**s mod p: level L of the cyclic-prime walk, whose
+    work_estimate over levels 1..period must not exceed WORK_LIMIT.
 
     >>> enumerate_subcyclic_primes(7, 10)
     [2, 5, 7, 71, 571, 857, 2857, 28571]
     """
+    _require_work(p)
     period = multiplicative_order(base, p)
     if period is None:
         raise ValueError(f"base {base} shares a factor with {p}")
+    _require_work(p, work_estimate(p, base, 1, period), f"levels 1..{period}")
     primes = {
         rec.value
-        for _, records in _walk_levels(p, base, 1, period, rounds)
+        for _, records in _walk_levels(p, base, period, 1, period, rounds)
         for rec in records
     }
     return sorted(primes)
 
 
-def _cycle_of(p: int, base: int) -> dict[int, int]:
-    """The index in orbits(p, base) of each numerator's rotation class."""
-    return {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
+def work_estimate(p: int, base: int, first: int, last: int) -> float:
+    """(p - 1) * max(bits, 300)**2 summed over levels first..last.
+
+    Level L's candidates have L * log2(base) bits, and below 300 bits their
+    cost is flat.  The sum is in closed form, infinite past a float's range.
+    """
+    from math import log2
+
+    bits = log2(base)
+    knee = min(max(first, -int(-300 // bits)), last + 1)  # first level >= 300 bits
+    squares = last * (last + 1) * (2 * last + 1) - knee * (knee - 1) * (2 * knee - 1)
+    try:
+        return (p - 1) * ((knee - first) * 300**2 + bits**2 * (squares // 6))
+    except OverflowError:
+        return float("inf")
+
+
+def _require_work(p: int, work: float = 0, what: str = "") -> None:
+    """Refuse a p whose one level, p - 1 candidates of 300**2 each, outweighs
+    WORK_LIMIT (so before its O(sqrt(p)) period is found), then any work above it."""
+    if (p - 1) * 300**2 > WORK_LIMIT:
+        raise ValueError(f"p must be at most {WORK_LIMIT // 300**2 + 1}, as one level"
+                         f" weighs (p - 1) * 300**2 in estimated work, got {p}")
+    if work > WORK_LIMIT:
+        raise ValueError(f"estimated work of {what} must be at most"
+                         f" {WORK_LIMIT:.3g}, got {work:.3g}")
+
+
+def _cycle_indexer(p: int, period: int) -> Callable[[int], int | None]:
+    """a -> the index in orbits() of a's rotation class, None outside 1..p - 1.
+
+    a and c share a class exactly when a**period = c**period (mod p), and a
+    scan of 1, 2, ... meets the classes in order of their smallest members.
+    It goes only as far as the numerators asked about.
+    """
+    index: dict[int, int] = {}
+    keys = (pow(x, period, p) for x in range(1, p))
+
+    def cycle_index(a: int) -> int | None:
+        if not 0 < a < p:
+            return None
+        key = pow(a, period, p)
+        while key not in index:
+            index.setdefault(next(keys), len(index))
+        return index[key]
+
+    return cycle_index
 
 
 def _walk_levels(
-    p: int, base: int, first: int, last: int, rounds: int
+    p: int, base: int, period: int, first: int, last: int, rounds: int
 ) -> Iterator[tuple[int, list[CyclicPrimeRecord]]]:
     """Classify the first..last digit prefixes of every a/p opening nonzero.
 
     Yields (ndigits, records) per level, the non-composite prefixes ordered
-    by numerator; the next level is classified only when asked for.
+    by numerator; the next level is classified only when asked for.  Only
+    records are held: a/p opens nonzero exactly when a * base >= p.
     """
-    numerators = [a for a in range(1, p) if a * base // p > 0]
-    cycle_of = _cycle_of(p, base)
+    numerators = range(-(-p // base), p)
+    cycle_index = _cycle_indexer(p, period)
     scale = base ** (first - 1)
     for ndigits in range(first, last + 1):
         scale *= base
         # The first ndigits digits of a/p, in candidate_value's closed form.
-        verdicts = [classify(a * scale // p, rounds) for a in numerators]
         records = [
             CyclicPrimeRecord(
-                p=p,
-                base=base,
-                cycle_index=cycle_of[a],
-                rotation_numerator=a,
-                digit_count=ndigits,
-                first_digit=a * base // p,
-                verdict=verdict,
+                p, base, cycle_index(a), a, ndigits, a * base // p, verdict
             )
-            for a, verdict in zip(numerators, verdicts)
-            if verdict.is_prime
+            for a in numerators
+            if (verdict := classify(a * scale // p, rounds)).is_prime
         ]
         yield ndigits, records
 
@@ -279,7 +328,7 @@ def _check_progress(
             f"unusable checkpoint {path}: completed_through_digits {done} "
             f"is below the period {period}"
         )
-    cycle_of = _cycle_of(p, base)
+    cycle_index = _cycle_indexer(p, period)
     # classify's verdict on a survivor, by size; a value below 2**64 has at
     # most 64 digits, so a longer record's value is never built here.
     prime = PrimalityVerdict("prime", 0)
@@ -289,7 +338,7 @@ def _check_progress(
         a, ndigits = rec.rotation_numerator, rec.digit_count
         small = 0 < ndigits <= 64 and a * base**ndigits // p < DETERMINISTIC_BOUND
         walked = rec._replace(
-            p=p, base=base, cycle_index=cycle_of.get(a), first_digit=a * base // p,
+            p=p, base=base, cycle_index=cycle_index(a), first_digit=a * base // p,
             verdict=prime if small else probable,
         )
         if (rec != walked or not rec.first_digit or not period < ndigits <= done

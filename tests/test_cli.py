@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import reptends.cli
 import reptends.crossbase
+import reptends.cyclic_search
 from reptends.cli import (
     EXIT_CHECKPOINT,
     EXIT_INTERNAL,
@@ -24,11 +25,8 @@ from reptends.cli import (
     build_parser,
     main,
 )
-from reptends.crossbase import (
-    SWEEP_BASE_LIMIT,
-    SWEEP_WORK_LIMIT,
-    empirical_related_bases,
-)
+from reptends.crossbase import SWEEP_BASE_LIMIT, empirical_related_bases
+from reptends.cyclic_search import WORK_LIMIT
 from reptends.primality import DEFAULT_ROUNDS
 
 
@@ -40,6 +38,11 @@ def run_cli(capsys, *argv):
 
 def no_work(*args, **kwargs):
     raise AssertionError("work started before the input was checked")
+
+
+# A safe prime: its period in base 10 takes seconds of trial division of
+# p - 1 to find, so a refusal must come before it.
+SAFE_PRIME = 10000000000004447
 
 
 def parse_json(out):
@@ -465,6 +468,25 @@ def test_checkpoint_record_the_walk_never_writes_exits_3(
     assert "unusable checkpoint" in err
 
 
+@pytest.mark.parametrize("numerator", [0, 13, -1, 14])
+def test_checkpoint_record_with_no_rotation_class_exits_3(
+    capsys, tmp_path, numerator
+):
+    """13 has two rotation classes in base 10; 0, p and -1 belong to none.
+
+    -1 and 14 would have the classes of 12 and 1 modulo 13.
+    """
+    path = tmp_path / "ck.json"
+    argv = ["search", "13", "10", "--checkpoint", str(path)]
+    assert run_cli(capsys, *argv, "--max-digits", "12")[0] == EXIT_OK
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["found"][0]["rotation_numerator"] = numerator
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--max-digits", "14")
+    assert (code, out) == (EXIT_CHECKPOINT, "")
+    assert "unusable checkpoint" in err and f"rotation_numerator={numerator}" in err
+
+
 @pytest.mark.parametrize("found", [{}, "", 0, None],
                          ids=["dict", "string", "zero", "null"])
 def test_checkpoint_found_not_a_list_exits_3(capsys, tmp_path, found):
@@ -478,6 +500,48 @@ def test_checkpoint_found_not_a_list_exits_3(capsys, tmp_path, found):
                              "--format", "json", "--checkpoint", str(path))
     assert (code, out) == (EXIT_CHECKPOINT, "")
     assert "unusable checkpoint" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", str(SAFE_PRIME), "10", "--max-digits", "20"],
+    ["crossbase", "render", str(SAFE_PRIME), "10", "11", "--max-digits", "20"],
+    ["subcyclic", str(SAFE_PRIME), "10"],
+    ["crossbase", "sweep", str(SAFE_PRIME), "10", "--base-limit", "20",
+     "--max-digits", "20"],
+    # 10**12 + 1 = 73 * 137 * 99990001, so its period in base 10 is 24.
+    ["search", "99990001", "10", "--max-digits", "25"],
+], ids=["search", "render", "subcyclic", "sweep", "search-period-24"])
+def test_p_whose_one_level_outweighs_the_limit_exits_2_before_the_period(
+    capsys, monkeypatch, argv
+):
+    monkeypatch.setattr(reptends.cyclic_search, "multiplicative_order", no_work)
+    monkeypatch.setattr(reptends.crossbase, "multiplicative_order", no_work)
+    monkeypatch.setattr(reptends.crossbase, "is_full_reptend", no_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"p must be at most {WORK_LIMIT // 300**2 + 1}, as one level" in err
+
+
+def test_closed_stdout_ends_the_output_and_exits_0():
+    """A reader that stops early (`| head -1`) is not an error of the run.
+
+    The output outgrows the pipe's buffer, so the CLI is still writing when
+    the reader closes its end.
+    """
+    done = subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "reptends", "crossbase", "related",
+         "7", "--count", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(reptends.cli.__file__).parents[1])),
+    )
+    assert done.stdout.readline().split() == [b"i", b"member", b"formula", b"agree"]
+    done.stdout.close()
+    err = done.stderr.read().decode()
+    assert done.wait(timeout=60) == EXIT_OK
+    done.stderr.close()
+    # The ladder's closed form diverges at i = 2, and nothing else is said.
+    assert err == ("warning: closed form 'three_four' diverges from the"
+                   " alternating ladder at i=2 (105 vs 56)\n")
 
 
 def test_unexpected_exception_exits_4(capsys, monkeypatch):
@@ -505,53 +569,42 @@ class TestSubcyclic:
         assert out == "value\n3\n"
 
     def test_large_p_refused_before_the_period(self, capsys, monkeypatch):
-        monkeypatch.setattr(reptends.cli, "multiplicative_order", no_work)
-        monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
-        code, out, err = run_cli(capsys, "subcyclic", "1000003", "10")
+        # Its p - 1 candidates a level alone outweigh WORK_LIMIT.
+        monkeypatch.setattr(reptends.cyclic_search, "multiplicative_order", no_work)
+        code, out, err = run_cli(capsys, "subcyclic", str(SAFE_PRIME), "10")
         assert (code, out) == (EXIT_USAGE, "")
-        assert "(p - 1) * period must be at most 1000000;" in err
+        assert f"p must be at most {WORK_LIMIT // 300**2 + 1}, as one level" in err
 
-    # (p - 1) * period: 6 * 6 for 1/7 and 2 * 1 for 1/3 in base 10.
+    # Below 300 bits every candidate weighs 300**2, and subcyclic classifies
+    # (p - 1) * period of them: 6 * 6 for 1/7 and 2 * 1 for 1/3 in base 10.
     @pytest.mark.parametrize("p,limit,accepted", [
         ("7", 36, True), ("7", 35, False), ("3", 2, True), ("3", 1, False),
     ])
     def test_work_bound_is_inclusive(self, capsys, monkeypatch, p, limit, accepted):
-        monkeypatch.setattr(reptends.cli, "SUBCYCLIC_WORK_LIMIT", limit)
+        monkeypatch.setattr(reptends.cyclic_search, "WORK_LIMIT", limit * 300**2)
         if not accepted:
-            monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
+            monkeypatch.setattr(reptends.cyclic_search, "_walk_levels", no_work)
         code, out, err = run_cli(capsys, "subcyclic", p, "10")
         assert code == (EXIT_OK if accepted else EXIT_USAGE)
-        assert (f"(p - 1) * period must be at most {limit}" in err) is not accepted
+        # For 1/3 one level is the whole walk, so p alone is refused.
+        assert ("estimated work" in err) is not accepted
 
-    # Substrings reach period digits, so time grows as (p - 1) * period**3:
-    # 982 * 982**3 for 983 and 460 * 460**3 for 461 in base 10.
-    @pytest.mark.parametrize("p", ["983", "461"])
+    # Substrings reach period digits: 982 levels for 983, 460 for 461 and
+    # 1000002 for 1000003 in base 10, each up to period * log2(10) bits.
+    @pytest.mark.parametrize("p", ["983", "461", "1000003"])
     def test_costly_p_refused_before_any_work(self, capsys, monkeypatch, p):
-        monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
+        monkeypatch.setattr(reptends.cyclic_search, "_walk_levels", no_work)
         code, out, err = run_cli(capsys, "subcyclic", p, "10")
         assert (code, out) == (EXIT_USAGE, "")
-        assert "(p - 1) * period**3 must be at most 25000000000, got" in err
+        assert f"must be at most {WORK_LIMIT:.3g}, got" in err
 
     @pytest.mark.parametrize("p", ["263", "383", "997", "1009"])
     def test_accepted_below_the_cost_bound(self, capsys, monkeypatch, p):
         monkeypatch.setattr(
-            reptends.cli, "enumerate_subcyclic_primes", lambda *args: [2]
+            reptends.cyclic_search, "_walk_levels", lambda *args: iter([])
         )
         code, out, _ = run_cli(capsys, "subcyclic", p, "10", "--format", "csv")
-        assert (code, out) == (EXIT_OK, "value\n2\n")
-
-    # (p - 1) * period**3: 6 * 6**3 for 1/7 and 2 * 1 for 1/3 in base 10.
-    @pytest.mark.parametrize("p,limit,accepted", [
-        ("7", 1296, True), ("7", 1295, False), ("3", 2, True), ("3", 1, False),
-    ])
-    def test_cost_bound_is_inclusive(self, capsys, monkeypatch, p, limit, accepted):
-        monkeypatch.setattr(reptends.cli, "SUBCYCLIC_COST_LIMIT", limit)
-        if not accepted:
-            monkeypatch.setattr(reptends.cli, "enumerate_subcyclic_primes", no_work)
-        code, out, err = run_cli(capsys, "subcyclic", p, "10")
-        assert code == (EXIT_OK if accepted else EXIT_USAGE)
-        message = f"(p - 1) * period**3 must be at most {limit}"
-        assert (message in err) is not accepted
+        assert (code, out) == (EXIT_OK, "value\n")
 
 
 class TestCrossbase:
@@ -702,24 +755,31 @@ class TestCrossbase:
         assert (out == "") is not accepted
 
     # 7 10 --base-limit 12 --max-digits 12 may search base 10 past its period
-    # 6 and bases 3, 5 and 12 past p - 1 = 6: (6 + 3 * 6) levels * 6 = 144.
+    # 6 and bases 3, 5 and 12 past p - 1 = 6: (6 + 3 * 6) levels * 6 = 144
+    # candidates, all below 300 bits, so each weighs 300**2.
     @pytest.mark.parametrize("limit,accepted", [(144, True), (143, False)])
     def test_sweep_work_bound_is_inclusive(
         self, capsys, monkeypatch, limit, accepted
     ):
-        monkeypatch.setattr(reptends.crossbase, "SWEEP_WORK_LIMIT", limit)
+        monkeypatch.setattr(reptends.cyclic_search, "WORK_LIMIT", limit * 300**2)
         if not accepted:
             monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_work)
         code, out, err = run_cli(capsys, "crossbase", "sweep", "7", "10",
                                  "--base-limit", "12", "--max-digits", "12")
         assert code == (EXIT_OK if accepted else EXIT_USAGE)
-        assert (f"must be at most {limit}, got 144" in err) is not accepted
+        message = "estimated work of the sweep's searches must be at most"
+        assert (message in err) is not accepted
         assert (out == "") is not accepted
 
+    # count candidates, each of at least 300**2 weight; base 10 reaches
+    # 300 bits at 91 digits, so every estimate weighs more than that.
     @pytest.mark.parametrize("argv,count", [
         (["17", "10", "--base-limit", "1000", "--max-digits", "130"], 860_928),
         (["7", "10", "--base-limit", "2", "--max-digits", str(10**6)],
          (10**6 - 6) * 6),
+        (["7", "10", "--base-limit", "2", "--max-digits", str(10**400)],
+         (10**400 - 6) * 6),
+        (["7", "10", "--base-limit", "140", "--max-digits", "1000"], 238_560),
     ])
     def test_sweep_large_work_refused_before_any_search(
         self, capsys, monkeypatch, argv, count
@@ -727,7 +787,9 @@ class TestCrossbase:
         monkeypatch.setattr(reptends.crossbase, "enumerate_cyclic_primes", no_work)
         code, out, err = run_cli(capsys, "crossbase", "sweep", *argv)
         assert (code, out) == (EXIT_USAGE, "")
-        assert f"must be at most {SWEEP_WORK_LIMIT}, got {count}" in err
+        message = f"sweep's searches must be at most {WORK_LIMIT:.3g}, got "
+        assert message in err
+        assert float(err.split(message)[1]) > count * 300**2
 
     @pytest.mark.parametrize("p,anchor,base_limit,max_digits", [
         (7, 10, 20, 30), (7, 10, 50, 60),  # goldens

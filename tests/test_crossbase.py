@@ -381,12 +381,24 @@ def bounded_sweep_inputs(draw):
 @example((7, 10, 50, 130))  # the anchor and its linked bases searched in full
 @example((2, 3, 12, 4))  # every odd base is a full reptend for p = 2
 def test_sweep_work_bound_is_an_upper_bound(args):
+    """The sweep's estimate outweighs the classify calls it makes.
+
+    A call on n weighs max(bits of n, 300)**2, the unit of work_estimate.
+    """
     p, anchor, base_limit, max_digits = args
-    with mock.patch.object(reptends.crossbase, "SWEEP_WORK_LIMIT", 0):
-        with pytest.raises(ValueError, match="must be at most 0, got ") as refused:
-            empirical_related_bases(p, anchor, base_limit, max_digits=max_digits)
-    bound = int(str(refused.value).rsplit(" ", 1)[1])
+    estimate = reptends.cyclic_search.work_estimate
     classify = reptends.cyclic_search.classify
-    with mock.patch.object(reptends.cyclic_search, "classify", wraps=classify) as spy:
+    estimates, weights = [], []
+
+    def estimate_spy(*args):
+        estimates.append(estimate(*args))
+        return estimates[-1]
+
+    def classify_spy(n, *args):
+        weights.append(max(n.bit_length(), 300) ** 2)
+        return classify(n, *args)
+
+    with mock.patch.object(reptends.crossbase, "work_estimate", estimate_spy), \
+            mock.patch.object(reptends.cyclic_search, "classify", classify_spy):
         empirical_related_bases(p, anchor, base_limit, max_digits=max_digits)
-    assert 0 < spy.call_count <= bound
+    assert 0 < sum(weights) <= sum(estimates)

@@ -3,16 +3,19 @@ import json
 import os
 import tempfile
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import reptends.cyclic_search
 from reptends.cyclic_search import (
     CheckpointError,
     CheckpointMismatchError,
     CyclicPrimeRecord,
     SearchCheckpoint,
+    _cycle_indexer,
     _passes_base2_round,
     candidate_value,
     digit_stream,
@@ -20,9 +23,10 @@ from reptends.cyclic_search import (
     enumerate_subcyclic_primes,
     load_checkpoint,
     save_checkpoint,
+    work_estimate,
 )
-from reptends.primality import DEFAULT_ROUNDS, classify
-from reptends.reptend import cycles, multiplicative_order
+from reptends.primality import DEFAULT_ROUNDS, SMALL_PRIMES, classify
+from reptends.reptend import cycles, multiplicative_order, orbits
 
 
 def trial_division_is_prime(n):
@@ -264,6 +268,58 @@ class TestSubcyclicPrimes:
                     if classify(value).status != "composite":
                         expected.add(value)
         assert enumerate_subcyclic_primes(p, base) == sorted(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cycle_index_is_the_index_in_orbits(data):
+    """a**period mod p keys a's rotation class, numbered as orbits numbers them.
+
+    Only primes of level above 1 have more than one class; the numerators
+    are asked about out of order, each possibly more than once.
+    """
+    p = data.draw(st.sampled_from([q for q in SMALL_PRIMES[2:60]]))
+    base = data.draw(
+        st.integers(2, 3 * p).filter(
+            lambda b: b % p and multiplicative_order(b, p) < p - 1
+        )
+    )
+    period = multiplicative_order(base, p)
+    expected = {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
+    asked = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=3 * p))
+    cycle_index = _cycle_indexer(p, period)
+    assert [cycle_index(a) for a in asked] == [expected[a] for a in asked]
+    assert [cycle_index(a) for a in (0, p, -1, p + 1)] == [None] * 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SMALL_PRIMES[:25]).flatmap(
+        lambda p: st.tuples(
+            st.just(p), st.integers(2, 100).filter(lambda b: b % p != 0)
+        )
+    )
+)
+@example((97, 10))  # period 96: candidates to 319 bits
+@example((61, 62))  # period 60: candidates to 358 bits
+@example((3, 100))  # every numerator opens nonzero
+def test_subcyclic_work_estimate_is_an_upper_bound(p_base):
+    """The estimate of levels 1..period outweighs the classify calls made.
+
+    A call on n weighs max(bits of n, 300)**2, the unit of work_estimate.
+    """
+    p, base = p_base
+    classify = reptends.cyclic_search.classify
+    weights = []
+
+    def classify_spy(n, *args):
+        weights.append(max(n.bit_length(), 300) ** 2)
+        return classify(n, *args)
+
+    with mock.patch.object(reptends.cyclic_search, "classify", classify_spy):
+        enumerate_subcyclic_primes(p, base)
+    estimate = work_estimate(p, base, 1, multiplicative_order(base, p))
+    assert 0 < sum(weights) <= estimate
 
 
 # Cipolla (1904): for every prime q >= 5, (4**q - 1) / 3 is a base-2 Fermat
