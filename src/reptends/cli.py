@@ -1,7 +1,9 @@
 """Command-line surface: period tables, cycles, series, searches, cross-base.
 
-Every command emits one of three formats (table, csv, json) on stdout;
-progress chatter goes to stderr so machine-readable output stays clean.
+Each command handler checks its input, does its work, writes any progress
+or warning to stderr and returns its document, (command, params, columns,
+rows), without printing it.  main alone prints the document on stdout, in one
+of three formats (table, csv, json), so machine-readable output stays clean.
 Identical invocations produce byte-identical stdout.
 
 Exit codes: 0 success (also when the reader closes stdout early), 2 usage
@@ -37,8 +39,7 @@ DEFAULT_ELIDE_DIGITS = 1000
 CYCLIC_WORK_LIMIT = 10**7
 PERIOD_CELL_LIMIT = 10**6
 # `crossbase suffix` computes one value-sized quotient per numerator, so its
-# time grows as (p - 1) * the value's bits.
-SUFFIX_WORK_LIMIT = 10**7
+# time grows as (p - 1) * the value's bits, and as p - 1 alone below 100 bits.
 SUFFIX_COST_LIMIT = 10**9
 # `series` classifies each s < base**max_length and sums max_length * k_terms
 # exact fractions whose denominators reach p * base**(max_length * k_terms).
@@ -59,6 +60,9 @@ EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_INTERNAL = 4
 
+# What a command handler returns and main prints: command, params, columns, rows.
+Document = tuple[str, dict, list[str], list[dict]]
+
 
 def _cell(value) -> str:
     if value is None:
@@ -68,7 +72,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _print_table(columns, rows, out):
+def _print_table(columns, rows):
     widths = [len(c) for c in columns]
     rendered = []
     for row in rows:
@@ -76,13 +80,12 @@ def _print_table(columns, rows, out):
         widths = [max(w, len(s)) for w, s in zip(widths, cells)]
         rendered.append(cells)
     header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-    print(header.rstrip(), file=out)
+    print(header.rstrip())
     for cells in rendered:
-        print("  ".join(s.ljust(w) for s, w in zip(cells, widths)).rstrip(), file=out)
+        print("  ".join(s.ljust(w) for s, w in zip(cells, widths)).rstrip())
 
 
-def _emit(args, command: str, params: dict, columns, rows, out=None):
-    out = out or sys.stdout
+def _emit(args, command: str, params: dict, columns, rows):
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -90,14 +93,14 @@ def _emit(args, command: str, params: dict, columns, rows, out=None):
             "params": params,
             "rows": rows,
         }
-        print(json.dumps(doc, sort_keys=True), file=out)
+        print(json.dumps(doc, sort_keys=True))
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(row.get(c)) for c in columns])
     else:
-        _print_table(columns, rows, out)
+        _print_table(columns, rows)
 
 
 def _elided(first_digit: int, digit_count: int) -> str:
@@ -139,7 +142,7 @@ def _require_digits(label: str, factor: int, base: int, exponent: int,
 # ---------------------------------------------------------------- commands
 
 
-def cmd_period(args) -> int:
+def cmd_period(args) -> Document:
     if args.base_min < 2 or args.base_max < args.base_min:
         raise ValueError("base range must satisfy 2 <= base-min <= base-max")
     if args.primes_max > SMALL_PRIMES[-1]:
@@ -152,6 +155,8 @@ def cmd_period(args) -> int:
             f"primes * bases must be at most {PERIOD_CELL_LIMIT} cells, got {count}"
         )
     periods = [(p, [multiplicative_order(b, p) for b in bases]) for p in primes]
+    params = {"primes_max": args.primes_max, "base_min": args.base_min,
+              "base_max": args.base_max}
     if args.format == "table":
         matrix = []
         for p, row in periods:
@@ -160,20 +165,16 @@ def cmd_period(args) -> int:
                 mark = "*" if period == p - 1 else ""
                 cells[str(b)] = "" if period is None else f"{period}{mark}"
             matrix.append(cells)
-        _print_table(["p"] + [str(b) for b in bases], matrix, sys.stdout)
-    else:
-        rows = [
-            {"p": p, "base": b, "period": period, "full_reptend": period == p - 1}
-            for p, row in periods
-            for b, period in zip(bases, row)
-        ]
-        params = {"primes_max": args.primes_max, "base_min": args.base_min,
-                  "base_max": args.base_max}
-        _emit(args, "period", params, ["p", "base", "period", "full_reptend"], rows)
-    return EXIT_OK
+        return "period", params, ["p"] + [str(b) for b in bases], matrix
+    rows = [
+        {"p": p, "base": b, "period": period, "full_reptend": period == p - 1}
+        for p, row in periods
+        for b, period in zip(bases, row)
+    ]
+    return "period", params, ["p", "base", "period", "full_reptend"], rows
 
 
-def cmd_cyclic(args) -> int:
+def cmd_cyclic(args) -> Document:
     _require_alphabet("base", args.base)
     # Every period is at least 1, so p alone is checked before the period,
     # which costs O(sqrt(p)) to find.
@@ -196,11 +197,10 @@ def cmd_cyclic(args) -> int:
                          "value": str(product)})
     params = {"p": args.p, "base": args.base, "period": profile.period,
               "level": profile.level}
-    _emit(args, "cyclic", params, ["kind", "index", "k", "value"], rows)
-    return EXIT_OK
+    return "cyclic", params, ["kind", "index", "k", "value"], rows
 
 
-def cmd_series(args) -> int:
+def cmd_series(args) -> Document:
     if args.k_terms < 0:
         raise ValueError(f"k-terms must be non-negative, got {args.k_terms}")
     terms = args.max_length * args.k_terms
@@ -222,9 +222,7 @@ def cmd_series(args) -> int:
                      "residual": f"{rem.numerator}/{rem.denominator}"})
     params = {"p": args.p, "base": args.base, "max_length": args.max_length,
               "k_terms": args.k_terms}
-    _emit(args, "series", params,
-          ["length", "s", "r", "s_is_prime", "residual"], rows)
-    return EXIT_OK
+    return "series", params, ["length", "s", "r", "s_is_prime", "residual"], rows
 
 
 def _search_rows(records, elide_above):
@@ -237,7 +235,7 @@ def _search_rows(records, elide_above):
     ]
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> Document:
     _require_alphabet("base", args.base)
 
     def on_level(ndigits, records):
@@ -258,26 +256,19 @@ def cmd_search(args) -> int:
     )
     params = {"p": args.p, "base": args.base, "max_digits": args.max_digits,
               "rounds": args.rounds}
-    _emit(
-        args,
-        "search",
-        params,
-        ["digit_count", "rotation_numerator", "cycle_index", "first_digit",
-         "status", "witness_rounds", "value"],
-        _search_rows(records, args.elide_above),
-    )
-    return EXIT_OK
+    columns = ["digit_count", "rotation_numerator", "cycle_index", "first_digit",
+               "status", "witness_rounds", "value"]
+    return "search", params, columns, _search_rows(records, args.elide_above)
 
 
-def cmd_subcyclic(args) -> int:
+def cmd_subcyclic(args) -> Document:
     values = enumerate_subcyclic_primes(args.p, args.base, args.rounds)
     rows = [{"value": v} for v in values]
     params = {"p": args.p, "base": args.base}
-    _emit(args, "subcyclic", params, ["value"], rows)
-    return EXIT_OK
+    return "subcyclic", params, ["value"], rows
 
 
-def cmd_crossbase_render(args) -> int:
+def cmd_crossbase_render(args) -> Document:
     _require_alphabet("anchor base", args.anchor_base)
     _require_alphabet("target base", args.target_base)
     records = search_with_checkpoint(
@@ -294,34 +285,28 @@ def cmd_crossbase_render(args) -> int:
                      "target_digit_count": count, "rendered": str(rendered)})
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "target_base": args.target_base, "max_digits": args.max_digits}
-    _emit(args, "crossbase-render", params,
-          ["digit_count", "value", "target_digit_count", "rendered"], rows)
-    return EXIT_OK
+    return ("crossbase-render", params,
+            ["digit_count", "value", "target_digit_count", "rendered"], rows)
 
 
-def cmd_crossbase_suffix(args) -> int:
-    if args.p - 1 > SUFFIX_WORK_LIMIT:
-        raise ValueError(
-            f"(p - 1) must be at most {SUFFIX_WORK_LIMIT}, got {args.p - 1}"
-        )
-    _require_prime(args.p)
-    bits = args.value.bit_length()
+def cmd_crossbase_suffix(args) -> Document:
+    bits = max(args.value.bit_length(), 100)
     if (args.p - 1) * bits > SUFFIX_COST_LIMIT:
         raise ValueError(
-            f"(p - 1) * value bits must be at most {SUFFIX_COST_LIMIT}, "
+            f"(p - 1) * max(value bits, 100) must be at most {SUFFIX_COST_LIMIT}, "
             f"got {args.p - 1} * {bits}"
         )
+    _require_prime(args.p)
     report = shared_suffix_length(args.value, args.p, args.target_base)
     rows = [{"value": report.value, "target_base": report.target_base,
              "matched_digits": report.matched_digits,
              "matched_rotation": report.matched_rotation}]
     params = {"p": args.p, "target_base": args.target_base}
-    _emit(args, "crossbase-suffix", params,
-          ["value", "target_base", "matched_digits", "matched_rotation"], rows)
-    return EXIT_OK
+    return ("crossbase-suffix", params,
+            ["value", "target_base", "matched_digits", "matched_rotation"], rows)
 
 
-def cmd_crossbase_related(args) -> int:
+def cmd_crossbase_related(args) -> Document:
     if args.count > RELATED_COUNT_LIMIT:
         raise ValueError(
             f"count must be at most {RELATED_COUNT_LIMIT}, got {args.count}"
@@ -341,12 +326,10 @@ def cmd_crossbase_related(args) -> int:
         )
     params = {"anchor_base": args.anchor_base, "count": args.count,
               "variant": args.variant}
-    _emit(args, "crossbase-related", params,
-          ["i", "member", "formula", "agree"], rows)
-    return EXIT_OK
+    return "crossbase-related", params, ["i", "member", "formula", "agree"], rows
 
 
-def cmd_crossbase_sweep(args) -> int:
+def cmd_crossbase_sweep(args) -> Document:
     results = empirical_related_bases(
         args.p,
         args.anchor_base,
@@ -367,10 +350,9 @@ def cmd_crossbase_sweep(args) -> int:
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "base_limit": args.base_limit, "min_suffix": args.min_suffix,
               "max_digits": args.max_digits}
-    _emit(args, "crossbase-sweep", params,
-          ["base", "direction", "target_base", "value", "matched_digits",
-           "matched_rotation"], rows)
-    return EXIT_OK
+    return ("crossbase-sweep", params,
+            ["base", "direction", "target_base", "value", "matched_digits",
+             "matched_rotation"], rows)
 
 
 # ------------------------------------------------------------------ parser
@@ -492,9 +474,9 @@ def main(argv=None) -> int:
     if getattr(args, "rounds", DEFAULT_ROUNDS) > ROUNDS_LIMIT:
         parser.error(f"--rounds must be at most {ROUNDS_LIMIT}")
     try:
-        code = args.handler(args)
+        _emit(args, *args.handler(args))
         sys.stdout.flush()
-        return code
+        return EXIT_OK
     except BrokenPipeError:
         # The reader closed stdout (`| head`), which ends the output.  Its fd
         # now writes to the null device, so the exit-time flush cannot fail.

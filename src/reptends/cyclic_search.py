@@ -225,10 +225,12 @@ def enumerate_subcyclic_primes(
 
 
 def work_estimate(p: int, base: int, first: int, last: int) -> float:
-    """(p - 1) * max(bits, 300)**2 summed over levels first..last.
+    """max(bits, 300)**2 per candidate, summed over levels first..last.
 
-    Level L's candidates have L * log2(base) bits, and below 300 bits their
-    cost is flat.  The sum is in closed form, infinite past a float's range.
+    Each level classifies the p - ceil(p / base) numerators that open with a
+    nonzero digit, and level L's candidates have L * log2(base) bits; below
+    300 bits their cost is flat.  The sum is in closed form, infinite past a
+    float's range.
     """
     from math import log2
 
@@ -236,14 +238,19 @@ def work_estimate(p: int, base: int, first: int, last: int) -> float:
     knee = min(max(first, -int(-300 // bits)), last + 1)  # first level >= 300 bits
     squares = last * (last + 1) * (2 * last + 1) - knee * (knee - 1) * (2 * knee - 1)
     try:
-        return (p - 1) * ((knee - first) * 300**2 + bits**2 * (squares // 6))
+        return len(_numerators(p, base)) * (
+            (knee - first) * 300**2 + bits**2 * (squares // 6))
     except OverflowError:
         return float("inf")
 
 
 def _require_work(p: int, work: float = 0, what: str = "") -> None:
-    """Refuse a p whose one level, p - 1 candidates of 300**2 each, outweighs
-    WORK_LIMIT (so before its O(sqrt(p)) period is found), then any work above it."""
+    """Refuse a p whose one level outweighs WORK_LIMIT, then any work above it.
+
+    p alone is checked before its O(sqrt(p)) period is found, so one level
+    weighs p - 1 candidates of 300**2 each: the most numerators that any
+    base's level classifies.
+    """
     if (p - 1) * 300**2 > WORK_LIMIT:
         raise ValueError(f"p must be at most {WORK_LIMIT // 300**2 + 1}, as one level"
                          f" weighs (p - 1) * 300**2 in estimated work, got {p}")
@@ -273,6 +280,11 @@ def _cycle_indexer(p: int, period: int) -> Callable[[int], int | None]:
     return cycle_index
 
 
+def _numerators(p: int, base: int) -> range:
+    """The numerators a whose a/p opens with a nonzero digit: a * base >= p."""
+    return range(-(-p // base), p)
+
+
 def _walk_levels(
     p: int, base: int, period: int, first: int, last: int, rounds: int
 ) -> Iterator[tuple[int, list[CyclicPrimeRecord]]]:
@@ -280,9 +292,9 @@ def _walk_levels(
 
     Yields (ndigits, records) per level, the non-composite prefixes ordered
     by numerator; the next level is classified only when asked for.  Only
-    records are held: a/p opens nonzero exactly when a * base >= p.
+    records are held.
     """
-    numerators = range(-(-p // base), p)
+    numerators = _numerators(p, base)
     cycle_index = _cycle_indexer(p, period)
     scale = base ** (first - 1)
     for ndigits in range(first, last + 1):

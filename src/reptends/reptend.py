@@ -38,6 +38,8 @@ def _require_fraction(a: int, p: int, base: int) -> None:
     """Check that a/p is a proper fraction with a period in this base."""
     if not 1 <= a < p:
         raise ValueError(f"numerator must be in [1, {p - 1}], got {a}")
+    if base < 2:
+        raise ValueError(f"base must be at least 2, got {base}")
     _require_coprime(base, p)
 
 

@@ -25,7 +25,11 @@ from reptends.cli import (
     build_parser,
     main,
 )
-from reptends.crossbase import SWEEP_BASE_LIMIT, empirical_related_bases
+from reptends.crossbase import (
+    SWEEP_BASE_LIMIT,
+    SuffixReport,
+    empirical_related_bases,
+)
 from reptends.cyclic_search import WORK_LIMIT
 from reptends.primality import DEFAULT_ROUNDS
 
@@ -648,6 +652,7 @@ class TestCrossbase:
         assert (code, out) == (EXIT_USAGE, "")
         assert f"{p} is not prime" in err
 
+    # A short value weighs 100 bits a numerator.
     def test_suffix_large_p_refused_before_any_work(self, capsys, monkeypatch):
         monkeypatch.setattr(reptends.cli, "_require_prime", no_work)
         monkeypatch.setattr(reptends.cli, "shared_suffix_length", no_work)
@@ -655,32 +660,61 @@ class TestCrossbase:
             capsys, "crossbase", "suffix", "10", "100000007", "10"
         )
         assert (code, out) == (EXIT_USAGE, "")
-        assert "(p - 1) must be at most 10000000, got 100000006" in err
+        assert ("(p - 1) * max(value bits, 100) must be at most 1000000000,"
+                " got 100000006 * 100") in err
 
     def test_suffix_long_value_refused_before_any_work(self, capsys, monkeypatch):
+        monkeypatch.setattr(reptends.cli, "_require_prime", no_work)
         monkeypatch.setattr(reptends.cli, "shared_suffix_length", no_work)
         code, out, err = run_cli(
             capsys, "crossbase", "suffix", str(10**49999), "10007", "10"
         )
         assert (code, out) == (EXIT_USAGE, "")
-        assert "(p - 1) * value bits must be at most 1000000000, got" in err
+        assert ("(p - 1) * max(value bits, 100) must be at most 1000000000,"
+                " got 10006 * 166094") in err
 
-    # p - 1 = 6 numerators, and 10 has 4 bits: 6 * 4 = 24.
-    @pytest.mark.parametrize("name,limit,accepted,message", [
-        ("SUFFIX_WORK_LIMIT", 6, True, "(p - 1) must be at most"),
-        ("SUFFIX_WORK_LIMIT", 5, False, "(p - 1) must be at most"),
-        ("SUFFIX_COST_LIMIT", 24, True, "(p - 1) * value bits must be at most"),
-        ("SUFFIX_COST_LIMIT", 23, False, "(p - 1) * value bits must be at most"),
+    # p - 1 = 6 numerators: a 4-bit value weighs 6 * 100 = 600, and a 201-bit
+    # one 6 * 201 = 1206.
+    @pytest.mark.parametrize("bits,limit,accepted", [
+        (4, 600, True), (4, 599, False), (201, 1206, True), (201, 1205, False),
     ])
-    def test_suffix_bounds_are_inclusive(
-        self, capsys, monkeypatch, name, limit, accepted, message
+    def test_suffix_bound_is_inclusive(
+        self, capsys, monkeypatch, bits, limit, accepted
     ):
-        monkeypatch.setattr(reptends.cli, name, limit)
+        monkeypatch.setattr(reptends.cli, "SUFFIX_COST_LIMIT", limit)
         if not accepted:
+            monkeypatch.setattr(reptends.cli, "_require_prime", no_work)
             monkeypatch.setattr(reptends.cli, "shared_suffix_length", no_work)
-        code, out, err = run_cli(capsys, "crossbase", "suffix", "10", "7", "3")
+        code, out, err = run_cli(
+            capsys, "crossbase", "suffix", str(2 ** (bits - 1)), "7", "3"
+        )
         assert code == (EXIT_OK if accepted else EXIT_USAGE)
-        assert (f"{message} {limit}" in err) is not accepted
+        message = f"(p - 1) * max(value bits, 100) must be at most {limit}, got 6 *"
+        assert (message in err) is not accepted
+
+    def test_suffix_bound_refuses_what_its_two_old_bounds_refused(
+        self, capsys, monkeypatch
+    ):
+        """One bound, (p - 1) * max(bits, 100) <= 10**9, in place of two.
+
+        They were p - 1 <= 10**7 and (p - 1) * bits <= 10**9; the grid is
+        around both edges, below, at and above 100 bits.
+        """
+        def old_verdict(p, bits):
+            return p - 1 <= 10**7 and (p - 1) * bits <= 10**9
+
+        def report(value, p, target_base):
+            return SuffixReport(value, p, target_base, 0, None)
+
+        monkeypatch.setattr(reptends.cli, "_require_prime", lambda p: None)
+        monkeypatch.setattr(reptends.cli, "shared_suffix_length", report)
+        for bits in (1, 4, 99, 100, 101, 200, 1000, 10000):
+            edges = (10**7, 10**9 // bits, -(-10**9 // bits))
+            for p in {edge + 1 + step for edge in edges for step in (-1, 0, 1)}:
+                code, _, _ = run_cli(
+                    capsys, "crossbase", "suffix", str(2 ** (bits - 1)), str(p), "3"
+                )
+                assert code == (EXIT_OK if old_verdict(p, bits) else EXIT_USAGE)
 
     def test_related_warns_on_divergence(self, capsys):
         code, out, err = run_cli(
@@ -755,9 +789,11 @@ class TestCrossbase:
         assert (out == "") is not accepted
 
     # 7 10 --base-limit 12 --max-digits 12 may search base 10 past its period
-    # 6 and bases 3, 5 and 12 past p - 1 = 6: (6 + 3 * 6) levels * 6 = 144
+    # 6 and bases 3, 5 and 12 past p - 1 = 6, 6 levels each.  A level holds
+    # the p - ceil(p / base) numerators that open nonzero: 6 in bases 10 and
+    # 12, 5 in base 5 and 4 in base 3.  So 6 * 6 + 6 * (4 + 5 + 6) = 126
     # candidates, all below 300 bits, so each weighs 300**2.
-    @pytest.mark.parametrize("limit,accepted", [(144, True), (143, False)])
+    @pytest.mark.parametrize("limit,accepted", [(126, True), (125, False)])
     def test_sweep_work_bound_is_inclusive(
         self, capsys, monkeypatch, limit, accepted
     ):

@@ -377,7 +377,7 @@ def bounded_sweep_inputs(draw):
 
 @settings(deadline=None, max_examples=40)
 @given(bounded_sweep_inputs())
-@example((7, 10, 12, 12))  # (6 + 3 * 6) levels * 6 = 144 candidates
+@example((7, 10, 12, 12))  # 6 * 6 + 6 * (4 + 5 + 6) = 126 candidates
 @example((7, 10, 50, 130))  # the anchor and its linked bases searched in full
 @example((2, 3, 12, 4))  # every odd base is a full reptend for p = 2
 def test_sweep_work_bound_is_an_upper_bound(args):

@@ -322,6 +322,26 @@ def test_subcyclic_work_estimate_is_an_upper_bound(p_base):
     assert 0 < sum(weights) <= estimate
 
 
+# Every candidate is below 300 bits, so each weighs 300**2 and the estimate
+# counts exactly the numerators classified: p - ceil(p / base) a level.
+@pytest.mark.parametrize("p,base", [
+    (7, 2), (7, 3), (7, 5), (11, 2), (13, 10), (41, 10), (97, 2), (7, 10), (3, 100),
+])
+def test_subcyclic_work_estimate_counts_the_classify_calls(p, base):
+    classify = reptends.cyclic_search.classify
+    calls = []
+
+    def classify_spy(n, *args):
+        assert n.bit_length() < 300
+        calls.append(n)
+        return classify(n, *args)
+
+    with mock.patch.object(reptends.cyclic_search, "classify", classify_spy):
+        enumerate_subcyclic_primes(p, base)
+    period = multiplicative_order(base, p)
+    assert work_estimate(p, base, 1, period) == len(calls) * 300**2
+
+
 # Cipolla (1904): for every prime q >= 5, (4**q - 1) / 3 is a base-2 Fermat
 # pseudoprime; it is "11...1" (q ones) in base 4, the level-q candidate of
 # numerator 1 in search 3 4.

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from reptends.cli import EXIT_OK, main
+from reptends.cli import EXIT_OK, _emit, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -70,6 +70,19 @@ def _checkpoint_bytes(directory: Path) -> bytes:
 def test_stdout_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert _stdout(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_handler_returns_the_document_that_main_prints(name):
+    """A handler prints nothing on stdout; main prints what it returns."""
+    args = build_parser().parse_args(CASES[name])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        document = args.handler(args)
+    assert out.getvalue() == ""
+    with contextlib.redirect_stdout(out):
+        _emit(args, *document)
+    assert out.getvalue() == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def test_checkpoint_bytes_match_golden(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reptends.crossbase import empirical_related_bases, shared_suffix_length
+from reptends.cyclic_search import candidate_value, digit_stream
 from reptends.digits import parse_digit_string, rotate
 from reptends.reptend import (
     NotFullReptendError,
@@ -167,6 +168,17 @@ def test_expand_fraction_matches_long_division(p, base, a, count):
 def test_every_coprime_check_names_base_and_p(call):
     with pytest.raises(ValueError, match="^base 14 shares a factor with 7$"):
         call()
+
+
+@pytest.mark.parametrize("base", [-10, 0, 1])
+@pytest.mark.parametrize("call", [
+    lambda base: candidate_value(7, base, 1, 3),
+    lambda base: next(digit_stream(7, base, 1)),
+    lambda base: expand_fraction(1, 7, base, 3),
+], ids=["candidate_value", "digit_stream", "expand_fraction"])
+def test_every_fraction_refuses_a_base_below_two(call, base):
+    with pytest.raises(ValueError, match=f"^base must be at least 2, got {base}$"):
+        call(base)
 
 
 class TestCyclicNumber:
