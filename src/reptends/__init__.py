@@ -20,13 +20,10 @@ from .cyclic_search import (
     CheckpointError,
     CheckpointMismatchError,
     CyclicPrimeRecord,
-    SearchCheckpoint,
     candidate_value,
     digit_stream,
     enumerate_cyclic_primes,
     enumerate_subcyclic_primes,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .digits import (
     ALPHABET,

@@ -8,23 +8,24 @@ another such stream.  Both searches walk digit-count levels of the streams,
 1..period for subcyclic primes and onward for cyclic ones.  A checkpoint
 file (JSON, written atomically and synced to disk) makes long runs resumable.
 
-Records and checkpoints are named tuples, so they also unpack, index and
-compare equal to plain tuples of their fields.
+Records are named tuples, so they also unpack, index and compare equal to
+plain tuples of their fields.
 """
 
 import json
 import os
 import tempfile
+from itertools import accumulate, repeat
+from operator import index
 from typing import Callable, Iterator, NamedTuple
 
 from .digits import DigitString, from_integer
 from .primality import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
-    TRIAL_DIVISION_BOUND,
     PrimalityVerdict,
-    _odd_part,
-    _strong_probable_prime,
+    _passes_base2_round,
+    _survivor,
     classify,
 )
 from .reptend import _require_fraction, multiplicative_order
@@ -45,7 +46,8 @@ class CheckpointError(RuntimeError):
 
 
 class CheckpointMismatchError(CheckpointError):
-    """The checkpoint belongs to a different search (p, base or rounds)."""
+    """The checkpoint belongs to a different search (p, base or rounds), or
+    its format_version is not the one this version writes."""
 
 
 class CyclicPrimeRecord(NamedTuple):
@@ -75,18 +77,6 @@ class CyclicPrimeRecord(NamedTuple):
         return from_integer(self.value, self.base)
 
 
-class SearchCheckpoint(NamedTuple):
-    """Resumable state of a search."""
-
-    format_version: int
-    p: int
-    base: int
-    max_digits: int
-    completed_through_digits: int
-    found: tuple[CyclicPrimeRecord, ...]
-    rounds: int
-
-
 def digit_stream(p: int, base: int, a: int) -> Iterator[int]:
     """Yield the digits of a/p in the given base, indefinitely.
 
@@ -95,11 +85,8 @@ def digit_stream(p: int, base: int, a: int) -> Iterator[int]:
     [7, 1, 4, 2, 8, 5, 7, 1]
     """
     _require_fraction(a, p, base)
-    r = a
-    while True:
-        r *= base
-        yield r // p
-        r %= p
+    remainders = accumulate(repeat(base), lambda r, b: r * b % p, initial=a)
+    return (r * base // p for r in remainders)
 
 
 def candidate_value(p: int, base: int, a: int, ndigits: int) -> int:
@@ -134,8 +121,9 @@ def enumerate_cyclic_primes(
     With a checkpoint_path, progress is saved after each level.  A path in a
     missing directory raises CheckpointError before the first level, and so
     does a failed write after it.  An existing checkpoint must describe the
-    same (p, base, rounds) search; max_digits may differ, so an interrupted
-    or shorter run can be extended.
+    same (p, base, rounds) search and be the document it writes, records in
+    walk order; max_digits may differ, so an interrupted or shorter run can
+    be extended.
     Resumption reproduces exactly the records an uninterrupted run returns.
     A p whose one level outweighs WORK_LIMIT is refused before its period.
     """
@@ -154,20 +142,7 @@ def enumerate_cyclic_primes(
             f"unusable checkpoint {checkpoint_path}: its directory does not exist"
         )
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        checkpoint = load_checkpoint(checkpoint_path)
-        if (checkpoint.p, checkpoint.base, checkpoint.rounds) != (p, base, rounds):
-            raise CheckpointMismatchError(
-                f"checkpoint is for p={checkpoint.p} base={checkpoint.base} "
-                f"rounds={checkpoint.rounds}, not p={p} base={base} rounds={rounds}"
-            )
-        _check_progress(checkpoint, period, max_digits, checkpoint_path)
-        completed = checkpoint.completed_through_digits
-        # The file is outside input, so its records are put in order here;
-        # every level searched below appends its records in order.
-        found = sorted(
-            (rec for rec in checkpoint.found if rec.digit_count <= max_digits),
-            key=lambda rec: (rec.digit_count, rec.rotation_numerator),
-        )
+        completed, found = _resume(checkpoint_path, p, base, rounds, period, max_digits)
     if completed >= max_digits:
         return found
 
@@ -179,15 +154,7 @@ def enumerate_cyclic_primes(
         if checkpoint_path is not None:
             try:
                 save_checkpoint(
-                    SearchCheckpoint(
-                        format_version=CHECKPOINT_FORMAT_VERSION,
-                        p=p,
-                        base=base,
-                        max_digits=max_digits,
-                        completed_through_digits=ndigits,
-                        found=tuple(found),
-                        rounds=rounds,
-                    ),
+                    _document(p, base, rounds, max_digits, ndigits, found),
                     checkpoint_path,
                 )
             except OSError as exc:
@@ -310,77 +277,80 @@ def _walk_levels(
         yield ndigits, records
 
 
-def _from_fields(cls, fields):
-    """cls(**fields), refusing a missing or unknown key, defaulted or not.
+def _document(
+    p: int, base: int, rounds: int, max_digits: int, done: int,
+    found: list[CyclicPrimeRecord],
+) -> dict:
+    """The checkpoint a search through max_digits writes after level done."""
+    return {
+        "format_version": CHECKPOINT_FORMAT_VERSION, "p": p, "base": base,
+        "max_digits": max_digits, "completed_through_digits": done,
+        "found": [{**rec._asdict(), "verdict": rec.verdict._asdict()}
+                  for rec in found],
+        "rounds": rounds,
+    }
 
-    An int field refuses any other type, bool included.
+
+def _resume(
+    path: str, p: int, base: int, rounds: int, period: int, max_digits: int
+) -> tuple[int, list[CyclicPrimeRecord]]:
+    """The completed level of the checkpoint at path, and its records within
+    max_digits.
+
+    The file must hold the document that this search writes, key for key and
+    type for type: records in walk order, with period < digit count <= the
+    completed level, each the record the walk writes at its digit count and
+    numerator.  One within max_digits must also pass classify's base-2
+    round, which refuses a digit count moved to a composite, base-2 Fermat
+    pseudoprimes such as 341 included; a deleted record is missed.
     """
-    if set(fields) != set(cls._fields):
-        raise KeyError(f"{cls.__name__} fields {sorted(fields)}")
-    for name, kind in cls.__annotations__.items():
-        if kind is int and type(fields[name]) is not int:
-            raise TypeError(f"{cls.__name__}.{name} is not an int: {fields[name]!r}")
-    return cls(**fields)
-
-
-def _check_progress(
-    checkpoint: SearchCheckpoint, period: int, max_digits: int, path: str
-) -> None:
-    """Refuse progress or records that this search's level walk cannot write.
-
-    A record's verdict must be the one classify gives a survivor of its
-    value's size.  A record within max_digits must also pass classify's
-    base-2 strong round (its lookup below 10**5), which refuses a digit
-    count moved to a composite, base-2 Fermat pseudoprimes such as 341
-    included; a deleted record is missed.
-    """
-    p, base, done = checkpoint.p, checkpoint.base, checkpoint.completed_through_digits
-    if done < period:
-        raise CheckpointError(
-            f"unusable checkpoint {path}: completed_through_digits {done} "
-            f"is below the period {period}"
-        )
-    cycle_index = _cycle_indexer(p, period)
-    # classify's verdict on a survivor, by size; a value below 2**64 has at
-    # most 64 digits, so a longer record's value is never built here.
-    prime = PrimalityVerdict("prime", 0)
-    probable = PrimalityVerdict("probable_prime", checkpoint.rounds)
-    seen = set()
-    for rec in checkpoint.found:
-        a, ndigits = rec.rotation_numerator, rec.digit_count
-        small = 0 < ndigits <= 64 and a * base**ndigits // p < DETERMINISTIC_BOUND
-        walked = rec._replace(
-            p=p, base=base, cycle_index=cycle_index(a), first_digit=a * base // p,
-            verdict=prime if small else probable,
-        )
-        if (rec != walked or not rec.first_digit or not period < ndigits <= done
-                or (ndigits, a) in seen
-                or ndigits <= max_digits and not _passes_base2_round(rec.value)):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        search = (CHECKPOINT_FORMAT_VERSION, p, base, rounds)
+        written_for = tuple(
+            index(doc[key]) for key in ("format_version", "p", "base", "rounds"))
+        if written_for != search:
+            raise CheckpointMismatchError(
+                f"checkpoint (format_version, p, base, rounds) is {written_for}, "
+                f"not {search}")
+        done = index(doc["completed_through_digits"])
+        if done < period:
             raise CheckpointError(
-                f"unusable checkpoint {path}: the search writes no record {rec}"
-            )
-        seen.add((ndigits, a))
+                f"unusable checkpoint {path}: completed_through_digits {done} "
+                f"is below the period {period}")
+        cycle_index = _cycle_indexer(p, period)
+        found: list[CyclicPrimeRecord] = []
+        last = (0, 0)
+        for entry in doc["found"]:
+            a, ndigits = index(entry["rotation_numerator"]), index(entry["digit_count"])
+            if not (period < ndigits <= done and last < (ndigits, a)
+                    and a in _numerators(p, base) and (ndigits > max_digits
+                    or _passes_base2_round(a * base**ndigits // p))):
+                raise CheckpointError(
+                    f"unusable checkpoint {path}: the search writes no record "
+                    f"digit_count={ndigits}, rotation_numerator={a}")
+            last = (ndigits, a)
+            # Above 64 digits a value is at least 2**64, which fixes its verdict.
+            value = a * base**ndigits // p if ndigits <= 64 else DETERMINISTIC_BOUND
+            found.append(CyclicPrimeRecord(p, base, cycle_index(a), a, ndigits,
+                                           a * base // p, _survivor(value, rounds)))
+        written = _document(p, base, rounds, index(doc["max_digits"]), done, found)
+        if json.dumps(doc, sort_keys=True) != json.dumps(written, sort_keys=True):
+            raise CheckpointError(
+                f"unusable checkpoint {path}: not the document the search writes")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"unusable checkpoint {path}: {exc}") from exc
+    return done, [rec for rec in found if rec.digit_count <= max_digits]
 
 
-def _passes_base2_round(v: int) -> bool:
-    """classify's lookup below 10**5, its strong base-2 round from there up."""
-    if v < TRIAL_DIVISION_BOUND:
-        return classify(v).is_prime
-    return _strong_probable_prime(v, 2, *_odd_part(v - 1))
-
-
-def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:
-    """Write the checkpoint atomically and durably.
+def save_checkpoint(doc: dict, path: str) -> None:
+    """Write the checkpoint document atomically and durably.
 
     The document goes to a temp file in the same directory, which is synced
     to disk before it is renamed over the old checkpoint, so a crash leaves
     either the old or the new checkpoint, never a partial one.
     """
-    doc = checkpoint._asdict()
-    doc["found"] = [
-        {**rec._asdict(), "verdict": rec.verdict._asdict()}
-        for rec in checkpoint.found
-    ]
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -393,26 +363,3 @@ def save_checkpoint(checkpoint: SearchCheckpoint, path: str) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
-
-
-def load_checkpoint(path: str) -> SearchCheckpoint:
-    """Read a checkpoint, failing closed on any structural problem."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-        version = doc["format_version"]
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointMismatchError(f"checkpoint format {version} unsupported")
-        if type(doc["found"]) is not list:
-            raise TypeError(f"found must be a list, got {doc['found']!r}")
-        found = tuple(
-            _from_fields(
-                CyclicPrimeRecord,
-                {**rec, "verdict": _from_fields(PrimalityVerdict, rec["verdict"])},
-            )
-            for rec in doc["found"]
-        )
-        checkpoint = _from_fields(SearchCheckpoint, {**doc, "found": found})
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"unusable checkpoint {path}: {exc}") from exc
-    return checkpoint

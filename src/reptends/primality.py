@@ -285,6 +285,20 @@ def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
     return False
 
 
+def _passes_base2_round(n: int) -> bool:
+    """classify's lookup below 10**5, its strong base-2 round from there up."""
+    if n < TRIAL_DIVISION_BOUND:
+        return classify(n).is_prime
+    return _strong_probable_prime(n, 2, *_odd_part(n - 1))
+
+
+def _survivor(n: int, rounds: int) -> PrimalityVerdict:
+    """classify's verdict on an n that passes every check it runs."""
+    if n < DETERMINISTIC_BOUND:
+        return _PRIME
+    return PrimalityVerdict("probable_prime", rounds)
+
+
 def _derived_witnesses(n: int, rounds: int) -> Iterator[int]:
     """Witnesses in [2, n-2] derived from a hash of n; no wall-clock entropy."""
     material = n.to_bytes((n.bit_length() + 7) // 8, "big")
@@ -386,16 +400,14 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
         coprime = math.gcd(n, _primorial(TRIAL_DIVISION_BOUND)) == 1
     if not coprime:
         return _COMPOSITE
-    d, s = _odd_part(n - 1)
-    # Below 2**64 the base-2 round and strong Lucas decide on their own.
-    derived_rounds = rounds if n >= DETERMINISTIC_BOUND else 0
-    if not _strong_probable_prime(n, 2, d, s):
+    if not _passes_base2_round(n):
         return _COMPOSITE
-    for a in _derived_witnesses(n, derived_rounds):
-        if not _strong_probable_prime(n, a, d, s):
-            return _COMPOSITE
+    # Below 2**64 the base-2 round and strong Lucas decide on their own.
+    if n >= DETERMINISTIC_BOUND:
+        d, s = _odd_part(n - 1)
+        for a in _derived_witnesses(n, rounds):
+            if not _strong_probable_prime(n, a, d, s):
+                return _COMPOSITE
     if not _strong_lucas_probable_prime(n):
         return _COMPOSITE
-    if derived_rounds:
-        return PrimalityVerdict("probable_prime", derived_rounds)
-    return _PRIME
+    return _survivor(n, rounds)

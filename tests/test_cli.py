@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -470,6 +471,60 @@ def test_checkpoint_record_the_walk_never_writes_exits_3(
                              "--checkpoint", str(path))
     assert (code, out) == (EXIT_CHECKPOINT, "")
     assert "unusable checkpoint" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["found"].insert(0, doc["found"].pop(1)),
+    # Records 1 and 2 read numerator 5 to 8 and 13 digits, both prime.
+    lambda doc: (doc["found"][1].update(digit_count=13),
+                 doc["found"][2].update(digit_count=8)),
+], ids=["swapped-records", "digit-count-past-a-later-one"])
+def test_checkpoint_records_out_of_walk_order_exit_3(capsys, tmp_path, edit):
+    """The walk writes its records by digit count, then numerator; the same
+    records in another order are not the document it writes."""
+    doc = json.loads(json.dumps(GOLDEN_CHECKPOINT))
+    edit(doc)
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "search", "7", "10", "--max-digits", "60",
+                             "--checkpoint", str(path))
+    assert (code, out) == (EXIT_CHECKPOINT, "")
+    assert "unusable checkpoint" in err
+
+
+def test_checkpoint_record_at_the_period_level_exits_3(capsys, tmp_path):
+    """2/3 reads "2" in base 4, a prime, but at the period's own level 1,
+    which the cyclic search never walks."""
+    path = tmp_path / "ck.json"
+    argv = ["search", "3", "4", "--checkpoint", str(path)]
+    assert run_cli(capsys, *argv, "--max-digits", "12")[0] == EXIT_OK
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["found"].insert(0, {**doc["found"][0], "cycle_index": 1, "digit_count": 1,
+                            "first_digit": 2, "rotation_numerator": 2})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--max-digits", "16")
+    assert (code, out) == (EXIT_CHECKPOINT, "")
+    assert "unusable checkpoint" in err and "digit_count=1," in err
+
+
+def test_checkpoint_record_past_max_digits_is_not_built(capsys, tmp_path):
+    """A record of 10**8 digits past --max-digits resumes by its size alone:
+    building its value would take far longer than a second."""
+    doc = json.loads(json.dumps(GOLDEN_CHECKPOINT))
+    doc["completed_through_digits"] = 10**8
+    doc["found"].append({
+        "base": 10, "cycle_index": 0, "digit_count": 10**8, "first_digit": 4,
+        "p": 7, "rotation_numerator": 3,
+        "verdict": {"status": "probable_prime", "witness_rounds": DEFAULT_ROUNDS},
+    })
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "search", "7", "10", "--max-digits", "60",
+                           "--format", "json", "--checkpoint", str(path))
+    assert time.perf_counter() - start < 1
+    expected = (GOLDEN / "search-7-10-60-json.txt").read_text(encoding="utf-8")
+    assert (code, out) == (EXIT_OK, expected)
 
 
 @pytest.mark.parametrize("numerator", [0, 13, -1, 14])

@@ -14,18 +14,15 @@ from reptends.cyclic_search import (
     CheckpointError,
     CheckpointMismatchError,
     CyclicPrimeRecord,
-    SearchCheckpoint,
     _cycle_indexer,
-    _passes_base2_round,
     candidate_value,
     digit_stream,
     enumerate_cyclic_primes,
     enumerate_subcyclic_primes,
-    load_checkpoint,
     save_checkpoint,
     work_estimate,
 )
-from reptends.primality import DEFAULT_ROUNDS, SMALL_PRIMES, classify
+from reptends.primality import SMALL_PRIMES, _passes_base2_round, classify
 from reptends.reptend import cycles, multiplicative_order, orbits
 
 
@@ -74,11 +71,11 @@ class TestDigitStream:
 
     def test_rejects_numerator_out_of_range(self):
         with pytest.raises(ValueError):
-            next(digit_stream(7, 10, 7))
+            digit_stream(7, 10, 7)
 
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):
-            next(digit_stream(5, 10, 1))
+            digit_stream(5, 10, 1)
 
 
 class TestCandidateValue:
@@ -359,6 +356,16 @@ def test_resume_check_passes_primes(v):
     assert _passes_base2_round(v)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def write_json(path, doc):
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+
+
 class TestCheckpoint:
     def test_fresh_run_matches_plain_enumeration(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -368,11 +375,10 @@ class TestCheckpoint:
     def test_resume_extends_previous_run(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 20, checkpoint_path=path)
-        checkpoint = load_checkpoint(path)
-        assert checkpoint.completed_through_digits == 20
+        assert read_json(path)["completed_through_digits"] == 20
         resumed = enumerate_cyclic_primes(7, 10, 35, checkpoint_path=path)
         assert resumed == enumerate_cyclic_primes(7, 10, 35)
-        assert load_checkpoint(path).completed_through_digits == 35
+        assert read_json(path)["completed_through_digits"] == 35
 
     def test_resume_past_completed_work_reuses_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -422,19 +428,16 @@ class TestCheckpoint:
     def test_unknown_or_missing_key_fails_closed(self, tmp_path, edit):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = read_json(path)
         edit(doc)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        write_json(path, doc)
         with pytest.raises(CheckpointError, match="unusable checkpoint"):
-            load_checkpoint(path)
+            enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
 
     def test_wire_format_keys(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = read_json(path)
         assert set(doc) == {
             "format_version", "p", "base", "max_digits",
             "completed_through_digits", "found", "rounds",
@@ -463,10 +466,10 @@ class TestCheckpoint:
         monkeypatch.setattr(os, "fsync", fsync)
         monkeypatch.setattr(os, "replace", replace)
         path = str(tmp_path / "ck.json")
-        checkpoint = SearchCheckpoint(1, 7, 10, 16, 16, (), DEFAULT_ROUNDS)
-        save_checkpoint(checkpoint, path)
+        doc = {"completed_through_digits": 16, "found": []}
+        save_checkpoint(doc, path)
         assert calls == ["fsync", "replace"]
-        assert load_checkpoint(path) == checkpoint
+        assert read_json(path) == doc
 
     @pytest.mark.parametrize("step", ["fsync", "replace"])
     def test_failed_write_keeps_the_old_checkpoint(self, tmp_path, monkeypatch, step):
@@ -478,20 +481,17 @@ class TestCheckpoint:
             raise OSError(f"{step} failed")
 
         monkeypatch.setattr(os, step, fail)
-        checkpoint = SearchCheckpoint(1, 7, 10, 20, 20, (), DEFAULT_ROUNDS)
         with pytest.raises(OSError, match=f"{step} failed"):
-            save_checkpoint(checkpoint, str(path))
+            save_checkpoint({"completed_through_digits": 20}, str(path))
         assert path.read_bytes() == before
         assert [entry.name for entry in tmp_path.iterdir()] == ["ck.json"]
 
     def test_unknown_format_version_refused(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
+        doc = read_json(path)
         doc["format_version"] = 99
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
+        write_json(path, doc)
         with pytest.raises(CheckpointMismatchError):
             enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
 

@@ -46,15 +46,15 @@ PUBLIC_SURFACE = [
     "ALPHABET", "CheckpointError", "CheckpointMismatchError",
     "CyclicPrimeRecord", "DEFAULT_ROUNDS", "DigitString",
     "NotFullReptendError", "PrimalityVerdict", "RelatedBaseGroup",
-    "ReptendProfile", "SearchCheckpoint", "SeriesSpec", "SuffixReport",
+    "ReptendProfile", "SeriesSpec", "SuffixReport",
     "candidate_value", "classify", "cross_render", "cycles", "cyclic_number",
     "digit_stream", "empirical_related_bases", "enumerate_cyclic_primes",
     "enumerate_series", "enumerate_subcyclic_primes", "expand_fraction",
     "fibonacci_partial", "from_integer", "from_integer_padded",
-    "is_full_reptend", "load_checkpoint", "multiplicative_order", "orbits",
+    "is_full_reptend", "multiplicative_order", "orbits",
     "parse_digit_string", "partial_sum", "related_bases_alternating",
     "related_bases_formula", "reptend_profile", "residual", "rotate",
-    "save_checkpoint", "series_params", "shared_suffix_length", "to_integer",
+    "series_params", "shared_suffix_length", "to_integer",
     "verify_cyclic_property", "verify_series",
 ]
 

@@ -1,6 +1,6 @@
 """The records are immutable, hashable, picklable values.
 
-Seven of them are named tuples, so they also unpack, index and compare
+Six of them are named tuples, so they also unpack, index and compare
 equal to plain tuples of their fields.  DigitString is a slotted class that
 compares equal only to another DigitString.
 """
@@ -15,7 +15,6 @@ from reptends import (
     PrimalityVerdict,
     RelatedBaseGroup,
     ReptendProfile,
-    SearchCheckpoint,
     SeriesSpec,
     SuffixReport,
     reptend_profile,
@@ -30,7 +29,6 @@ def make_records():
     return [
         verdict,
         record,
-        SearchCheckpoint(1, 7, 10, 12, 12, (record,), 40),
         shared_suffix_length(1428571, 7, 40),
         RelatedBaseGroup(10, (10, 40, 80), "alternating_3n_4n"),
         reptend_profile(13, 10),
@@ -39,7 +37,7 @@ def make_records():
 
 
 NAMED_TUPLES = [
-    PrimalityVerdict, CyclicPrimeRecord, SearchCheckpoint, SuffixReport,
+    PrimalityVerdict, CyclicPrimeRecord, SuffixReport,
     RelatedBaseGroup, ReptendProfile, SeriesSpec,
 ]
 

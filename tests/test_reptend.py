@@ -173,7 +173,7 @@ def test_every_coprime_check_names_base_and_p(call):
 @pytest.mark.parametrize("base", [-10, 0, 1])
 @pytest.mark.parametrize("call", [
     lambda base: candidate_value(7, base, 1, 3),
-    lambda base: next(digit_stream(7, base, 1)),
+    lambda base: digit_stream(7, base, 1),
     lambda base: expand_fraction(1, 7, base, 3),
 ], ids=["candidate_value", "digit_stream", "expand_fraction"])
 def test_every_fraction_refuses_a_base_below_two(call, base):
