@@ -27,9 +27,11 @@ from .cyclic_search import CheckpointError, enumerate_subcyclic_primes
 # The search runs under this name because benchmarks/tracing.py wraps
 # reptends.cli.search_with_checkpoint to time it and count its levels.
 from .cyclic_search import enumerate_cyclic_primes as search_with_checkpoint
-from .digits import ALPHABET, MAX_BASE, from_integer_padded, to_integer
+from .digits import ALPHABET, _require_alphabet, _require_radix, to_integer
+from .digits import from_integer_padded
 from .primality import DEFAULT_ROUNDS, SMALL_PRIMES
-from .reptend import _require_prime, multiplicative_order, reptend_profile
+from .reptend import _require_coprime, _require_prime, multiplicative_order
+from .reptend import reptend_profile
 from .series import enumerate_series, residual
 
 SCHEMA_VERSION = 1
@@ -114,15 +116,6 @@ def _record_cell(rec, elide_above: int) -> str:
     return _elided(rec.first_digit, rec.digit_count)
 
 
-def _require_alphabet(label: str, base: int) -> None:
-    """Refuse, before any work, a base whose digits cannot be printed."""
-    if not 2 <= base <= MAX_BASE:
-        raise ValueError(
-            f"{label} must be at least 2, and must be at most {MAX_BASE} to print"
-            f" digits, got {base}"
-        )
-
-
 def _require_digits(label: str, factor: int, base: int, exponent: int,
                     limit: int) -> None:
     """Refuse factor * base**exponent of more than limit digits.
@@ -143,7 +136,8 @@ def _require_digits(label: str, factor: int, base: int, exponent: int,
 
 
 def cmd_period(args) -> Document:
-    if args.base_min < 2 or args.base_max < args.base_min:
+    _require_radix(args.base_min, "base-min")
+    if args.base_max < args.base_min:
         raise ValueError("base range must satisfy 2 <= base-min <= base-max")
     if args.primes_max > SMALL_PRIMES[-1]:
         raise ValueError(f"primes-max above {SMALL_PRIMES[-1]} is not supported")
@@ -175,17 +169,16 @@ def cmd_period(args) -> Document:
 
 
 def cmd_cyclic(args) -> Document:
-    _require_alphabet("base", args.base)
+    _require_alphabet(args.base)
+    _require_coprime(args.base, args.p)
     # Every period is at least 1, so p alone is checked before the period,
     # which costs O(sqrt(p)) to find.
     p, limit = args.p, CYCLIC_WORK_LIMIT
     period = multiplicative_order(args.base, p) if p <= limit else None
-    if p > limit or period is not None and p * period > limit:
+    if p > limit or p * period > limit:
         got = f"got {p} * {period}" if period else f"p = {p} alone exceeds it"
         raise ValueError(f"p * period must be at most {limit}; {got}")
     profile = reptend_profile(args.p, args.base)
-    if profile.period is None:
-        raise ValueError(f"1/{args.p} has no period in base {args.base}")
     rows = []
     for index, rep in enumerate(profile.cycle_representatives):
         rows.append({"kind": "cycle", "index": index, "k": None, "value": str(rep)})
@@ -236,7 +229,7 @@ def _search_rows(records, elide_above):
 
 
 def cmd_search(args) -> Document:
-    _require_alphabet("base", args.base)
+    _require_alphabet(args.base)
 
     def on_level(ndigits, records):
         for rec in records:
@@ -269,8 +262,9 @@ def cmd_subcyclic(args) -> Document:
 
 
 def cmd_crossbase_render(args) -> Document:
-    _require_alphabet("anchor base", args.anchor_base)
-    _require_alphabet("target base", args.target_base)
+    _require_alphabet(args.anchor_base, "anchor base")
+    _require_alphabet(args.target_base, "target base")
+    _require_coprime(args.anchor_base, args.p, "anchor base")
     records = search_with_checkpoint(
         args.p, args.anchor_base, args.max_digits, rounds=args.rounds
     )

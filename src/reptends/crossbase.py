@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .cyclic_search import CyclicPrimeRecord, enumerate_cyclic_primes
 from .cyclic_search import _require_work, work_estimate
-from .digits import DigitString, _digit_count, from_integer
+from .digits import DigitString, _digit_count, _require_radix, from_integer
 from .primality import DEFAULT_ROUNDS
 from .reptend import _require_coprime, is_full_reptend, multiplicative_order
 
@@ -75,9 +75,7 @@ def shared_suffix_length(value: int, p: int, target_base: int) -> SuffixReport:
     is the count of trailing zero digits of the difference.  Digits are
     only counted, never rendered, so any base of at least 2 works.
     """
-    if target_base < 2:
-        raise ValueError(f"base must be at least 2, got {target_base}")
-    _require_coprime(target_base, p)
+    _require_coprime(target_base, p, "target base")
     if value < 1:
         raise ValueError("value must be positive")
     length = _digit_count(value, target_base)
@@ -102,8 +100,7 @@ def related_bases_alternating(anchor_base: int, count: int) -> RelatedBaseGroup:
     >>> related_bases_alternating(10, 5).members
     (10, 40, 80, 110, 150)
     """
-    if anchor_base < 2:
-        raise ValueError("anchor base must be at least 2")
+    _require_radix(anchor_base, "anchor base")
     if count < 1:
         raise ValueError("count must be at least 1")
     members = (anchor_base * (1 + 7 * (i // 2) + 3 * (i % 2)) for i in range(count))
@@ -119,6 +116,7 @@ def related_bases_formula(anchor_base: int, i: int, variant: str) -> int:
     >>> related_bases_formula(10, 2, "three_four")
     150
     """
+    _require_radix(anchor_base, "anchor base")
     if variant not in _CLOSED_FORMS:
         raise ValueError(f"variant must be one of {FORMULA_VARIANTS}")
     if i < 0:
@@ -178,14 +176,10 @@ def empirical_related_bases(
         raise ValueError(
             f"base_limit must be at most {SWEEP_BASE_LIMIT}, got {base_limit}"
         )
-    if anchor_base < 2:
-        raise ValueError(f"anchor base must be at least 2, got {anchor_base}")
-    _require_coprime(anchor_base, p)
-    if base_limit < 2:
-        raise ValueError(f"base_limit must be at least 2, got {base_limit}")
+    _require_coprime(anchor_base, p, "anchor base")
+    _require_radix(base_limit, "base_limit")
     _require_work(p)
     anchor_period = multiplicative_order(anchor_base, p)
-    assert anchor_period is not None
     if min_suffix is None:
         min_suffix = anchor_period
     elif min_suffix < 1:

@@ -28,7 +28,7 @@ from .primality import (
     _survivor,
     classify,
 )
-from .reptend import _require_fraction, multiplicative_order
+from .reptend import _require_coprime, _require_fraction, multiplicative_order
 # Unused here: benchmarks/tracing.py wraps reptends.cyclic_search.cycles by
 # name, and a traced run fails without it.
 from .reptend import cycles  # noqa: F401
@@ -128,15 +128,14 @@ def enumerate_cyclic_primes(
     A p whose one level outweighs WORK_LIMIT is refused before its period.
     """
     _require_work(p)
+    _require_coprime(base, p)
     period = multiplicative_order(base, p)
-    if period is None:
-        raise ValueError(f"base {base} shares a factor with {p}")
     if max_digits <= period:
         raise ValueError(f"max_digits must exceed the period {period}")
     found: list[CyclicPrimeRecord] = []
     completed = period
     if checkpoint_path is not None and not os.path.isdir(
-        os.path.dirname(os.path.abspath(checkpoint_path))
+        _checkpoint_directory(checkpoint_path)
     ):
         raise CheckpointError(
             f"unusable checkpoint {checkpoint_path}: its directory does not exist"
@@ -179,9 +178,8 @@ def enumerate_subcyclic_primes(
     [2, 5, 7, 71, 571, 857, 2857, 28571]
     """
     _require_work(p)
+    _require_coprime(base, p)
     period = multiplicative_order(base, p)
-    if period is None:
-        raise ValueError(f"base {base} shares a factor with {p}")
     _require_work(p, work_estimate(p, base, 1, period), f"levels 1..{period}")
     primes = {
         rec.value
@@ -344,6 +342,14 @@ def _resume(
     return done, [rec for rec in found if rec.digit_count <= max_digits]
 
 
+def _checkpoint_directory(path: str) -> str:
+    """The directory of path as given; a path that names no file is refused."""
+    directory, name = os.path.split(path)
+    if not name:
+        raise CheckpointError(f"unusable checkpoint {path!r}: it names no file")
+    return directory or os.curdir
+
+
 def save_checkpoint(doc: dict, path: str) -> None:
     """Write the checkpoint document atomically and durably.
 
@@ -351,8 +357,7 @@ def save_checkpoint(doc: dict, path: str) -> None:
     to disk before it is renamed over the old checkpoint, so a crash leaves
     either the old or the new checkpoint, never a partial one.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=_checkpoint_directory(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(json.dumps(doc, sort_keys=True))

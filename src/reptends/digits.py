@@ -27,8 +27,7 @@ class DigitString:
 
     def __init__(self, base: int, digits) -> None:
         digits = tuple(digits)
-        if base < 2:
-            raise ValueError(f"base must be at least 2, got {base}")
+        _require_radix(base)
         if not digits:
             raise ValueError("digit sequence must not be empty")
         for d in digits:
@@ -62,14 +61,22 @@ class DigitString:
 
     def __str__(self) -> str:
         """The numeral under the alphabet 0-9, A-Z, a-z; leading zeros kept."""
-        if self.base > MAX_BASE:
-            raise ValueError(f"no digit alphabet beyond base {MAX_BASE}")
+        _require_alphabet(self.base)
         return "".join(ALPHABET[d] for d in self.digits)
 
 
-def _check_base(base: int) -> None:
-    if not 2 <= base <= MAX_BASE:
-        raise ValueError(f"base must be in [2, {MAX_BASE}], got {base}")
+def _require_radix(base: int, label: str = "base") -> None:
+    """The radix rule: positional digits need a base of at least 2."""
+    if base < 2:
+        raise ValueError(f"{label} must be at least 2, got {base}")
+
+
+def _require_alphabet(base: int, label: str = "base") -> None:
+    """The radix rule, then the alphabet rule: digits as text need base <= 62."""
+    _require_radix(base, label)
+    if base > MAX_BASE:
+        raise ValueError(f"{label} must be at most {MAX_BASE}, the size of the"
+                         f" digit alphabet, got {base}")
 
 
 def parse_digit_string(text: str, base: int) -> DigitString:
@@ -80,7 +87,7 @@ def parse_digit_string(text: str, base: int) -> DigitString:
     >>> parse_digit_string("H5SMYBH", 40).digits
     (17, 5, 28, 22, 34, 11, 17)
     """
-    _check_base(base)
+    _require_alphabet(base)
     digits = []
     for c in text:
         if c not in _CHAR_VALUE:
@@ -119,7 +126,7 @@ def from_integer(value: int, base: int) -> DigitString:
 
     Zero renders as the single digit 0.
     """
-    _check_base(base)
+    _require_radix(base)
     if value < 0:
         raise ValueError("value must be non-negative")
     return from_integer_padded(value, base, _digit_count(value, base) or 1)
@@ -131,6 +138,7 @@ def from_integer_padded(value: int, base: int, length: int) -> DigitString:
     >>> from_integer_padded(76923, 10, 6).digits
     (0, 7, 6, 9, 2, 3)
     """
+    _require_radix(base)
     if not 0 <= value < base**length:
         raise ValueError(f"value needs more than {length} digits in base {base}")
     digits: list[int] = []

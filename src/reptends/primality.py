@@ -35,12 +35,15 @@ from bisect import bisect_left
 from itertools import compress
 from typing import Callable, Iterator, Literal, NamedTuple
 
-# The builtin module computes the same digests without loading OpenSSL, as
-# the stdlib's random.py does for sha512.
+# The builtin _sha2 (_sha256 before Python 3.12) computes the same digests
+# without loading OpenSSL, as the stdlib's random.py does for sha512.
 try:
-    from _sha256 import sha256
+    from _sha2 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 DEFAULT_ROUNDS = 40
 DETERMINISTIC_BOUND = 2**64

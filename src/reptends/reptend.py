@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .digits import DigitString, from_integer_padded, rotate, to_integer
+from .digits import DigitString, _require_radix, from_integer_padded, rotate, to_integer
 from .primality import classify
 
 
@@ -29,17 +29,16 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _require_coprime(base: int, p: int) -> None:
+def _require_coprime(base: int, p: int, label: str = "base") -> None:
+    _require_radix(base, label)
     if gcd(base, p) > 1:
-        raise ValueError(f"base {base} shares a factor with {p}")
+        raise ValueError(f"{label} {base} shares a factor with {p}")
 
 
 def _require_fraction(a: int, p: int, base: int) -> None:
     """Check that a/p is a proper fraction with a period in this base."""
     if not 1 <= a < p:
         raise ValueError(f"numerator must be in [1, {p - 1}], got {a}")
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
     _require_coprime(base, p)
 
 
@@ -66,8 +65,7 @@ def multiplicative_order(base: int, p: int) -> int | None:
     >>> multiplicative_order(10, 2) is None
     True
     """
-    if base < 2:
-        raise ValueError("base must be at least 2")
+    _require_radix(base)
     _require_prime(p)
     if gcd(base, p) > 1:
         return None
@@ -124,9 +122,8 @@ def orbits(p: int, base: int) -> list[tuple[int, ...]]:
     >>> orbits(13, 10)
     [(1, 10, 9, 12, 3, 4), (2, 7, 5, 11, 6, 8)]
     """
+    _require_coprime(base, p)
     period = multiplicative_order(base, p)
-    if period is None:
-        raise ValueError(f"base {base} shares a factor with {p}")
     classes = []
     seen = set()
     for a in range(1, p):

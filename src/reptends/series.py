@@ -44,8 +44,6 @@ def series_params(
     (14, 2)
     """
     _require_prime(p)
-    if base < 2:
-        raise ValueError("base must be at least 2")
     _require_coprime(base, p)
     if length < 1:
         raise ValueError("length must be at least 1")

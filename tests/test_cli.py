@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -354,6 +355,25 @@ class TestSearch:
         assert "found:" not in err
         assert "directory does not exist" in err
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("checkpoint", ["", "sub/"])
+    def test_checkpoint_naming_no_file_exits_3_before_any_level(
+        self, capsys, tmp_path, monkeypatch, checkpoint
+    ):
+        # The directory is the one the path names, not that of its absolute
+        # form: "" is not the parent of the working directory, "sub/" not it.
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(
+            capsys, "search", "7", "10", "--max-digits", "8",
+            "--checkpoint", checkpoint,
+        )
+        assert (code, out) == (EXIT_CHECKPOINT, "")
+        assert "found:" not in err
+        assert f"unusable checkpoint {checkpoint!r}: it names no file" in err
+        assert list(tmp_path.iterdir()) == [work]
+        assert list(work.iterdir()) == []
 
     def test_failed_checkpoint_write_exits_3_and_keeps_the_last_one(
         self, capsys, tmp_path, monkeypatch
@@ -997,7 +1017,10 @@ class TestParser:
         monkeypatch.setattr(reptends.cli, "reptend_profile", no_work)
         code, out, err = run_cli(capsys, *command)
         assert code == EXIT_USAGE
-        assert "must be at most 62" in err
+        # digits' radix and alphabet rules, in their owner's words.
+        assert re.fullmatch(r"error: (anchor |target )?base must be (at least 2|at"
+                            r" most 62, the size of the digit alphabet), got -?\d+\n",
+                            err)
         assert out == ""
 
     # Every option of every command with its default: --format everywhere,
@@ -1133,7 +1156,7 @@ class TestParser:
     @pytest.mark.parametrize("argv,message", [
         (["period", "--primes-max", "100000"],
          "primes-max above 99991 is not supported"),
-        (["cyclic", "7", "14"], "1/7 has no period in base 14"),
+        (["cyclic", "7", "14"], "base 14 shares a factor with 7"),
         (["search", "7", "14", "--max-digits", "8"], "base 14 shares a factor with 7"),
         (["subcyclic", "7", "14"], "base 14 shares a factor with 7"),
         (["crossbase", "suffix", "0", "7", "10"], "value must be positive"),

@@ -310,7 +310,7 @@ class TestEmpiricalSweep:
 def full_search_sweep(p, anchor_base, base_limit, min_suffix, max_digits):
     """The sweep with every base searched to max_digits: the reference."""
     if gcd(anchor_base, p) > 1:
-        raise ValueError(f"base {anchor_base} shares a factor with {p}")
+        raise ValueError(f"anchor base {anchor_base} shares a factor with {p}")
     if min_suffix is None:
         min_suffix = multiplicative_order(anchor_base, p)
     anchor_values = [

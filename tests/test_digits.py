@@ -107,8 +107,8 @@ class TestIntegerConversion:
             from_integer(-1, 10)
 
     def test_from_integer_rejects_bad_base(self):
-        with pytest.raises(ValueError):
-            from_integer(5, 63)
+        with pytest.raises(ValueError, match="^base must be at least 2, got 1$"):
+            from_integer(5, 1)
 
     def test_padded_keeps_leading_zeros(self):
         assert str(from_integer_padded(76923, 10, 6)) == "076923"

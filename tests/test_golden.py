@@ -8,14 +8,18 @@ and review the diff.
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import reptends
 from reptends.cli import EXIT_OK, _emit, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
 
 CASES = {
     "period": ["period"],
@@ -70,6 +74,17 @@ def _checkpoint_bytes(directory: Path) -> bytes:
 def test_stdout_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert _stdout(CASES[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fresh_interpreter_stdout_matches_golden(name):
+    """The entry point as a user runs it, with warnings as errors."""
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "reptends", *CASES[name]],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -159,14 +159,14 @@ def test_expand_fraction_matches_long_division(p, base, a, count):
     assert (digits.digits, remainders) == long_division(a, p, base, count)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: expand_fraction(1, 7, 14, 6),
-    lambda: shared_suffix_length(10, 7, 14),
-    lambda: empirical_related_bases(7, 14, 20),
-    lambda: series_params(7, 14, 2),
+@pytest.mark.parametrize("call,label", [
+    (lambda: expand_fraction(1, 7, 14, 6), "base"),
+    (lambda: shared_suffix_length(10, 7, 14), "target base"),
+    (lambda: empirical_related_bases(7, 14, 20), "anchor base"),
+    (lambda: series_params(7, 14, 2), "base"),
 ], ids=["fraction", "suffix", "sweep", "series"])
-def test_every_coprime_check_names_base_and_p(call):
-    with pytest.raises(ValueError, match="^base 14 shares a factor with 7$"):
+def test_every_coprime_check_names_base_and_p(call, label):
+    with pytest.raises(ValueError, match=f"^{label} 14 shares a factor with 7$"):
         call()
 
 

@@ -25,9 +25,9 @@ def test_import_skips_dataclasses_and_openssl():
     assert "reptends.cli" in loaded
     # dataclasses pulls in inspect, ast, dis and tokenize.
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
-    # Witnesses hash with the builtin _sha256 where the interpreter has it;
-    # hashlib maps OpenSSL's libcrypto through _hashlib.
-    if importlib.util.find_spec("_sha256") is not None:
+    # Witnesses hash with the builtin _sha2 (3.12 on) or _sha256 where the
+    # interpreter has one; hashlib maps OpenSSL's libcrypto through _hashlib.
+    if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         assert "_hashlib" not in loaded
     # libgmp is mapped through ctypes at its first kernel call, from 2**64 up.
     assert "ctypes" not in loaded
