@@ -19,7 +19,7 @@ from itertools import accumulate, repeat
 from operator import index
 from typing import Callable, Iterator, NamedTuple
 
-from .digits import DigitString, from_integer
+from .digits import DigitString, _require_radix, from_integer
 from .primality import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
@@ -199,6 +199,7 @@ def work_estimate(p: int, base: int, first: int, last: int) -> float:
     """
     from math import log2
 
+    _require_radix(base)
     bits = log2(base)
     knee = min(max(first, -int(-300 // bits)), last + 1)  # first level >= 300 bits
     squares = last * (last + 1) * (2 * last + 1) - knee * (knee - 1) * (2 * knee - 1)

@@ -24,15 +24,26 @@ strong Lucas chain.  Elsewhere, and wherever the library does not load,
 the builtin pow, math.gcd and a Python chain compute the same integers, so
 every verdict is the same with or without the library.
 
+ctypes releases the GIL during each libgmp call, so from 768 bits up,
+where the library loads and the process may run on more than one CPU, the
+rounds and the strong Lucas check of a candidate that passed the base-2
+round are shared among that many threads, each on libgmp temporaries of
+its own.  classify still runs on the calling thread, which takes a share
+too.  The verdict is the AND of the checks, so it does not depend on the
+split.  A failed check, or an exception on the calling thread
+(KeyboardInterrupt included), stops the other threads once their current
+check ends, and classify returns only after they have.
+
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
 """
 
 import functools
 import math
+import os
 import threading
 from bisect import bisect_left
-from itertools import compress
+from itertools import compress, count
 from typing import Callable, Iterator, Literal, NamedTuple
 
 # The builtin _sha2 (_sha256 before Python 3.12) computes the same digests
@@ -132,6 +143,10 @@ class _Gmp(NamedTuple):
     deep_coprime: Callable[[int], bool]
     # strong_lucas(n, d, s, Q) == _lucas_chain(n, d, s, Q).
     strong_lucas: Callable[[int, int, int, int], bool]
+    # worker(i) == (powmod, strong_lucas) for the i-th worker thread of a
+    # split confirmation, on temporaries of its own; made on first use.
+    worker: Callable[[int], tuple[Callable[[int, int, int], int],
+                                  Callable[[int, int, int, int], bool]]]
 
 
 @functools.cache
@@ -182,85 +197,103 @@ def _gmp() -> _Gmp | None:
         f[name].argtypes, f[name].restype = argtypes, restype
     load, store, gcd, cmp_ui = f["import"], f["export"], f["gcd"], f["cmp_ui"]
     mul, mod, mul_si, submul_ui = f["mul"], f["mod"], f["mul_si"], f["submul_ui"]
-    # One set of temporaries per process; the lock keeps threads off them,
-    # since ctypes releases the GIL during each call.  P holds the product
-    # of the primes past the prefix below 10**5 once deep_coprime needs it.
-    N, T, X, V, W, q, P = (Mpz() for _ in range(7))
-    for z in (N, T, X, V, W, q, P):
-        f["init"](z)
-    loaded_p = False
-    count = size_t()
-    lock = threading.Lock()
+
+    def temporaries(k: int) -> list[Mpz]:
+        zs = [Mpz() for _ in range(k)]
+        for z in zs:
+            f["init"](z)
+        return zs
 
     def put(z, v: int) -> None:  # z = v, for v >= 0
         raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
         load(z, len(raw), 1, 1, 1, 0, raw)
 
-    def powmod(a: int, e: int, m: int) -> int:
-        out = ctypes.create_string_buffer((m.bit_length() + 7) // 8)
-        with lock:
-            put(X, a)
-            put(V, e)
-            put(N, m)
-            f["powm"](T, X, V, N)
-            store(out, count, 1, 1, 1, 0, T)
-            return int.from_bytes(out.raw[: count.value], "big")
+    def kernel_set():
+        """powmod and strong_lucas on temporaries of their own.
 
-    def deep_coprime(n: int) -> bool:
-        nonlocal loaded_p
-        with lock:
-            if not loaded_p:
-                put(P, _primorial(TRIAL_DIVISION_BOUND))
-                loaded_p = True
-            put(N, n)
-            gcd(T, N, P)
-            return cmp_ui(T, 1) == 0
-
-    def strong_lucas(n: int, d: int, s: int, Q: int) -> bool:
-        """_lucas_chain(n, d, s, Q) step by step, for gcd(1 - 4Q, n) = 1.
-
-        V, W and q hold v, w and q; on a 1-bit X holds q * Q, and q is
-        squared before the multiply by Q, which keeps GMP's squaring path.
+        ctypes releases the GIL during each call, so two sets run at once on
+        two threads; each set's lock keeps a second thread off its own
+        temporaries.
         """
-        with lock:
-            put(N, n)
-            put(V, 2)
-            put(W, 1)
-            put(q, 1)
-            for bit in bin(d)[2:]:
-                mul(T, V, W)
-                submul_ui(T, q, 1)  # v's next value on a 1-bit, w's on a 0-bit
-                if bit == "1":
-                    mod(V, T, N)
-                    mul_si(X, q, Q)
-                    mul(T, W, W)
-                    submul_ui(T, X, 2)
-                    mod(W, T, N)
-                    mul(T, q, q)
-                    mul_si(T, T, Q)
-                else:
-                    mod(W, T, N)
+        N, T, X, V, W, q = temporaries(6)
+        nbytes = size_t()
+        lock = threading.Lock()
+
+        def powmod(a: int, e: int, m: int) -> int:
+            out = ctypes.create_string_buffer((m.bit_length() + 7) // 8)
+            with lock:
+                put(X, a)
+                put(V, e)
+                put(N, m)
+                f["powm"](T, X, V, N)
+                store(out, nbytes, 1, 1, 1, 0, T)
+                return int.from_bytes(out.raw[: nbytes.value], "big")
+
+        def strong_lucas(n: int, d: int, s: int, Q: int) -> bool:
+            """_lucas_chain(n, d, s, Q) step by step, for gcd(1 - 4Q, n) = 1.
+
+            V, W and q hold v, w and q; on a 1-bit X holds q * Q, and q is
+            squared before the multiply by Q, which keeps GMP's squaring path.
+            """
+            with lock:
+                put(N, n)
+                put(V, 2)
+                put(W, 1)
+                put(q, 1)
+                for bit in bin(d)[2:]:
+                    mul(T, V, W)
+                    submul_ui(T, q, 1)  # v's next value on a 1-bit, w's on a 0-bit
+                    if bit == "1":
+                        mod(V, T, N)
+                        mul_si(X, q, Q)
+                        mul(T, W, W)
+                        submul_ui(T, X, 2)
+                        mod(W, T, N)
+                        mul(T, q, q)
+                        mul_si(T, T, Q)
+                    else:
+                        mod(W, T, N)
+                        mul(T, V, V)
+                        submul_ui(T, q, 2)
+                        mod(V, T, N)
+                        mul(T, q, q)
+                    mod(q, T, N)
+                mul_si(T, W, 2)
+                submul_ui(T, V, 1)
+                mod(T, T, N)
+                if cmp_ui(V, 0) == 0 or cmp_ui(T, 0) == 0:
+                    return True
+                for _ in range(s - 1):
                     mul(T, V, V)
                     submul_ui(T, q, 2)
                     mod(V, T, N)
+                    if cmp_ui(V, 0) == 0:
+                        return True
                     mul(T, q, q)
-                mod(q, T, N)
-            mul_si(T, W, 2)
-            submul_ui(T, V, 1)
-            mod(T, T, N)
-            if cmp_ui(V, 0) == 0 or cmp_ui(T, 0) == 0:
-                return True
-            for _ in range(s - 1):
-                mul(T, V, V)
-                submul_ui(T, q, 2)
-                mod(V, T, N)
-                if cmp_ui(V, 0) == 0:
-                    return True
-                mul(T, q, q)
-                mod(q, T, N)
-            return False
+                    mod(q, T, N)
+                return False
 
-    return _Gmp(powmod, deep_coprime, strong_lucas)
+        return powmod, strong_lucas
+
+    # The gcd has a set of its own: G holds n, then the gcd, and P the
+    # product of the primes past the prefix below 10**5 once it is needed.
+    G, P = temporaries(2)
+    loaded_p = False
+    gcd_lock = threading.Lock()
+
+    def deep_coprime(n: int) -> bool:
+        nonlocal loaded_p
+        with gcd_lock:
+            if not loaded_p:
+                put(P, _primorial(TRIAL_DIVISION_BOUND))
+                loaded_p = True
+            put(G, n)
+            gcd(G, G, P)
+            return cmp_ui(G, 1) == 0
+
+    powmod, strong_lucas = kernel_set()
+    worker = functools.cache(lambda i: kernel_set())
+    return _Gmp(powmod, deep_coprime, strong_lucas, worker)
 
 
 def _odd_part(m: int) -> tuple[int, int]:
@@ -269,16 +302,19 @@ def _odd_part(m: int) -> tuple[int, int]:
     return m >> s, s
 
 
-def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+def _strong_probable_prime(n: int, a: int, d: int, s: int, powmod=None) -> bool:
     """One strong-pseudoprime round: n-1 = d * 2**s with d odd.
 
-    From 2**64 up a**d mod n comes from libgmp's powmod where it loads.
-    The builtin pow wins below about 60 bits, where the ctypes calls' 8 us
-    are most of the cost (6 against 8 us at 40 bits), and loses 1.3x at 65
-    bits and 7-10x from 512 bits up.
+    a**d mod n comes from powmod where a caller passes one.  Otherwise it
+    comes from libgmp's powmod from 2**64 up, where the library loads.  The
+    builtin pow wins below about 60 bits, where the ctypes calls' 8 us are
+    most of the cost (6 against 8 us at 40 bits), and loses 1.3x at 65 bits
+    and 7-10x from 512 bits up.
     """
-    gmp = _gmp() if n >= DETERMINISTIC_BOUND else None
-    x = gmp.powmod(a, d, n) if gmp is not None else pow(a, d, n)
+    if powmod is None:
+        gmp = _gmp() if n >= DETERMINISTIC_BOUND else None
+        powmod = gmp.powmod if gmp is not None else pow
+    x = powmod(a, d, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(s - 1):
@@ -326,13 +362,13 @@ def _jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-def _strong_lucas_probable_prime(n: int) -> bool:
+def _strong_lucas_probable_prime(n: int, chain=None) -> bool:
     """Strong Lucas test with Selfridge parameters (P=1, Q=(1-D)/4).
 
     Expects odd n from 10**5 up: every |D| the parameter search reaches
     before a Jacobi symbol of -1 is then far below n, so a symbol of 0 proves
-    n composite.  classify calls it from 10**5 up.  The chain runs in
-    libgmp from _SHALLOW_GCD_BITS up, where it loads.
+    n composite.  classify calls it from 10**5 up.  The chain is the one a
+    caller passes, else libgmp's from _SHALLOW_GCD_BITS up, where it loads.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -345,8 +381,9 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             break
         D = -D - 2 if D > 0 else -D + 2
     d, s = _odd_part(n + 1)
-    gmp = _gmp() if n.bit_length() >= _SHALLOW_GCD_BITS else None
-    chain = gmp.strong_lucas if gmp is not None else _lucas_chain
+    if chain is None:
+        gmp = _gmp() if n.bit_length() >= _SHALLOW_GCD_BITS else None
+        chain = gmp.strong_lucas if gmp is not None else _lucas_chain
     return chain(n, d, s, (1 - D) // 4)
 
 
@@ -375,6 +412,63 @@ def _lucas_chain(n: int, d: int, s: int, Q: int) -> bool:
     return False
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _confirm_on_threads(n: int, rounds: int, gmp: _Gmp, threads: int) -> bool:
+    """True when n passes strong Lucas and `rounds` hash-derived rounds.
+
+    This thread and up to threads - 1 workers each take the next check in
+    turn, the costliest, strong Lucas, first.  Each worker runs on
+    libgmp temporaries of its own, since ctypes releases the GIL during
+    every call.  A failed check stops the others at their next turn, and so
+    does an exception here, KeyboardInterrupt included: the join that
+    follows waits for at most one check a worker.  A worker's exception is
+    raised here after the join.  The verdict is the AND of the checks, so
+    it does not depend on which thread ran which.
+    """
+    checks = [None, *_derived_witnesses(n, rounds)]  # None: strong Lucas
+    d, s = _odd_part(n - 1)
+    take = count().__next__  # one C call, so no two threads get one index
+    stop = threading.Event()
+    failed, raised = [], []
+
+    def share(powmod, chain) -> None:
+        while not stop.is_set() and (i := take()) < len(checks):
+            a = checks[i]
+            if not (_strong_lucas_probable_prime(n, chain) if a is None
+                    else _strong_probable_prime(n, a, d, s, powmod)):
+                failed.append(a)
+                stop.set()
+
+    def work(powmod, chain) -> None:
+        try:
+            share(powmod, chain)
+        except BaseException as exc:
+            raised.append(exc)
+            stop.set()
+
+    workers = [threading.Thread(target=work, args=gmp.worker(i),
+                                name=f"reptends-confirm-{i}")
+               for i in range(1, min(threads, len(checks)))]
+    try:
+        for worker in workers:
+            worker.start()
+        share(gmp.powmod, gmp.strong_lucas)
+    finally:
+        stop.set()
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
+    if raised:
+        raise raised[0]
+    return not failed
+
+
 def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     """Classify a non-negative integer as prime, composite or probable prime.
 
@@ -395,6 +489,7 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     for p in _TRIAL_PREFIX:
         if n % p == 0:
             return _COMPOSITE
+    gmp = None
     if n.bit_length() < _SHALLOW_GCD_BITS:
         coprime = math.gcd(n, _primorial(_SHALLOW_GCD_BOUND)) == 1
     elif (gmp := _gmp()) is not None:
@@ -405,6 +500,10 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
         return _COMPOSITE
     if not _passes_base2_round(n):
         return _COMPOSITE
+    # From 768 bits up, where libgmp loads, threads can share the rest.
+    if gmp is not None and (threads := _usable_cpus()) > 1:
+        passed = _confirm_on_threads(n, rounds, gmp, threads)
+        return _survivor(n, rounds) if passed else _COMPOSITE
     # Below 2**64 the base-2 round and strong Lucas decide on their own.
     if n >= DETERMINISTIC_BOUND:
         d, s = _odd_part(n - 1)

@@ -35,6 +35,7 @@ from reptends import (
     shared_suffix_length,
 )
 from reptends.cli import EXIT_OK, EXIT_USAGE, main
+from reptends.cyclic_search import work_estimate
 
 RADIX = "{label} must be at least 2, got {base}"
 COPRIME = "{label} {base} shares a factor with 7"
@@ -71,6 +72,7 @@ RADIX_FUNCTIONS = {
     "related_bases_formula": (lambda b: related_bases_formula(b, 2, "three_four"),
                               "anchor base"),
     "reptend_profile": (lambda b: reptend_profile(7, b), "base"),
+    "work_estimate": (lambda b: work_estimate(7, b, 1, 5), "base"),
 }
 # Functions that turn digits into text or text into digits.
 ALPHABET_FUNCTIONS = {

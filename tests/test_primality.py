@@ -1,8 +1,11 @@
 import hashlib
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -705,3 +708,187 @@ def test_deep_gcd_has_one_outcome_on_both_paths(factors, monkeypatch):
 def test_odd_part_splits_off_every_factor_of_two(m):
     d, s = _odd_part(m)
     assert d % 2 == 1 and d << s == m
+
+
+# The split confirmation: from _SHALLOW_GCD_BITS up, with libgmp and more
+# than one usable CPU, classify shares a hit's rounds and strong Lucas check
+# among threads named reptends-confirm-<i>.
+SPLIT_HIT = catalog_value(5, 273)  # 907 bits: the catalog's least split hit
+
+
+def confirm_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("reptends-confirm")]
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make the process see `cpus` as the CPUs it may run on."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
+
+
+def spy_on_checks(monkeypatch, fails=()):
+    """[(witness, or None for strong Lucas; name of the thread that ran it)].
+
+    The checks in `fails` report failure without running."""
+    ran = []
+    real_round = primality._strong_probable_prime
+    real_lucas = primality._strong_lucas_probable_prime
+
+    def round_(n, a, d, s, *kernel):
+        ran.append((a, threading.current_thread().name))
+        return a not in fails and real_round(n, a, d, s, *kernel)
+
+    def lucas(n, *kernel):
+        ran.append((None, threading.current_thread().name))
+        return None not in fails and real_lucas(n, *kernel)
+
+    monkeypatch.setattr(primality, "_strong_probable_prime", round_)
+    monkeypatch.setattr(primality, "_strong_lucas_probable_prime", lucas)
+    return ran
+
+
+@needs_gmp
+def test_split_runs_every_check_on_more_than_one_thread(monkeypatch):
+    usable_cpus(monkeypatch, {0, 1})
+    ran = spy_on_checks(monkeypatch)
+    assert classify(SPLIT_HIT) == ("probable_prime", DEFAULT_ROUNDS)
+    # 2: the base-2 round, which runs before the split.
+    checks = {2, None, *_derived_witnesses(SPLIT_HIT, DEFAULT_ROUNDS)}
+    assert {a for a, _ in ran} == checks
+    assert {name for _, name in ran} == {"MainThread", "reptends-confirm-1"}
+    assert confirm_threads() == []
+
+
+@needs_gmp
+def test_every_check_runs_once_on_more_threads_than_cores(monkeypatch):
+    """Eight threads take checks from one counter, switching every us: a
+    check taken twice or never would show in the tally."""
+    usable_cpus(monkeypatch, range(8))
+    ran = spy_on_checks(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        verdicts = [classify(SPLIT_HIT) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert verdicts == [("probable_prime", DEFAULT_ROUNDS)] * 5
+    checks = [2, None, *_derived_witnesses(SPLIT_HIT, DEFAULT_ROUNDS)]
+    assert sorted(str(a) for a, _ in ran) == sorted(map(str, checks * 5))
+    assert confirm_threads() == []
+
+
+@needs_gmp
+@pytest.mark.parametrize("failing", [None, *range(DEFAULT_ROUNDS)],
+                         ids=["lucas", *(f"round-{k}" for k in range(DEFAULT_ROUNDS))])
+def test_one_failed_check_makes_the_split_verdict_composite(failing, monkeypatch):
+    """Whichever thread takes the failing check, the verdict is composite,
+    and no worker is left alive."""
+    usable_cpus(monkeypatch, {0, 1})
+    witnesses = list(_derived_witnesses(SPLIT_HIT, DEFAULT_ROUNDS))
+    check = None if failing is None else witnesses[failing]
+    ran = spy_on_checks(monkeypatch, fails={check})
+    assert classify(SPLIT_HIT) == ("composite", 0)
+    assert check in {a for a, _ in ran}
+    assert confirm_threads() == []
+
+
+@needs_gmp
+def test_a_worker_exception_is_raised_by_classify(monkeypatch):
+    usable_cpus(monkeypatch, {0, 1})
+
+    def round_(n, a, d, s, *kernel):
+        if threading.current_thread().name != "MainThread":
+            raise ArithmeticError("worker")
+        time.sleep(0.001)  # leaves the worker time to start and take a round
+        return True
+
+    monkeypatch.setattr(primality, "_strong_probable_prime", round_)
+    with pytest.raises(ArithmeticError, match="worker"):
+        classify(SPLIT_HIT)
+    assert confirm_threads() == []
+
+
+@needs_gmp
+def test_two_kernel_sets_run_at_once_on_two_threads():
+    kernels = _gmp()
+    sets = [(kernels.powmod, kernels.strong_lucas), kernels.worker(1)]
+    assert kernels.worker(1) is sets[1] and kernels.worker(2) != sets[1]
+    # Each thread gets its own cases: powers at 1024 and 2048 bits, and the
+    # chains of catalog hits, Mersenne primes and composites.
+    powers = [[(a, m - 1 >> 1, m) for a in (2, 3, 5)
+               for m in (2**bits - 1 - 2 * k for k in range(2))]
+              for bits in (1024, 2048)]
+    chains = [[selfridge_chain(n) for n in (catalog_value(5, 273), 2**1279 - 1,
+                                             catalog_value(5, 273) * 3 + 2)],
+              [selfridge_chain(n) for n in (catalog_value(2, 304), 2**607 - 1,
+                                             catalog_value(2, 304) + 2)]]
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        powmod, strong_lucas = sets[i]
+        start.wait()
+        results[i] = ([powmod(*case) for case in powers[i] * 8],
+                      [strong_lucas(*chain) for chain in chains[i] * 2])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    for i in (0, 1):
+        assert results[i] == ([pow(*case) for case in powers[i]] * 8,
+                              [_lucas_chain(*chain) for chain in chains[i]] * 2)
+    assert results[0][1][:3] == results[1][1][:3] == [True, True, False]
+
+
+@needs_gmp
+def test_823_digit_prime_has_one_verdict_on_one_and_two_cpus(monkeypatch):
+    n = 10**823 // 7
+    assert n == catalog_value(1, 823)
+    verdicts, names = [], []
+    for cpus in ({0}, {0, 1}):
+        usable_cpus(monkeypatch, cpus)
+        ran = spy_on_checks(monkeypatch)
+        verdicts.append(classify(n))
+        names.append({name for _, name in ran})
+        monkeypatch.undo()
+    assert verdicts == [("probable_prime", DEFAULT_ROUNDS)] * 2
+    assert names == [{"MainThread"}, {"MainThread", "reptends-confirm-1"}]
+
+
+INTERRUPTED_CLASSIFY = """
+import threading
+from reptends.primality import classify
+print("ready", flush=True)
+try:
+    classify(10**823 // 7, rounds=1000)
+except KeyboardInterrupt:
+    print("threads", threading.active_count(), flush=True)
+    raise
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGINT") or os.name != "posix",
+                    reason="needs POSIX signals")
+def test_ctrl_c_ends_a_split_confirmation_within_a_round():
+    """1000 rounds at 823 digits take seconds; Ctrl-C ends them at once."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_CLASSIFY], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src))
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)
+        assert proc.poll() is None
+        sent = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        elapsed = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert out == "threads 1\n"
+    assert elapsed < 1.0

@@ -10,18 +10,21 @@ import reptends
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
 
 
-def modules_after_import() -> set[str]:
+def modules_after(code: str = "") -> set[str]:
+    """sys.modules after `import reptends.cli` and then `code`, in a fresh
+    interpreter; the names are the last line of its stdout."""
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, reptends.cli; print(' '.join(sorted(sys.modules)))"],
+         f"import sys, reptends.cli\n{code}\n"
+         "print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    return set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
 
 
 def test_import_skips_dataclasses_and_openssl():
-    loaded = modules_after_import()
+    loaded = modules_after()
     assert "reptends.cli" in loaded
     # dataclasses pulls in inspect, ast, dis and tokenize.
     assert {"dataclasses", "inspect"}.isdisjoint(loaded)
@@ -31,3 +34,16 @@ def test_import_skips_dataclasses_and_openssl():
         assert "_hashlib" not in loaded
     # libgmp is mapped through ctypes at its first kernel call, from 2**64 up.
     assert "ctypes" not in loaded
+
+
+def test_import_skips_thread_pools_and_logging():
+    # concurrent.futures imports logging; classify starts plain threads.
+    assert {"concurrent.futures", "logging"}.isdisjoint(modules_after())
+
+
+def test_split_confirmation_loads_no_logging():
+    # 310 digits reach the catalog hits at 273 and 304 digits, which classify
+    # confirms on threads where libgmp loads and two CPUs are usable.
+    loaded = modules_after(
+        "reptends.cli.main(['search', '7', '10', '--max-digits', '310'])")
+    assert "logging" not in loaded
