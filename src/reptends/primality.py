@@ -1,38 +1,22 @@
 """Primality classification for arbitrary-precision integers.
 
-Two regimes, by size:
+Below 10**5, n is looked up among the primes under 10**5.  From 10**5 up,
+a prefix of those primes is tried with `%`, and one gcd with the product of
+the primes past it up to a bound finds small factors.  One
+strong-pseudoprime round to base 2 then screens out most composites
+cheaply, and a strong Lucas check with Selfridge parameters follows.  Below
+2**64 those two checks (BPSW: Baillie & Wagstaff, Math. Comp. 1980) decide,
+since no composite there passes both (Baillie, Fiori & Wagstaff, Math.
+Comp. 2021).  From 2**64 up, the requested number of rounds with witnesses
+derived from a hash of the candidate (so results are reproducible across
+runs and processes) run as well.  No composite is known to survive that
+combination, and a survivor is reported as a probable prime.
 
-1. Below 10**5, n is looked up among the primes under 10**5.
-2. From 10**5 up, a prefix of those primes is tried with `%`, and one gcd
-   with the product of the primes past it up to a bound that grows with n
-   finds small factors.  The bound is 4096 below 768 bits and 10**5 from
-   768 bits up: below that the gcd with every prime under 10**5 costs about
-   as much as the base-2 rounds it saves, or more.  One strong-pseudoprime
-   round to base 2 then screens out most composites cheaply, and a strong
-   Lucas check with Selfridge parameters follows.  Below 2**64 those two
-   checks (BPSW: Baillie & Wagstaff, Math. Comp. 1980) decide, since no
-   composite there passes both (Baillie, Fiori & Wagstaff, Math. Comp.
-   2021).  From 2**64 up, the requested number of rounds with witnesses
-   derived from a hash of the candidate (so results are reproducible across
-   runs and processes) run between them.  No composite is known to
-   survive that combination, and a survivor is reported as a probable prime.
-
-Three kernels go through the system's GNU MP library (libgmp), by ctypes,
-where it loads: from 2**64 up each round's power a**d mod n (mpz_powm),
-and from 768 bits up the gcd with the primes below 10**5 (mpz_gcd) and the
-strong Lucas chain.  Elsewhere, and wherever the library does not load,
-the builtin pow, math.gcd and a Python chain compute the same integers, so
-every verdict is the same with or without the library.
-
-ctypes releases the GIL during each libgmp call, so from 768 bits up,
-where the library loads and the process may run on more than one CPU, the
-rounds and the strong Lucas check of a candidate that passed the base-2
-round are shared among that many threads, each on libgmp temporaries of
-its own.  classify still runs on the calling thread, which takes a share
-too.  The verdict is the AND of the checks, so it does not depend on the
-split.  A failed check, or an exception on the calling thread
-(KeyboardInterrupt included), stops the other threads once their current
-check ends, and classify returns only after they have.
+The size rule above _plan picks the gcd's bound, the kernels (builtin, or
+the system's GNU MP library, libgmp, through ctypes) and the threads that
+share the checks after the base-2 round.  Each libgmp kernel returns what
+its builtin counterpart returns, and the verdict is the AND of the checks,
+so it is the same with or without the library, on any number of threads.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -42,7 +26,7 @@ import functools
 import math
 import os
 import threading
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import compress, count
 from typing import Callable, Iterator, Literal, NamedTuple
 
@@ -73,33 +57,6 @@ def _sieve(limit: int) -> tuple[int, ...]:
 SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
 # Primes tried one by one before the gcd; most trial-division kills land here.
 _TRIAL_PREFIX = SMALL_PRIMES[:128]
-
-
-# n with fewer bits than this takes the gcd with the primes below
-# _SHALLOW_GCD_BOUND only, larger n with every prime below 10**5.
-# Below 768 bits a gcd costs about 10 us at bound 4096 and 0.1-0.3 ms at
-# 10**5, and the primes in between expose about 1 - ln 4096 / ln 10**5 =
-# 28 % of the composites that reach them.  That saves more than the extra
-# gcd costs only from about 520 bits, and by under 0.3 ms a candidate up to
-# 768 bits (CPython 3.11), while the 10**5 product takes about 20 ms to
-# build once per process.  So runs that stay below 768 bits never build it;
-# a run would need some 80-200 candidates of 520-767 bits to repay it.
-# From 768 bits up libgmp also takes the gcd and the strong Lucas chain.
-# Each ctypes call costs about 0.5 us, and the chain makes 8 on a 0-bit of
-# d and 10 on a 1-bit, so libgmp pays only on large n.  Best of 5 (chains:
-# of 7), median of 3 random n; repeated runs differ by up to 25 %:
-#
-#   bits                    65     512    768    1024   1280   2734
-#   chain, Python (ms)      0.058  2.4    5.6    12.5   20     165
-#   chain, libgmp (ms)      0.45   3.8    4.0    7.1    9.0    36
-#   gcd 10**5, Python (us)  102    225    276    360    399    839
-#   gcd 10**5, libgmp (us)  23     41     50     69     73     150
-#
-# The chains break even near 700 bits, so one split serves all three
-# choices.  Runs below 768 bits, the cross-base sweep's included, use the
-# library for powers only.
-_SHALLOW_GCD_BITS = 768
-_SHALLOW_GCD_BOUND = 4096
 
 
 @functools.cache
@@ -302,18 +259,8 @@ def _odd_part(m: int) -> tuple[int, int]:
     return m >> s, s
 
 
-def _strong_probable_prime(n: int, a: int, d: int, s: int, powmod=None) -> bool:
-    """One strong-pseudoprime round: n-1 = d * 2**s with d odd.
-
-    a**d mod n comes from powmod where a caller passes one.  Otherwise it
-    comes from libgmp's powmod from 2**64 up, where the library loads.  The
-    builtin pow wins below about 60 bits, where the ctypes calls' 8 us are
-    most of the cost (6 against 8 us at 40 bits), and loses 1.3x at 65 bits
-    and 7-10x from 512 bits up.
-    """
-    if powmod is None:
-        gmp = _gmp() if n >= DETERMINISTIC_BOUND else None
-        powmod = gmp.powmod if gmp is not None else pow
+def _strong_probable_prime(n: int, a: int, d: int, s: int, powmod=pow) -> bool:
+    """One strong-pseudoprime round, n-1 = d * 2**s with d odd, on powmod."""
     x = powmod(a, d, n)
     if x == 1 or x == n - 1:
         return True
@@ -328,7 +275,7 @@ def _passes_base2_round(n: int) -> bool:
     """classify's lookup below 10**5, its strong base-2 round from there up."""
     if n < TRIAL_DIVISION_BOUND:
         return classify(n).is_prime
-    return _strong_probable_prime(n, 2, *_odd_part(n - 1))
+    return _strong_probable_prime(n, 2, *_odd_part(n - 1), _plan(n).powmod)
 
 
 def _survivor(n: int, rounds: int) -> PrimalityVerdict:
@@ -362,31 +309,6 @@ def _jacobi(a: int, n: int) -> int:
     return t if n == 1 else 0
 
 
-def _strong_lucas_probable_prime(n: int, chain=None) -> bool:
-    """Strong Lucas test with Selfridge parameters (P=1, Q=(1-D)/4).
-
-    Expects odd n from 10**5 up: every |D| the parameter search reaches
-    before a Jacobi symbol of -1 is then far below n, so a symbol of 0 proves
-    n composite.  classify calls it from 10**5 up.  The chain is the one a
-    caller passes, else libgmp's from _SHALLOW_GCD_BITS up, where it loads.
-    """
-    if math.isqrt(n) ** 2 == n:
-        return False
-    D = 5
-    while True:
-        j = _jacobi(D % n, n)
-        if j == 0:
-            return False
-        if j == -1:
-            break
-        D = -D - 2 if D > 0 else -D + 2
-    d, s = _odd_part(n + 1)
-    if chain is None:
-        gmp = _gmp() if n.bit_length() >= _SHALLOW_GCD_BITS else None
-        chain = gmp.strong_lucas if gmp is not None else _lucas_chain
-    return chain(n, d, s, (1 - D) // 4)
-
-
 def _lucas_chain(n: int, d: int, s: int, Q: int) -> bool:
     """True when U_d = 0 or V_(d*2**r) = 0 mod n for some r < s.
 
@@ -412,6 +334,27 @@ def _lucas_chain(n: int, d: int, s: int, Q: int) -> bool:
     return False
 
 
+def _strong_lucas_probable_prime(n: int, chain=_lucas_chain) -> bool:
+    """Strong Lucas test with Selfridge parameters (P=1, Q=(1-D)/4).
+
+    Expects odd n from 10**5 up: every |D| the parameter search reaches
+    before a Jacobi symbol of -1 is then far below n, so a symbol of 0 proves
+    n composite.  classify calls it from 10**5 up, with its row's chain.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D % n, n)
+        if j == 0:
+            return False
+        if j == -1:
+            break
+        D = -D - 2 if D > 0 else -D + 2
+    d, s = _odd_part(n + 1)
+    return chain(n, d, s, (1 - D) // 4)
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where there is one."""
     if hasattr(os, "sched_getaffinity"):
@@ -419,48 +362,121 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _confirm_on_threads(n: int, rounds: int, gmp: _Gmp, threads: int) -> bool:
+# The size rule: _plan reads every choice classify makes by n's size, from
+# 10**5 up, from one row of _rows.  What sets each bound (CPython 3.11):
+#
+# gcd bound 10**5 from 768 bits.  Below that a gcd costs about 10 us at
+# bound 4096 and 0.1-0.3 ms at 10**5, and the primes in between expose
+# about 1 - ln 4096 / ln 10**5 = 28 % of the composites that reach them.
+# That saves more than the extra gcd costs only from about 520 bits, and by
+# under 0.3 ms a candidate up to 768 bits, while the 10**5 product takes
+# about 20 ms to build once per process.  So runs that stay below 768 bits
+# never build it; a run would need some 80-200 candidates of 520-767 bits
+# to repay it.
+#
+# libgmp's power from 2**64.  The builtin pow wins below about 60 bits,
+# where the ctypes calls' 8 us are most of the cost (6 against 8 us at 40
+# bits), and loses 1.3x at 65 bits and 7-10x from 512 bits up.
+#
+# libgmp's gcd and Lucas chain from 768 bits.  Each ctypes call costs
+# about 0.5 us, and the chain makes 8 on a 0-bit of d and 10 on a 1-bit, so
+# libgmp pays only on large n: the chains break even near 700 bits.  Best
+# of 5 (chains: of 7), median of 3 random n; runs differ by up to 25 %:
+#
+#   bits                    65     512    768    1024   1280   2734
+#   chain, Python (ms)      0.058  2.4    5.6    12.5   20     165
+#   chain, libgmp (ms)      0.45   3.8    4.0    7.1    9.0    36
+#   gcd 10**5, Python (us)  102    225    276    360    399    839
+#   gcd 10**5, libgmp (us)  23     41     50     69     73     150
+#
+# Threads from 768 bits, where libgmp computes both kernels: ctypes
+# releases the GIL during each libgmp call.  On a 2-vCPU VM the 823-digit
+# hit took 0.25 s on one CPU and 0.13 s on two.
+_SHALLOW_GCD_BITS = 768
+_SHALLOW_GCD_BOUND = 4096
+_ROW_FROM_BITS = (DETERMINISTIC_BOUND.bit_length(), _SHALLOW_GCD_BITS)
+
+
+class _Plan(NamedTuple):
+    """A row of the size rule; coprime(n) is gcd(n, _primorial(gcd_bound)) == 1."""
+
+    gcd_bound: int
+    coprime: Callable[[int], bool]
+    powmod: Callable[[int, int, int], int]
+    chain: Callable[[int, int, int, int], bool]
+    threads: int  # 0 in _rows: _usable_cpus(), which _plan reads on each call
+    worker: Callable[[int], tuple] | None
+
+
+@functools.cache
+def _rows(gmp: _Gmp | None) -> tuple[_Plan, ...]:
+    """_plan's rows, on libgmp's kernels or, for None, the builtin ones.
+
+    Row i + 1 starts at _ROW_FROM_BITS[i] bits.
+    """
+
+    def coprime_to(bound: int) -> Callable[[int], bool]:
+        return lambda n: math.gcd(n, _primorial(bound)) == 1
+
+    shallow, threads = coprime_to(_SHALLOW_GCD_BOUND), 0 if gmp else 1
+    if gmp is None:  # the builtin kernels in every row, on one thread
+        gmp = _Gmp(pow, coprime_to(TRIAL_DIVISION_BOUND), _lucas_chain, None)
+    return (  # gcd bound, gcd, power, Lucas chain, threads, worker kernels
+        _Plan(_SHALLOW_GCD_BOUND, shallow, pow, _lucas_chain, 1, None),  # 17-64 bits
+        _Plan(_SHALLOW_GCD_BOUND, shallow, gmp.powmod, _lucas_chain, 1, None),  # 65-767
+        _Plan(TRIAL_DIVISION_BOUND, gmp.deep_coprime, gmp.powmod,  # 768 and up
+              gmp.strong_lucas, threads, gmp.worker),
+    )
+
+
+def _plan(n: int) -> _Plan:
+    """n's row of the size rule, for n from 10**5 up."""
+    gmp = _gmp() if n >= DETERMINISTIC_BOUND else None  # row 0 needs no libgmp
+    row = _rows(gmp)[bisect_right(_ROW_FROM_BITS, n.bit_length())]
+    return row if row.threads else row._replace(threads=_usable_cpus())
+
+
+def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
     """True when n passes strong Lucas and `rounds` hash-derived rounds.
 
-    This thread and up to threads - 1 workers each take the next check in
-    turn, the costliest, strong Lucas, first.  Each worker runs on
-    libgmp temporaries of its own, since ctypes releases the GIL during
-    every call.  A failed check stops the others at their next turn, and so
-    does an exception here, KeyboardInterrupt included: the join that
-    follows waits for at most one check a worker.  A worker's exception is
-    raised here after the join.  The verdict is the AND of the checks, so
-    it does not depend on which thread ran which.
+    This thread and up to plan.threads - 1 workers, each on kernels of its
+    own, take the next check in turn, strong Lucas, the costliest, first.  A
+    failed check stops the others at their next turn, and so does an
+    exception here, KeyboardInterrupt included: the join that follows waits
+    for at most one check a worker.  A worker's exception is raised here
+    after the join.  The verdict is the AND of the checks, so it does not
+    depend on which thread ran which.
     """
     checks = [None, *_derived_witnesses(n, rounds)]  # None: strong Lucas
     d, s = _odd_part(n - 1)
     take = count().__next__  # one C call, so no two threads get one index
-    stop = threading.Event()
-    failed, raised = [], []
+    failed, raised = [], []  # a nonempty failed stops every thread
 
     def share(powmod, chain) -> None:
-        while not stop.is_set() and (i := take()) < len(checks):
+        while not failed and (i := take()) < len(checks):
             a = checks[i]
             if not (_strong_lucas_probable_prime(n, chain) if a is None
                     else _strong_probable_prime(n, a, d, s, powmod)):
                 failed.append(a)
-                stop.set()
 
     def work(powmod, chain) -> None:
         try:
             share(powmod, chain)
         except BaseException as exc:
             raised.append(exc)
-            stop.set()
+            failed.append(exc)
 
-    workers = [threading.Thread(target=work, args=gmp.worker(i),
+    workers = [threading.Thread(target=work, args=plan.worker(i),
                                 name=f"reptends-confirm-{i}")
-               for i in range(1, min(threads, len(checks)))]
+               for i in range(1, min(plan.threads, len(checks)))]
     try:
         for worker in workers:
             worker.start()
-        share(gmp.powmod, gmp.strong_lucas)
+        share(plan.powmod, plan.chain)
+    except BaseException:
+        failed.append(None)
+        raise
     finally:
-        stop.set()
         for worker in workers:
             if worker.is_alive():
                 worker.join()
@@ -474,7 +490,7 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
 
     Deterministic (witness_rounds 0) below 2**64, where a base-2
     strong-pseudoprime round and a strong Lucas check decide; from 2**64 up,
-    `rounds` hash-derived rounds run between the two, and a survivor is a
+    `rounds` hash-derived rounds run as well, and a survivor is a
     probable_prime.  Identical inputs give identical verdicts in every run.
     """
     if rounds < 1:
@@ -489,27 +505,11 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     for p in _TRIAL_PREFIX:
         if n % p == 0:
             return _COMPOSITE
-    gmp = None
-    if n.bit_length() < _SHALLOW_GCD_BITS:
-        coprime = math.gcd(n, _primorial(_SHALLOW_GCD_BOUND)) == 1
-    elif (gmp := _gmp()) is not None:
-        coprime = gmp.deep_coprime(n)
-    else:
-        coprime = math.gcd(n, _primorial(TRIAL_DIVISION_BOUND)) == 1
-    if not coprime:
+    plan = _plan(n)
+    if not plan.coprime(n):
         return _COMPOSITE
-    if not _passes_base2_round(n):
+    if not _strong_probable_prime(n, 2, *_odd_part(n - 1), plan.powmod):
         return _COMPOSITE
-    # From 768 bits up, where libgmp loads, threads can share the rest.
-    if gmp is not None and (threads := _usable_cpus()) > 1:
-        passed = _confirm_on_threads(n, rounds, gmp, threads)
-        return _survivor(n, rounds) if passed else _COMPOSITE
     # Below 2**64 the base-2 round and strong Lucas decide on their own.
-    if n >= DETERMINISTIC_BOUND:
-        d, s = _odd_part(n - 1)
-        for a in _derived_witnesses(n, rounds):
-            if not _strong_probable_prime(n, a, d, s):
-                return _COMPOSITE
-    if not _strong_lucas_probable_prime(n):
-        return _COMPOSITE
-    return _survivor(n, rounds)
+    passed = _confirm(n, rounds if n >= DETERMINISTIC_BOUND else 0, plan)
+    return _survivor(n, rounds) if passed else _COMPOSITE

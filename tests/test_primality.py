@@ -28,6 +28,8 @@ from reptends.primality import (
     _jacobi,
     _lucas_chain,
     _odd_part,
+    _passes_base2_round,
+    _plan,
     _primorial,
     _strong_lucas_probable_prime,
     _sieve,
@@ -694,9 +696,9 @@ def test_deep_gcd_has_one_outcome_on_both_paths(factors, monkeypatch):
     assert n.bit_length() >= _SHALLOW_GCD_BITS
     rounds = []
 
-    def spy(n, a, d, s):
+    def spy(n, a, d, s, *kernel):
         rounds.append(a)
-        return _strong_probable_prime(n, a, d, s)
+        return _strong_probable_prime(n, a, d, s, *kernel)
 
     monkeypatch.setattr(primality, "_strong_probable_prime", spy)
     assert verdicts_with_and_without_gmp(n) == (("composite", 0),) * 2
@@ -777,19 +779,41 @@ def test_every_check_runs_once_on_more_threads_than_cores(monkeypatch):
     assert confirm_threads() == []
 
 
+FAILING_CHECKS = [None, *range(DEFAULT_ROUNDS)]
+FAILING_IDS = ["lucas", *(f"round-{k}" for k in range(DEFAULT_ROUNDS))]
+
+
 @needs_gmp
-@pytest.mark.parametrize("failing", [None, *range(DEFAULT_ROUNDS)],
-                         ids=["lucas", *(f"round-{k}" for k in range(DEFAULT_ROUNDS))])
-def test_one_failed_check_makes_the_split_verdict_composite(failing, monkeypatch):
+@pytest.mark.parametrize(
+    "cpus, failing",
+    [({0, 1}, f) for f in FAILING_CHECKS] + [({0}, f) for f in FAILING_CHECKS],
+    ids=FAILING_IDS + [f"one-cpu-{name}" for name in FAILING_IDS])
+def test_one_failed_check_makes_the_split_verdict_composite(cpus, failing, monkeypatch):
     """Whichever thread takes the failing check, the verdict is composite,
-    and no worker is left alive."""
-    usable_cpus(monkeypatch, {0, 1})
+    and no worker is left alive.  On one CPU no worker starts, and the
+    checks stop at the failing one."""
+    usable_cpus(monkeypatch, cpus)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     witnesses = list(_derived_witnesses(SPLIT_HIT, DEFAULT_ROUNDS))
     check = None if failing is None else witnesses[failing]
     ran = spy_on_checks(monkeypatch, fails={check})
     assert classify(SPLIT_HIT) == ("composite", 0)
     assert check in {a for a, _ in ran}
     assert confirm_threads() == []
+    if len(cpus) == 1:
+        # 2: the base-2 round; then strong Lucas and the rounds, in order.
+        checks = [2, None, *witnesses]
+        assert ran == [(a, "MainThread") for a in checks[: checks.index(check) + 1]]
+        assert started == []
+    else:
+        assert started == ["reptends-confirm-1"]
 
 
 @needs_gmp
@@ -856,6 +880,55 @@ def test_823_digit_prime_has_one_verdict_on_one_and_two_cpus(monkeypatch):
         monkeypatch.undo()
     assert verdicts == [("probable_prime", DEFAULT_ROUNDS)] * 2
     assert names == [{"MainThread"}, {"MainThread", "reptends-confirm-1"}]
+
+
+# The size rule's boundaries: the last n below 2**64 and the first from it,
+# and the least n of 767 and of 768 bits.
+PLAN_BOUNDARIES = [DETERMINISTIC_BOUND - 1, DETERMINISTIC_BOUND,
+                   2 ** (_SHALLOW_GCD_BITS - 2), 2 ** (_SHALLOW_GCD_BITS - 1)]
+
+
+@pytest.mark.parametrize("n", PLAN_BOUNDARIES,
+                         ids=["2^64-1", "2^64", "767-bits", "768-bits"])
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("loads", [pytest.param(True, marks=needs_gmp), False],
+                         ids=["libgmp", "no-libgmp"])
+def test_plan_table_at_each_boundary(n, cpus, loads, monkeypatch):
+    """_plan's row for n, and the base-2 round's kernel on both of its paths."""
+    usable_cpus(monkeypatch, cpus)
+    gmp, loaded = (_gmp() if loads else None), []
+
+    def load():
+        loaded.append(n)
+        return gmp
+
+    monkeypatch.setattr(primality, "_gmp", load)
+    deep = n.bit_length() >= _SHALLOW_GCD_BITS
+    plan = _plan(n)
+    # Below 2**64 the row takes no libgmp kernel, so the library stays unloaded.
+    assert bool(loaded) == (n >= DETERMINISTIC_BOUND)
+    assert plan.gcd_bound == (TRIAL_DIVISION_BOUND if deep else _SHALLOW_GCD_BOUND)
+    assert plan.powmod is (gmp.powmod if gmp and n >= DETERMINISTIC_BOUND else pow)
+    assert plan.chain is (gmp.strong_lucas if gmp and deep else _lucas_chain)
+    assert plan.threads == (len(cpus) if gmp and deep else 1)
+    assert plan.worker is (gmp.worker if gmp and deep else None)
+    # m: no prime factor below 10**5, and as many bits as n, so the same row.
+    m = rough_at_least(2 ** (n.bit_length() - 1))
+    assert m.bit_length() == n.bit_length() and _plan(m) == plan
+    assert plan.coprime(m)
+    for q in (PAST_PREFIX[0], DEEP_ONLY_PRIMES[0]):
+        assert plan.coprime(q * m) == (q >= plan.gcd_bound)
+    kernels = []
+
+    def spy(n, a, d, s, *kernel):
+        if a == 2:
+            kernels.append(kernel)
+        return _strong_probable_prime(n, a, d, s, *kernel)
+
+    monkeypatch.setattr(primality, "_strong_probable_prime", spy)
+    classify(m)
+    _passes_base2_round(m)
+    assert kernels == [(plan.powmod,)] * 2
 
 
 INTERRUPTED_CLASSIFY = """

@@ -32,7 +32,8 @@ def test_import_skips_dataclasses_and_openssl():
     # interpreter has one; hashlib maps OpenSSL's libcrypto through _hashlib.
     if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         assert "_hashlib" not in loaded
-    # libgmp is mapped through ctypes at its first kernel call, from 2**64 up.
+    # libgmp is mapped through ctypes once a candidate from 2**64 up reaches
+    # the gcd, never at import.
     assert "ctypes" not in loaded
 
 
