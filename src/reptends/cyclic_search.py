@@ -118,12 +118,10 @@ def enumerate_cyclic_primes(
     with a nonzero digit; results are sorted by (digit_count, numerator).
     on_level receives each level's records as soon as the level is done.
 
-    With a checkpoint_path, progress is saved after each level.  A path in a
-    missing directory raises CheckpointError before the first level, and so
-    does a failed write after it.  An existing checkpoint must describe the
-    same (p, base, rounds) search and be the document it writes, records in
-    walk order; max_digits may differ, so an interrupted or shorter run can
-    be extended.
+    With a checkpoint_path, _resume reads the search's progress there before
+    the first level and save_checkpoint writes it after each; both raise
+    CheckpointError for a file they cannot use.  max_digits may differ from
+    the checkpoint's, so an interrupted or shorter run can be extended.
     Resumption reproduces exactly the records an uninterrupted run returns.
     A p whose one level outweighs WORK_LIMIT is refused before its period.
     """
@@ -132,17 +130,10 @@ def enumerate_cyclic_primes(
     period = multiplicative_order(base, p)
     if max_digits <= period:
         raise ValueError(f"max_digits must exceed the period {period}")
-    found: list[CyclicPrimeRecord] = []
-    completed = period
-    if checkpoint_path is not None and not os.path.isdir(
-        _checkpoint_directory(checkpoint_path)
-    ):
-        raise CheckpointError(
-            f"unusable checkpoint {checkpoint_path}: its directory does not exist"
-        )
-    if checkpoint_path is not None and os.path.exists(checkpoint_path):
+    completed, found = period, []
+    if checkpoint_path is not None:
         completed, found = _resume(checkpoint_path, p, base, rounds, period, max_digits)
-    if completed >= max_digits:
+    if completed >= max_digits:  # nothing to walk, so base**completed is not built
         return found
 
     levels = _walk_levels(p, base, period, completed + 1, max_digits, rounds)
@@ -151,15 +142,8 @@ def enumerate_cyclic_primes(
         if on_level is not None:
             on_level(ndigits, records)
         if checkpoint_path is not None:
-            try:
-                save_checkpoint(
-                    _document(p, base, rounds, max_digits, ndigits, found),
-                    checkpoint_path,
-                )
-            except OSError as exc:
-                raise CheckpointError(
-                    f"cannot write checkpoint {checkpoint_path}: {exc}"
-                ) from exc
+            save_checkpoint(_document(p, base, rounds, max_digits, ndigits, found),
+                            checkpoint_path)
     return found
 
 
@@ -293,8 +277,9 @@ def _document(
 def _resume(
     path: str, p: int, base: int, rounds: int, period: int, max_digits: int
 ) -> tuple[int, list[CyclicPrimeRecord]]:
-    """The completed level of the checkpoint at path, and its records within
-    max_digits.
+    """The completed level of the checkpoint at path and its records within
+    max_digits, or (period, []) where no file is; a path that names no file
+    or lies in a missing directory is refused.
 
     The file must hold the document that this search writes, key for key and
     type for type: records in walk order, with period < digit count <= the
@@ -303,6 +288,9 @@ def _resume(
     round, which refuses a digit count moved to a composite, base-2 Fermat
     pseudoprimes such as 341 included; a deleted record is missed.
     """
+    if not os.path.isdir(_checkpoint_directory(path)):
+        raise CheckpointError(
+            f"unusable checkpoint {path}: its directory does not exist")
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -338,6 +326,8 @@ def _resume(
         if json.dumps(doc, sort_keys=True) != json.dumps(written, sort_keys=True):
             raise CheckpointError(
                 f"unusable checkpoint {path}: not the document the search writes")
+    except FileNotFoundError:
+        return period, []
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"unusable checkpoint {path}: {exc}") from exc
     return done, [rec for rec in found if rec.digit_count <= max_digits]
@@ -356,16 +346,20 @@ def save_checkpoint(doc: dict, path: str) -> None:
 
     The document goes to a temp file in the same directory, which is synced
     to disk before it is renamed over the old checkpoint, so a crash leaves
-    either the old or the new checkpoint, never a partial one.
+    either the old or the new checkpoint, never a partial one.  A failed
+    write removes the temp file and raises CheckpointError from its OSError.
     """
-    fd, tmp_path = tempfile.mkstemp(dir=_checkpoint_directory(path), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(doc, sort_keys=True))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd, tmp_path = tempfile.mkstemp(dir=_checkpoint_directory(path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(json.dumps(doc, sort_keys=True))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc

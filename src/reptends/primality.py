@@ -25,20 +25,21 @@ to the plain tuple (status, witness_rounds).
 import functools
 import math
 import os
+import sys
 import threading
 from bisect import bisect_left, bisect_right
 from itertools import compress, count
 from typing import Callable, Iterator, Literal, NamedTuple
 
-# The builtin _sha2 (_sha256 before Python 3.12) computes the same digests
-# without loading OpenSSL, as the stdlib's random.py does for sha512.
+# This interpreter's builtin _sha2 (_sha256 before Python 3.12) computes the
+# same digests without loading OpenSSL, as the stdlib's random.py does for sha512.
 try:
-    from _sha2 import sha256
-except ImportError:
-    try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
         from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+except ImportError:
+    from hashlib import sha256
 
 DEFAULT_ROUNDS = 40
 DETERMINISTIC_BOUND = 2**64
@@ -431,8 +432,8 @@ def _rows(gmp: _Gmp | None) -> tuple[_Plan, ...]:
 
 def _plan(n: int) -> _Plan:
     """n's row of the size rule, for n from 10**5 up."""
-    gmp = _gmp() if n >= DETERMINISTIC_BOUND else None  # row 0 needs no libgmp
-    row = _rows(gmp)[bisect_right(_ROW_FROM_BITS, n.bit_length())]
+    i = bisect_right(_ROW_FROM_BITS, n.bit_length())
+    row = _rows(_gmp() if i else None)[i]  # row 0 needs no libgmp
     return row if row.threads else row._replace(threads=_usable_cpus())
 
 
@@ -511,5 +512,5 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     if not _strong_probable_prime(n, 2, *_odd_part(n - 1), plan.powmod):
         return _COMPOSITE
     # Below 2**64 the base-2 round and strong Lucas decide on their own.
-    passed = _confirm(n, rounds if n >= DETERMINISTIC_BOUND else 0, plan)
-    return _survivor(n, rounds) if passed else _COMPOSITE
+    verdict = _survivor(n, rounds)
+    return verdict if _confirm(n, verdict.witness_rounds, plan) else _COMPOSITE

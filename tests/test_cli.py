@@ -356,6 +356,18 @@ class TestSearch:
         assert "directory does not exist" in err
         assert not path.parent.exists()
 
+    def test_checkpoint_naming_a_directory_exits_3_before_any_level(
+        self, capsys, tmp_path
+    ):
+        code, out, err = run_cli(
+            capsys, "search", "7", "10", "--max-digits", "8",
+            "--checkpoint", str(tmp_path),
+        )
+        assert (code, out) == (EXIT_CHECKPOINT, "")
+        assert "found:" not in err
+        assert f"unusable checkpoint {tmp_path}: " in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("checkpoint", ["", "sub/"])
     def test_checkpoint_naming_no_file_exits_3_before_any_level(
         self, capsys, tmp_path, monkeypatch, checkpoint

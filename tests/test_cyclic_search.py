@@ -481,8 +481,11 @@ class TestCheckpoint:
             raise OSError(f"{step} failed")
 
         monkeypatch.setattr(os, step, fail)
-        with pytest.raises(OSError, match=f"{step} failed"):
+        with pytest.raises(CheckpointError, match=f"cannot write checkpoint .*"
+                           f"{step} failed") as raised:
             save_checkpoint({"completed_through_digits": 20}, str(path))
+        assert type(raised.value.__cause__) is OSError
+        assert str(raised.value.__cause__) == f"{step} failed"
         assert path.read_bytes() == before
         assert [entry.name for entry in tmp_path.iterdir()] == ["ck.json"]
 
