@@ -7,6 +7,9 @@ circular substring of a single period: the first L <= period digits of
 another such stream.  Both searches walk digit-count levels of the streams,
 1..period for subcyclic primes and onward for cyclic ones.  A checkpoint
 file (JSON, written atomically and synced to disk) makes long runs resumable.
+A search saves it after a level that found records, after the last level,
+and once the levels since its last save reach a quarter of WORK_LIMIT in
+estimated work, so a crash loses only levels that found no record.
 
 Records are named tuples, so they also unpack, index and compare equal to
 plain tuples of their fields.
@@ -39,6 +42,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 # libgmp on a 2-core VM, classify's mean cost per candidate is 0.5-1.2x
 # max(bits, 300)**2 / 7200 µs from 300 to 2732 bits: about 17 s of classify.
 WORK_LIMIT = 125 * 10**9
+
+# The work a search does between checkpoint saves when no level finds a
+# record: about 4 s of classify, by WORK_LIMIT's calibration.
+_SAVE_WORK = WORK_LIMIT // 4
 
 
 class CheckpointError(RuntimeError):
@@ -119,8 +126,13 @@ def enumerate_cyclic_primes(
     on_level receives each level's records as soon as the level is done.
 
     With a checkpoint_path, _resume reads the search's progress there before
-    the first level and save_checkpoint writes it after each; both raise
-    CheckpointError for a file they cannot use.  max_digits may differ from
+    the first level, and save_checkpoint writes it after a level that found
+    records, after the last level, and after a level that brings the
+    work_estimate since the last save to _SAVE_WORK; both raise
+    CheckpointError for a file they cannot use.  The saved levels depend on
+    the search alone, not on a clock.  A crash or Ctrl-C loses only the
+    levels since the last save, none with a record and together under
+    _SAVE_WORK, and a resumed run repeats them.  max_digits may differ from
     the checkpoint's, so an interrupted or shorter run can be extended.
     Resumption reproduces exactly the records an uninterrupted run returns.
     A p whose one level outweighs WORK_LIMIT is refused before its period.
@@ -137,13 +149,17 @@ def enumerate_cyclic_primes(
         return found
 
     levels = _walk_levels(p, base, period, completed + 1, max_digits, rounds)
+    saved = completed
     for ndigits, records in levels:
         found.extend(records)
         if on_level is not None:
             on_level(ndigits, records)
-        if checkpoint_path is not None:
+        if checkpoint_path is not None and (
+                records or ndigits == max_digits
+                or work_estimate(p, base, saved + 1, ndigits) >= _SAVE_WORK):
             save_checkpoint(_document(p, base, rounds, max_digits, ndigits, found),
                             checkpoint_path)
+            saved = ndigits
     return found
 
 

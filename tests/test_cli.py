@@ -409,7 +409,7 @@ class TestSearch:
         assert "No space left on device" in err
         assert len(writes) == 3
         doc = json.loads(path.read_text(encoding="utf-8"))
-        assert doc["completed_through_digits"] == 12
+        assert doc["completed_through_digits"] == 15
         assert [entry.name for entry in tmp_path.iterdir()] == ["ck.json"]
         monkeypatch.undo()
         resumed = run_cli(capsys, *argv, "--max-digits", "16")

@@ -24,6 +24,7 @@ from reptends.cyclic_search import (
 )
 from reptends.primality import SMALL_PRIMES, _passes_base2_round, classify
 from reptends.reptend import cycles, multiplicative_order, orbits
+from test_acceptance import CATALOG_TO_823
 
 
 def trial_division_is_prime(n):
@@ -366,6 +367,25 @@ def write_json(path, doc):
         json.dump(doc, handle)
 
 
+def replayed_saves(p, base, max_digits, save_work):
+    """The levels a checkpointed search saves, by its rule replayed: a level
+    with records, one whose running work since the last save reaches
+    save_work, and the last."""
+    record_levels = {r.digit_count for r in enumerate_cyclic_primes(p, base, max_digits)}
+    saves, unsaved = [], 0
+    for level in range(multiplicative_order(base, p) + 1, max_digits + 1):
+        unsaved += work_estimate(p, base, level, level)
+        if level in record_levels or unsaved >= save_work or level == max_digits:
+            saves.append(level)
+            unsaved = 0
+    return saves
+
+
+def saved_levels(save_checkpoint_spy):
+    return [call.args[0]["completed_through_digits"]
+            for call in save_checkpoint_spy.call_args_list]
+
+
 class TestCheckpoint:
     def test_fresh_run_matches_plain_enumeration(self, tmp_path):
         path = str(tmp_path / "ck.json")
@@ -489,6 +509,29 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [entry.name for entry in tmp_path.iterdir()] == ["ck.json"]
 
+    def test_catalog_saves_at_its_record_levels_alone(self, tmp_path):
+        path = str(tmp_path / "ck.json")
+        with mock.patch.object(reptends.cyclic_search, "save_checkpoint",
+                               wraps=save_checkpoint) as spy:
+            enumerate_cyclic_primes(7, 10, 823, checkpoint_path=path)
+        assert saved_levels(spy) == [digits for _, digits in CATALOG_TO_823]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from((3, 5, 7, 11, 13, 17, 19, 23)), st.integers(2, 62),
+           st.integers(1, 80), st.integers(1, 3 * 10**7))
+    @example(7, 10, 60, 1)
+    @example(7, 10, 60, 3 * 10**7)
+    def test_saves_follow_the_replayed_rule(self, p, base, extra, save_work):
+        assume(gcd(base, p) == 1)
+        max_digits = multiplicative_order(base, p) + extra
+        with tempfile.TemporaryDirectory() as directory, \
+                mock.patch.object(reptends.cyclic_search, "_SAVE_WORK", save_work), \
+                mock.patch.object(reptends.cyclic_search, "save_checkpoint",
+                                  wraps=save_checkpoint) as spy:
+            enumerate_cyclic_primes(p, base, max_digits,
+                                    checkpoint_path=os.path.join(directory, "ck.json"))
+        assert saved_levels(spy) == replayed_saves(p, base, max_digits, save_work)
+
     def test_unknown_format_version_refused(self, tmp_path):
         path = str(tmp_path / "ck.json")
         enumerate_cyclic_primes(7, 10, 16, checkpoint_path=path)
@@ -510,12 +553,17 @@ def test_killed_and_resumed_search_matches_uninterrupted_run(p_base, data):
     period = multiplicative_order(base, p)
     max_digits = data.draw(st.integers(period + 1, period + 30), label="max_digits")
     kill_at = data.draw(st.integers(period + 1, max_digits), label="kill_at")
+    # Small enough that some kills land between saves made for work alone.
+    save_work = data.draw(st.integers(1, 10**7), label="save_work")
+    kept = [level for level in replayed_saves(p, base, max_digits, save_work)
+            if level < kill_at]
 
     def kill(ndigits, records):
         if ndigits == kill_at:
             raise Interrupted
 
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, \
+            mock.patch.object(reptends.cyclic_search, "_SAVE_WORK", save_work):
         whole = os.path.join(directory, "whole.json")
         resumed = os.path.join(directory, "resumed.json")
         expected = enumerate_cyclic_primes(p, base, max_digits, checkpoint_path=whole)
@@ -523,6 +571,10 @@ def test_killed_and_resumed_search_matches_uninterrupted_run(p_base, data):
             enumerate_cyclic_primes(
                 p, base, max_digits, on_level=kill, checkpoint_path=resumed
             )
+        if kept:
+            assert read_json(resumed)["completed_through_digits"] == kept[-1]
+        else:
+            assert not os.path.exists(resumed)
         assert enumerate_cyclic_primes(
             p, base, max_digits, checkpoint_path=resumed
         ) == expected
