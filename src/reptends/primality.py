@@ -17,6 +17,8 @@ the system's GNU MP library, libgmp, through ctypes) and the threads that
 share the checks after the base-2 round.  Each libgmp kernel returns what
 its builtin counterpart returns, and the verdict is the AND of the checks,
 so it is the same with or without the library, on any number of threads.
+The libgmp kernels draw their temporaries from one pool of kernel sets, so
+any thread may call classify, and calls on several threads run at once.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -101,10 +103,6 @@ class _Gmp(NamedTuple):
     deep_coprime: Callable[[int], bool]
     # strong_lucas(n, d, s, Q) == _lucas_chain(n, d, s, Q).
     strong_lucas: Callable[[int, int, int, int], bool]
-    # worker(i) == (powmod, strong_lucas) for the i-th worker thread of a
-    # split confirmation, on temporaries of its own; made on first use.
-    worker: Callable[[int], tuple[Callable[[int, int, int], int],
-                                  Callable[[int, int, int, int], bool]]]
 
 
 @functools.cache
@@ -156,36 +154,37 @@ def _gmp() -> _Gmp | None:
     load, store, gcd, cmp_ui = f["import"], f["export"], f["gcd"], f["cmp_ui"]
     mul, mod, mul_si, submul_ui = f["mul"], f["mod"], f["mul_si"], f["submul_ui"]
 
-    def temporaries(k: int) -> list[Mpz]:
-        zs = [Mpz() for _ in range(k)]
-        for z in zs:
-            f["init"](z)
-        return zs
-
     def put(z, v: int) -> None:  # z = v, for v >= 0
         raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
         load(z, len(raw), 1, 1, 1, 0, raw)
 
-    def kernel_set():
-        """powmod and strong_lucas on temporaries of their own.
+    def kernel_set() -> _Gmp:
+        """The three kernels on temporaries of their own, lent to one call at a time.
 
-        ctypes releases the GIL during each call, so two sets run at once on
-        two threads; each set's lock keeps a second thread off its own
-        temporaries.
+        Each kernel writes every temporary before it reads it, except P, the
+        product of the primes past the prefix below 10**5, which deep_coprime
+        loads while P is still 0, as mpz_init leaves it.
         """
-        N, T, X, V, W, q = temporaries(6)
+        N, T, X, V, W, q, P = zs = [Mpz() for _ in range(7)]
+        for z in zs:
+            f["init"](z)
         nbytes = size_t()
-        lock = threading.Lock()
 
         def powmod(a: int, e: int, m: int) -> int:
             out = ctypes.create_string_buffer((m.bit_length() + 7) // 8)
-            with lock:
-                put(X, a)
-                put(V, e)
-                put(N, m)
-                f["powm"](T, X, V, N)
-                store(out, nbytes, 1, 1, 1, 0, T)
-                return int.from_bytes(out.raw[: nbytes.value], "big")
+            put(X, a)
+            put(V, e)
+            put(N, m)
+            f["powm"](T, X, V, N)
+            store(out, nbytes, 1, 1, 1, 0, T)
+            return int.from_bytes(out.raw[: nbytes.value], "big")
+
+        def deep_coprime(n: int) -> bool:
+            if cmp_ui(P, 0) == 0:
+                put(P, _primorial(TRIAL_DIVISION_BOUND))
+            put(X, n)
+            gcd(T, X, P)
+            return cmp_ui(T, 1) == 0
 
         def strong_lucas(n: int, d: int, s: int, Q: int) -> bool:
             """_lucas_chain(n, d, s, Q) step by step, for gcd(1 - 4Q, n) = 1.
@@ -193,65 +192,66 @@ def _gmp() -> _Gmp | None:
             V, W and q hold v, w and q; on a 1-bit X holds q * Q, and q is
             squared before the multiply by Q, which keeps GMP's squaring path.
             """
-            with lock:
-                put(N, n)
-                put(V, 2)
-                put(W, 1)
-                put(q, 1)
-                for bit in bin(d)[2:]:
-                    mul(T, V, W)
-                    submul_ui(T, q, 1)  # v's next value on a 1-bit, w's on a 0-bit
-                    if bit == "1":
-                        mod(V, T, N)
-                        mul_si(X, q, Q)
-                        mul(T, W, W)
-                        submul_ui(T, X, 2)
-                        mod(W, T, N)
-                        mul(T, q, q)
-                        mul_si(T, T, Q)
-                    else:
-                        mod(W, T, N)
-                        mul(T, V, V)
-                        submul_ui(T, q, 2)
-                        mod(V, T, N)
-                        mul(T, q, q)
-                    mod(q, T, N)
-                mul_si(T, W, 2)
-                submul_ui(T, V, 1)
-                mod(T, T, N)
-                if cmp_ui(V, 0) == 0 or cmp_ui(T, 0) == 0:
-                    return True
-                for _ in range(s - 1):
+            put(N, n)
+            put(V, 2)
+            put(W, 1)
+            put(q, 1)
+            for bit in bin(d)[2:]:
+                mul(T, V, W)
+                submul_ui(T, q, 1)  # v's next value on a 1-bit, w's on a 0-bit
+                if bit == "1":
+                    mod(V, T, N)
+                    mul_si(X, q, Q)
+                    mul(T, W, W)
+                    submul_ui(T, X, 2)
+                    mod(W, T, N)
+                    mul(T, q, q)
+                    mul_si(T, T, Q)
+                else:
+                    mod(W, T, N)
                     mul(T, V, V)
                     submul_ui(T, q, 2)
                     mod(V, T, N)
-                    if cmp_ui(V, 0) == 0:
-                        return True
                     mul(T, q, q)
-                    mod(q, T, N)
-                return False
+                mod(q, T, N)
+            mul_si(T, W, 2)
+            submul_ui(T, V, 1)
+            mod(T, T, N)
+            if cmp_ui(V, 0) == 0 or cmp_ui(T, 0) == 0:
+                return True
+            for _ in range(s - 1):
+                mul(T, V, V)
+                submul_ui(T, q, 2)
+                mod(V, T, N)
+                if cmp_ui(V, 0) == 0:
+                    return True
+                mul(T, q, q)
+                mod(q, T, N)
+            return False
 
-        return powmod, strong_lucas
+        return _Gmp(powmod, deep_coprime, strong_lucas)
 
-    # The gcd has a set of its own: G holds n, then the gcd, and P the
-    # product of the primes past the prefix below 10**5 once it is needed.
-    G, P = temporaries(2)
-    loaded_p = False
-    gcd_lock = threading.Lock()
+    # Each kernel call takes a set from the free list, or makes one when it
+    # is empty, and hands it back, so calls on several threads run at once
+    # and the list holds no more sets than there have been calls at once.
+    # A set per thread would leak: _confirm starts threads for each hit and
+    # no set is ever cleared.  list.pop and list.append are atomic, so no
+    # two calls share a set; an emptiness test before the pop would race.
+    free: list[_Gmp] = []
 
-    def deep_coprime(n: int) -> bool:
-        nonlocal loaded_p
-        with gcd_lock:
-            if not loaded_p:
-                put(P, _primorial(TRIAL_DIVISION_BOUND))
-                loaded_p = True
-            put(G, n)
-            gcd(G, G, P)
-            return cmp_ui(G, 1) == 0
+    def pooled(i: int) -> Callable:
+        def kernel(*args):
+            try:
+                kernels = free.pop()
+            except IndexError:
+                kernels = kernel_set()
+            try:
+                return kernels[i](*args)
+            finally:
+                free.append(kernels)
+        return kernel
 
-    powmod, strong_lucas = kernel_set()
-    worker = functools.cache(lambda i: kernel_set())
-    return _Gmp(powmod, deep_coprime, strong_lucas, worker)
+    return _Gmp(*map(pooled, range(len(_Gmp._fields))))
 
 
 def _odd_part(m: int) -> tuple[int, int]:
@@ -406,7 +406,6 @@ class _Plan(NamedTuple):
     powmod: Callable[[int, int, int], int]
     chain: Callable[[int, int, int, int], bool]
     threads: int  # 0 in _rows: _usable_cpus(), which _plan reads on each call
-    worker: Callable[[int], tuple] | None
 
 
 @functools.cache
@@ -421,12 +420,12 @@ def _rows(gmp: _Gmp | None) -> tuple[_Plan, ...]:
 
     shallow, threads = coprime_to(_SHALLOW_GCD_BOUND), 0 if gmp else 1
     if gmp is None:  # the builtin kernels in every row, on one thread
-        gmp = _Gmp(pow, coprime_to(TRIAL_DIVISION_BOUND), _lucas_chain, None)
-    return (  # gcd bound, gcd, power, Lucas chain, threads, worker kernels
-        _Plan(_SHALLOW_GCD_BOUND, shallow, pow, _lucas_chain, 1, None),  # 17-64 bits
-        _Plan(_SHALLOW_GCD_BOUND, shallow, gmp.powmod, _lucas_chain, 1, None),  # 65-767
+        gmp = _Gmp(pow, coprime_to(TRIAL_DIVISION_BOUND), _lucas_chain)
+    return (  # gcd bound, gcd, power, Lucas chain, threads
+        _Plan(_SHALLOW_GCD_BOUND, shallow, pow, _lucas_chain, 1),  # 17-64 bits
+        _Plan(_SHALLOW_GCD_BOUND, shallow, gmp.powmod, _lucas_chain, 1),  # 65-767
         _Plan(TRIAL_DIVISION_BOUND, gmp.deep_coprime, gmp.powmod,  # 768 and up
-              gmp.strong_lucas, threads, gmp.worker),
+              gmp.strong_lucas, threads),
     )
 
 
@@ -440,11 +439,11 @@ def _plan(n: int) -> _Plan:
 def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
     """True when n passes strong Lucas and `rounds` hash-derived rounds.
 
-    This thread and up to plan.threads - 1 workers, each on kernels of its
-    own, take the next check in turn, strong Lucas, the costliest, first.  A
+    This thread and up to plan.threads - 1 helper threads take the next
+    check in turn, strong Lucas, the costliest, first, on plan's kernels.  A
     failed check stops the others at their next turn, and so does an
     exception here, KeyboardInterrupt included: the join that follows waits
-    for at most one check a worker.  A worker's exception is raised here
+    for at most one check a helper.  A helper's exception is raised here
     after the join.  The verdict is the AND of the checks, so it does not
     depend on which thread ran which.
     """
@@ -453,34 +452,33 @@ def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
     take = count().__next__  # one C call, so no two threads get one index
     failed, raised = [], []  # a nonempty failed stops every thread
 
-    def share(powmod, chain) -> None:
+    def share() -> None:
         while not failed and (i := take()) < len(checks):
             a = checks[i]
-            if not (_strong_lucas_probable_prime(n, chain) if a is None
-                    else _strong_probable_prime(n, a, d, s, powmod)):
+            if not (_strong_lucas_probable_prime(n, plan.chain) if a is None
+                    else _strong_probable_prime(n, a, d, s, plan.powmod)):
                 failed.append(a)
 
-    def work(powmod, chain) -> None:
+    def work() -> None:
         try:
-            share(powmod, chain)
+            share()
         except BaseException as exc:
             raised.append(exc)
             failed.append(exc)
 
-    workers = [threading.Thread(target=work, args=plan.worker(i),
-                                name=f"reptends-confirm-{i}")
+    helpers = [threading.Thread(target=work, name=f"reptends-confirm-{i}")
                for i in range(1, min(plan.threads, len(checks)))]
     try:
-        for worker in workers:
-            worker.start()
-        share(plan.powmod, plan.chain)
+        for helper in helpers:
+            helper.start()
+        share()
     except BaseException:
         failed.append(None)
         raise
     finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.join()
+        for helper in helpers:
+            if helper.is_alive():
+                helper.join()
     if raised:
         raise raised[0]
     return not failed

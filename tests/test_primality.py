@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -834,9 +835,9 @@ def test_a_worker_exception_is_raised_by_classify(monkeypatch):
 
 @needs_gmp
 def test_two_kernel_sets_run_at_once_on_two_threads():
+    """Two threads call the same pooled kernels at once; each call takes a
+    kernel set of its own, so neither sees the other's temporaries."""
     kernels = _gmp()
-    sets = [(kernels.powmod, kernels.strong_lucas), kernels.worker(1)]
-    assert kernels.worker(1) is sets[1] and kernels.worker(2) != sets[1]
     # Each thread gets its own cases: powers at 1024 and 2048 bits, and the
     # chains of catalog hits, Mersenne primes and composites.
     powers = [[(a, m - 1 >> 1, m) for a in (2, 3, 5)
@@ -850,10 +851,9 @@ def test_two_kernel_sets_run_at_once_on_two_threads():
     results = [None, None]
 
     def run(i):
-        powmod, strong_lucas = sets[i]
         start.wait()
-        results[i] = ([powmod(*case) for case in powers[i] * 8],
-                      [strong_lucas(*chain) for chain in chains[i] * 2])
+        results[i] = ([kernels.powmod(*case) for case in powers[i] * 8],
+                      [kernels.strong_lucas(*chain) for chain in chains[i] * 2])
 
     threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
     for thread in threads:
@@ -865,6 +865,55 @@ def test_two_kernel_sets_run_at_once_on_two_threads():
         assert results[i] == ([pow(*case) for case in powers[i]] * 8,
                               [_lucas_chain(*chain) for chain in chains[i]] * 2)
     assert results[0][1][:3] == results[1][1][:3] == [True, True, False]
+
+
+def catalog_rejections(digit_counts, k):
+    """The first k (7, 10) catalog values at these digit counts that are not
+    catalog hits and have no prime factor below 10**5."""
+    values = (catalog_value(first, digits) for digits in digit_counts
+              for first in (1, 2, 4, 5, 7, 8) if (first, digits) not in CATALOG_TO_823)
+    return list(islice((n for n in values if math.gcd(n, FULL_PRIMORIAL) == 1), k))
+
+
+# Base-2 rejections at 65-767 bits (the shallow row) and from 768 bits up
+# (the deep row, whose gcd also takes a kernel set), and the split hit.
+CONCURRENT_VALUES = [*catalog_rejections(range(20, 231), 6),
+                     *catalog_rejections(range(232, 300), 6), SPLIT_HIT]
+
+
+@needs_gmp
+def test_classify_on_four_threads_at_once_gives_the_serial_verdicts(monkeypatch):
+    """Four threads classify the same values at once, switching every us,
+    and the split hit starts helper threads of its own: every call gets the
+    verdict one thread gets, and no helper is left alive."""
+    usable_cpus(monkeypatch, {0, 1})
+    bits = [n.bit_length() for n in CONCURRENT_VALUES]
+    assert 65 <= min(bits[:6]) <= max(bits[:6]) < _SHALLOW_GCD_BITS <= min(bits[6:])
+    serial = [classify(n) for n in CONCURRENT_VALUES]
+    assert serial == [("composite", 0)] * 12 + [("probable_prime", DEFAULT_ROUNDS)]
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def run(i):
+        # Each thread starts at another value, so different rows overlap.
+        order = CONCURRENT_VALUES[3 * i :] + CONCURRENT_VALUES[: 3 * i]
+        start.wait()
+        results[i] = [classify(n) for n in order * 2]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for i in range(4):
+        assert results[i] == (serial[3 * i :] + serial[: 3 * i]) * 2
+    assert confirm_threads() == []
 
 
 @needs_gmp
@@ -911,7 +960,6 @@ def test_plan_table_at_each_boundary(n, cpus, loads, monkeypatch):
     assert plan.powmod is (gmp.powmod if gmp and n >= DETERMINISTIC_BOUND else pow)
     assert plan.chain is (gmp.strong_lucas if gmp and deep else _lucas_chain)
     assert plan.threads == (len(cpus) if gmp and deep else 1)
-    assert plan.worker is (gmp.worker if gmp and deep else None)
     # m: no prime factor below 10**5, and as many bits as n, so the same row.
     m = rough_at_least(2 ** (n.bit_length() - 1))
     assert m.bit_length() == n.bit_length() and _plan(m) == plan
