@@ -2,9 +2,11 @@
 
 Each command handler checks its input, does its work, writes any progress
 or warning to stderr and returns its document, (command, params, columns,
-rows), without printing it.  main alone prints the document on stdout, in one
-of three formats (table, csv, json), so machine-readable output stays clean.
-Identical invocations produce byte-identical stdout.
+rows), without printing it.  A row is a tuple of values in the order of
+columns, so each handler names a column once.  main alone prints the
+document on stdout, in one of three formats (table, csv, json), so
+machine-readable output stays clean; only the JSON writer pairs each value
+with its column's name.  Identical invocations produce byte-identical stdout.
 
 Exit codes: 0 success (also when the reader closes stdout early), 2 usage
 error, 3 checkpoint mismatch, 4 internal invariant violation.
@@ -47,8 +49,9 @@ SUFFIX_COST_LIMIT = 10**9
 # exact fractions whose denominators reach p * base**(max_length * k_terms).
 SERIES_S_DIGIT_LIMIT = 500
 SERIES_TERMS_LIMIT = 1000
-# `crossbase related` holds and prints about 450 bytes a row: 10**5 rows
-# take about 0.3 s and 60 MiB, 10**6 rows 3 s and 450 MiB.
+# `crossbase related` holds and prints about 490 bytes a row as a table and
+# 540 as json: 10**5 rows take 0.7 s and 62 MiB or 0.3 s and 69 MiB, and
+# 10**6 rows 6 s and 480 MiB or 2.8 s and 530 MiB.
 RELATED_COUNT_LIMIT = 10**5
 # Every candidate above 2**64 that passes the base-2 round costs --rounds
 # more rounds: `search 7 10 --max-digits 30` took 0.2 s at 40 and 6.9 s at
@@ -62,8 +65,9 @@ EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_INTERNAL = 4
 
-# What a command handler returns and main prints: command, params, columns, rows.
-Document = tuple[str, dict, list[str], list[dict]]
+# What a command handler returns and main prints: command, params, columns and
+# rows, each row a tuple of values in the order of columns.
+Document = tuple[str, dict, list[str], list[tuple]]
 
 
 def _cell(value) -> str:
@@ -78,7 +82,7 @@ def _print_table(columns, rows):
     widths = [len(c) for c in columns]
     rendered = []
     for row in rows:
-        cells = [_cell(row.get(c)) for c in columns]
+        cells = [_cell(value) for value in row]
         widths = [max(w, len(s)) for w, s in zip(widths, cells)]
         rendered.append(cells)
     header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
@@ -93,14 +97,14 @@ def _emit(args, command: str, params: dict, columns, rows):
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "params": params,
-            "rows": rows,
+            "rows": [dict(zip(columns, row)) for row in rows],
         }
         print(json.dumps(doc, sort_keys=True))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+            writer.writerow([_cell(value) for value in row])
     else:
         _print_table(columns, rows)
 
@@ -152,19 +156,12 @@ def cmd_period(args) -> Document:
     params = {"primes_max": args.primes_max, "base_min": args.base_min,
               "base_max": args.base_max}
     if args.format == "table":
-        matrix = []
-        for p, row in periods:
-            cells = {"p": p}
-            for b, period in zip(bases, row):
-                mark = "*" if period == p - 1 else ""
-                cells[str(b)] = "" if period is None else f"{period}{mark}"
-            matrix.append(cells)
-        return "period", params, ["p"] + [str(b) for b in bases], matrix
-    rows = [
-        {"p": p, "base": b, "period": period, "full_reptend": period == p - 1}
-        for p, row in periods
-        for b, period in zip(bases, row)
-    ]
+        matrix = [
+            (p, *("" if n is None else f"{n}*" if n == p - 1 else str(n) for n in row))
+            for p, row in periods
+        ]
+        return "period", params, ["p", *map(str, bases)], matrix
+    rows = [(p, b, n, n == p - 1) for p, row in periods for b, n in zip(bases, row)]
     return "period", params, ["p", "base", "period", "full_reptend"], rows
 
 
@@ -179,15 +176,13 @@ def cmd_cyclic(args) -> Document:
         got = f"got {p} * {period}" if period else f"p = {p} alone exceeds it"
         raise ValueError(f"p * period must be at most {limit}; {got}")
     profile = reptend_profile(args.p, args.base)
-    rows = []
-    for index, rep in enumerate(profile.cycle_representatives):
-        rows.append({"kind": "cycle", "index": index, "k": None, "value": str(rep)})
+    rows = [("cycle", index, None, str(rep))
+            for index, rep in enumerate(profile.cycle_representatives)]
     if profile.level == 1 and args.p > 2:
         value = to_integer(profile.cycle_representatives[0])
         for k in range(1, args.p):
             product = from_integer_padded(k * value, args.base, profile.period)
-            rows.append({"kind": "multiple", "index": None, "k": k,
-                         "value": str(product)})
+            rows.append(("multiple", None, k, str(product)))
     params = {"p": args.p, "base": args.base, "period": profile.period,
               "level": profile.level}
     return "cyclic", params, ["kind", "index", "k", "value"], rows
@@ -210,22 +205,11 @@ def cmd_series(args) -> Document:
     rows = []
     for spec in specs:
         rem = residual(spec, args.k_terms)
-        rows.append({"length": spec.length, "s": spec.s, "r": spec.r,
-                     "s_is_prime": spec.s_is_prime,
-                     "residual": f"{rem.numerator}/{rem.denominator}"})
+        rows.append((spec.length, spec.s, spec.r, spec.s_is_prime,
+                     f"{rem.numerator}/{rem.denominator}"))
     params = {"p": args.p, "base": args.base, "max_length": args.max_length,
               "k_terms": args.k_terms}
     return "series", params, ["length", "s", "r", "s_is_prime", "residual"], rows
-
-
-def _search_rows(records, elide_above):
-    return [
-        {"digit_count": rec.digit_count, "rotation_numerator": rec.rotation_numerator,
-         "cycle_index": rec.cycle_index, "first_digit": rec.first_digit,
-         "status": rec.verdict.status, "witness_rounds": rec.verdict.witness_rounds,
-         "value": _record_cell(rec, elide_above)}
-        for rec in records
-    ]
 
 
 def cmd_search(args) -> Document:
@@ -251,12 +235,18 @@ def cmd_search(args) -> Document:
               "rounds": args.rounds}
     columns = ["digit_count", "rotation_numerator", "cycle_index", "first_digit",
                "status", "witness_rounds", "value"]
-    return "search", params, columns, _search_rows(records, args.elide_above)
+    rows = [
+        (rec.digit_count, rec.rotation_numerator, rec.cycle_index, rec.first_digit,
+         rec.verdict.status, rec.verdict.witness_rounds,
+         _record_cell(rec, args.elide_above))
+        for rec in records
+    ]
+    return "search", params, columns, rows
 
 
 def cmd_subcyclic(args) -> Document:
     values = enumerate_subcyclic_primes(args.p, args.base, args.rounds)
-    rows = [{"value": v} for v in values]
+    rows = [(v,) for v in values]
     params = {"p": args.p, "base": args.base}
     return "subcyclic", params, ["value"], rows
 
@@ -274,9 +264,8 @@ def cmd_crossbase_render(args) -> Document:
         count = len(rendered)
         if count > args.elide_above:
             rendered = _elided(rendered.digits[0], count)
-        rows.append({"digit_count": rec.digit_count,
-                     "value": _record_cell(rec, args.elide_above),
-                     "target_digit_count": count, "rendered": str(rendered)})
+        rows.append((rec.digit_count, _record_cell(rec, args.elide_above), count,
+                     str(rendered)))
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "target_base": args.target_base, "max_digits": args.max_digits}
     return ("crossbase-render", params,
@@ -292,9 +281,8 @@ def cmd_crossbase_suffix(args) -> Document:
         )
     _require_prime(args.p)
     report = shared_suffix_length(args.value, args.p, args.target_base)
-    rows = [{"value": report.value, "target_base": report.target_base,
-             "matched_digits": report.matched_digits,
-             "matched_rotation": report.matched_rotation}]
+    rows = [(report.value, report.target_base, report.matched_digits,
+             report.matched_rotation)]
     params = {"p": args.p, "target_base": args.target_base}
     return ("crossbase-suffix", params,
             ["value", "target_base", "matched_digits", "matched_rotation"], rows)
@@ -309,15 +297,15 @@ def cmd_crossbase_related(args) -> Document:
     rows = []
     for i, member in enumerate(group.members):
         formula = related_bases_formula(args.anchor_base, i, args.variant)
-        rows.append({"i": i, "member": member, "formula": formula,
-                     "agree": member == formula})
-    first = next((row for row in rows if not row["agree"]), None)
-    if first is not None:
-        print(
-            f"warning: closed form '{args.variant}' diverges from the alternating"
-            f" ladder at i={first['i']} ({first['formula']} vs {first['member']})",
-            file=sys.stderr,
-        )
+        rows.append((i, member, formula, member == formula))
+    for i, member, formula, agree in rows:
+        if not agree:
+            print(
+                f"warning: closed form '{args.variant}' diverges from the alternating"
+                f" ladder at i={i} ({formula} vs {member})",
+                file=sys.stderr,
+            )
+            break
     params = {"anchor_base": args.anchor_base, "count": args.count,
               "variant": args.variant}
     return "crossbase-related", params, ["i", "member", "formula", "agree"], rows
@@ -333,11 +321,9 @@ def cmd_crossbase_sweep(args) -> Document:
         rounds=args.rounds,
     )
     rows = [
-        {"base": base,
-         "direction": "up" if report.target_base == args.anchor_base else "down",
-         "target_base": report.target_base, "value": report.value,
-         "matched_digits": report.matched_digits,
-         "matched_rotation": report.matched_rotation}
+        (base, "up" if report.target_base == args.anchor_base else "down",
+         report.target_base, report.value, report.matched_digits,
+         report.matched_rotation)
         for base, evidence in results
         for report in evidence
     ]

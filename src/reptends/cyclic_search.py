@@ -225,8 +225,8 @@ def _require_work(p: int, work: float = 0, what: str = "") -> None:
                          f" {WORK_LIMIT:.3g}, got {work:.3g}")
 
 
-def _cycle_indexer(p: int, period: int) -> Callable[[int], int | None]:
-    """a -> the index in orbits() of a's rotation class, None outside 1..p - 1.
+def _cycle_indexer(p: int, period: int) -> Callable[[int], int]:
+    """a -> the index in orbits() of a's rotation class, for a in 1..p - 1.
 
     a and c share a class exactly when a**period = c**period (mod p), and a
     scan of 1, 2, ... meets the classes in order of their smallest members.
@@ -235,9 +235,7 @@ def _cycle_indexer(p: int, period: int) -> Callable[[int], int | None]:
     index: dict[int, int] = {}
     keys = (pow(x, period, p) for x in range(1, p))
 
-    def cycle_index(a: int) -> int | None:
-        if not 0 < a < p:
-            return None
+    def cycle_index(a: int) -> int:
         key = pow(a, period, p)
         while key not in index:
             index.setdefault(next(keys), len(index))
@@ -334,7 +332,9 @@ def _resume(
                     f"unusable checkpoint {path}: the search writes no record "
                     f"digit_count={ndigits}, rotation_numerator={a}")
             last = (ndigits, a)
-            # Above 64 digits a value is at least 2**64, which fixes its verdict.
+            # Above 64 digits a value is at least 2**64, which fixes its verdict,
+            # so it is not built: a hand-edited record past --max-digits may claim
+            # any digit count, and a value of 10**8 digits would hang the resume.
             value = a * base**ndigits // p if ndigits <= 64 else DETERMINISTIC_BOUND
             found.append(CyclicPrimeRecord(p, base, cycle_index(a), a, ndigits,
                                            a * base // p, _survivor(value, rounds)))

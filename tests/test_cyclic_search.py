@@ -287,7 +287,6 @@ def test_cycle_index_is_the_index_in_orbits(data):
     asked = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=3 * p))
     cycle_index = _cycle_indexer(p, period)
     assert [cycle_index(a) for a in asked] == [expected[a] for a in asked]
-    assert [cycle_index(a) for a in (0, p, -1, p + 1)] == [None] * 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,9 @@ and review the diff.
 """
 
 import contextlib
+import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import reptends
-from reptends.cli import EXIT_OK, _emit, build_parser, main
+from reptends.cli import EXIT_OK, _cell, _emit, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
@@ -56,6 +58,14 @@ CASES = {
 CHECKPOINT_ARGV = ["search", "7", "10", "--max-digits", "60", "--jobs", "1"]
 
 
+def _emitted(args, document, fmt: str) -> str:
+    args.format = fmt
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(args, *document)
+    return out.getvalue()
+
+
 def _stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -89,15 +99,26 @@ def test_fresh_interpreter_stdout_matches_golden(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_handler_returns_the_document_that_main_prints(name):
-    """A handler prints nothing on stdout; main prints what it returns."""
+    """A handler prints nothing on stdout; main prints what it returns.
+
+    Each row holds one value per column, in column order: zip would drop a
+    missing trailing value without a word.  The same document emitted as
+    csv and as json carries the same cells under the same names.
+    """
     args = build_parser().parse_args(CASES[name])
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         document = args.handler(args)
     assert out.getvalue() == ""
-    with contextlib.redirect_stdout(out):
-        _emit(args, *document)
-    assert out.getvalue() == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert _emitted(args, document, args.format) == golden
+    command, params, columns, rows = document
+    assert all(type(row) is tuple and len(row) == len(columns) for row in rows)
+    header, *cells = csv.reader(io.StringIO(_emitted(args, document, "csv")))
+    doc = json.loads(_emitted(args, document, "json"))
+    assert (doc["command"], doc["params"], header) == (command, params, columns)
+    assert all(sorted(row) == sorted(columns) for row in doc["rows"])
+    assert cells == [[_cell(row[c]) for c in columns] for row in doc["rows"]]
 
 
 def test_checkpoint_bytes_match_golden(tmp_path):
