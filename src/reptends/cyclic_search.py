@@ -5,11 +5,14 @@ stream of a/p (any numerator whose stream starts with a nonzero digit) and
 landing on a prime.  A subcyclic prime is a prime read from a contiguous
 circular substring of a single period: the first L <= period digits of
 another such stream.  Both searches walk digit-count levels of the streams,
-1..period for subcyclic primes and onward for cyclic ones.  A checkpoint
-file (JSON, written atomically and synced to disk) makes long runs resumable.
-A search saves it after a level that found records, after the last level,
-and once the levels since its last save reach a quarter of WORK_LIMIT in
-estimated work, so a crash loses only levels that found no record.
+1..period for subcyclic primes and onward for cyclic ones.  Where the size
+rule of primality shares a candidate's checks among threads, as many threads
+classify a window of upcoming levels, handed on strictly in level order.  A
+checkpoint file (JSON, written atomically and synced to disk) makes long runs
+resumable.  A search saves it after a level that found records, after the
+last level, and once the levels since its last save reach a quarter of
+WORK_LIMIT in estimated work, so a crash loses only levels that found no
+record.
 
 Records are named tuples, so they also unpack, index and compare equal to
 plain tuples of their fields.
@@ -18,7 +21,10 @@ plain tuples of their fields.
 import json
 import os
 import tempfile
-from itertools import accumulate, repeat
+import threading
+from bisect import bisect_left
+from contextlib import closing
+from itertools import accumulate, chain, repeat
 from operator import index
 from typing import Callable, Iterator, NamedTuple
 
@@ -26,8 +32,10 @@ from .digits import DigitString, _require_radix, from_integer
 from .primality import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
+    TRIAL_DIVISION_BOUND,
     PrimalityVerdict,
     _passes_base2_round,
+    _plan,
     _survivor,
     classify,
 )
@@ -40,11 +48,14 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 # The one bound on a walk of candidates, in work_estimate's units.  With
 # libgmp on a 2-core VM, classify's mean cost per candidate is 0.5-1.2x
-# max(bits, 300)**2 / 7200 µs from 300 to 2732 bits: about 17 s of classify.
+# max(bits, 300)**2 / 7200 µs from 300 to 2732 bits: about 17 s of classify
+# on one thread.  That is single-thread classify time, not wall time, which
+# the window of levels and the split confirmation shorten on more CPUs.
 WORK_LIMIT = 125 * 10**9
 
 # The work a search does between checkpoint saves when no level finds a
-# record: about 4 s of classify, by WORK_LIMIT's calibration.
+# record: about 4 s of single-thread classify time, by WORK_LIMIT's
+# calibration.
 _SAVE_WORK = WORK_LIMIT // 4
 
 
@@ -148,18 +159,20 @@ def enumerate_cyclic_primes(
     if completed >= max_digits:  # nothing to walk, so base**completed is not built
         return found
 
-    levels = _walk_levels(p, base, period, completed + 1, max_digits, rounds)
     saved = completed
-    for ndigits, records in levels:
-        found.extend(records)
-        if on_level is not None:
-            on_level(ndigits, records)
-        if checkpoint_path is not None and (
-                records or ndigits == max_digits
-                or work_estimate(p, base, saved + 1, ndigits) >= _SAVE_WORK):
-            save_checkpoint(_document(p, base, rounds, max_digits, ndigits, found),
-                            checkpoint_path)
-            saved = ndigits
+    # closing: an exception here, Ctrl-C included, stops the walk's threads.
+    with closing(_walk_levels(p, base, period, completed + 1, max_digits,
+                              rounds)) as levels:
+        for ndigits, records in levels:
+            found.extend(records)
+            if on_level is not None:
+                on_level(ndigits, records)
+            if checkpoint_path is not None and (
+                    records or ndigits == max_digits
+                    or work_estimate(p, base, saved + 1, ndigits) >= _SAVE_WORK):
+                save_checkpoint(_document(p, base, rounds, max_digits, ndigits, found),
+                                checkpoint_path)
+                saved = ndigits
     return found
 
 
@@ -254,24 +267,139 @@ def _walk_levels(
 ) -> Iterator[tuple[int, list[CyclicPrimeRecord]]]:
     """Classify the first..last digit prefixes of every a/p opening nonzero.
 
-    Yields (ndigits, records) per level, the non-composite prefixes ordered
-    by numerator; the next level is classified only when asked for.  Only
-    records are held.
+    Yields (ndigits, records) per level in level order, the non-composite
+    prefixes ordered by numerator.  From the first level whose least
+    candidate falls in a size-rule row of more than one thread, a window of
+    that many threads classifies the levels (_in_level_order); below it, and
+    wherever the row has one thread, each level is classified on this
+    thread when asked for.  Only records are held.
     """
     numerators = _numerators(p, base)
     cycle_index = _cycle_indexer(p, period)
-    scale = base ** (first - 1)
-    for ndigits in range(first, last + 1):
-        scale *= base
+
+    def threads(ndigits: int) -> int:
+        n = numerators[0] * base**ndigits // p
+        return _plan(n).threads if n >= TRIAL_DIVISION_BOUND else 1
+
+    def survivors(ndigits: int, stopped) -> list[tuple[int, PrimalityVerdict]]:
         # The first ndigits digits of a/p, in candidate_value's closed form.
-        records = [
-            CyclicPrimeRecord(
-                p, base, cycle_index(a), a, ndigits, a * base // p, verdict
-            )
-            for a in numerators
-            if (verdict := classify(a * scale // p, rounds)).is_prime
-        ]
-        yield ndigits, records
+        scale, found = base**ndigits, []
+        for a in numerators:
+            if stopped:
+                break
+            if (verdict := classify(a * scale // p, rounds)).is_prime:
+                found.append((a, verdict))
+        return found
+
+    levels = range(first, last + 1)
+    # The rows follow n's size, so the levels of more than one thread are a suffix.
+    split = bisect_left(levels, 2, key=threads)
+    # Below the window no lock is taken: through _in_level_order's locks on
+    # one thread, the sweep-50-serial benchmark ran about 10 % slower.
+    below = ((ndigits, survivors(ndigits, ())) for ndigits in levels[:split])
+    window = levels[split:]
+    with closing(_in_level_order(survivors, window,
+                                 threads(window[0]) if window else 1)) as above:
+        for ndigits, found in chain(below, above):
+            yield ndigits, [
+                CyclicPrimeRecord(p, base, cycle_index(a), a, ndigits, a * base // p,
+                                  verdict)
+                for a, verdict in found
+            ]
+
+
+# Levels in flight per thread of a window.  In alternating catalog-serial
+# runs of benchmarks/run.py on a 2-vCPU VM the median wall time was 1.39 s
+# at 2 levels a thread, 1.20-1.22 s at 4 and 1.08-1.18 s at 8, 16 and 32,
+# against 1.49-1.52 s with no window.  8 is the least depth on that plateau;
+# a deeper window only classifies more levels that an early stop discards.
+_WINDOW_PER_THREAD = 8
+
+
+def _in_level_order(
+    survivors: Callable[[int, list], list], levels: range, threads: int
+) -> Iterator[tuple[int, list]]:
+    """(ndigits, survivors(ndigits, stopped)) for each of levels, in order.
+
+    This thread and threads - 1 workers named reptends-level-<i> take the
+    next level in turn, at most threads * _WINDOW_PER_THREAD past the last
+    level yielded, and this thread yields each level once it is done.  With
+    one thread no worker starts, and each level is classified when asked
+    for.  Ending the walk, by its last level, close() or an exception here,
+    Ctrl-C included, makes stopped nonempty and joins the workers once their
+    current classify call ends.  A worker's exception stops the walk too
+    and is raised here after the join.
+    """
+    cond = threading.Condition(threading.Lock())
+    done: dict[int, list] = {}  # level index -> survivors
+    stopped, raised = [], []
+    taken = yielded = 0
+    depth = threads * _WINDOW_PER_THREAD
+
+    def claim() -> int | None:
+        """Under cond: the next level index in the window, or None."""
+        nonlocal taken
+        if stopped or taken >= min(len(levels), yielded + depth):
+            return None
+        taken += 1
+        return taken - 1
+
+    def step(i: int) -> int | None:
+        """Under cond: a level index for this thread, or None once level i
+        is done or a worker raised; waits while neither holds."""
+        while i not in done and not raised:
+            if (j := claim()) is not None:
+                return j
+            cond.wait()
+        return None
+
+    def work() -> None:
+        try:
+            while True:
+                with cond:
+                    while (j := claim()) is None:
+                        if stopped or taken == len(levels):
+                            return
+                        cond.wait()
+                found = survivors(levels[j], stopped)
+                with cond:
+                    done[j] = found
+                    cond.notify_all()
+        except BaseException as exc:
+            with cond:
+                raised.append(exc)
+                stopped.append(exc)
+                cond.notify_all()
+
+    # Daemons, so that a walk left unclosed in a live traceback, its workers
+    # waiting for room in the window, cannot hold up the interpreter's exit.
+    helpers = [threading.Thread(target=work, name=f"reptends-level-{k}", daemon=True)
+               for k in range(1, min(threads, len(levels)))]
+    try:
+        for helper in helpers:
+            helper.start()
+        for i, ndigits in enumerate(levels):
+            with cond:
+                yielded = i
+                cond.notify_all()
+                j = step(i)
+            while j is not None:
+                found = survivors(levels[j], stopped)
+                with cond:
+                    done[j] = found
+                    j = step(i)
+            if raised:
+                break
+            yield ndigits, done.pop(i)
+    finally:
+        with cond:
+            stopped.append(None)
+            cond.notify_all()
+        for helper in helpers:
+            if helper.is_alive():
+                helper.join()
+    if raised:
+        raise raised[0]
 
 
 def _document(

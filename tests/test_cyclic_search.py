@@ -1,7 +1,12 @@
 import itertools
 import json
 import os
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from math import gcd
 from unittest import mock
 
@@ -15,6 +20,7 @@ from reptends.cyclic_search import (
     CheckpointMismatchError,
     CyclicPrimeRecord,
     _cycle_indexer,
+    _walk_levels,
     candidate_value,
     digit_stream,
     enumerate_cyclic_primes,
@@ -22,9 +28,16 @@ from reptends.cyclic_search import (
     save_checkpoint,
     work_estimate,
 )
-from reptends.primality import SMALL_PRIMES, _passes_base2_round, classify
+from reptends import primality
+from reptends.primality import (
+    _SHALLOW_GCD_BITS,
+    SMALL_PRIMES,
+    _passes_base2_round,
+    classify,
+)
 from reptends.reptend import cycles, multiplicative_order, orbits
 from test_acceptance import CATALOG_TO_823
+from test_primality import needs_gmp, usable_cpus
 
 
 def trial_division_is_prime(n):
@@ -598,3 +611,217 @@ def test_candidate_value_matches_stream_assembly(p, base, ndigits):
         for _ in range(ndigits):
             assembled = assembled * base + next(stream)
         assert candidate_value(p, base, a, ndigits) == assembled
+
+
+# The window: from the first level whose least candidate, 10**L // 7 in
+# search 7 10, falls in the size rule's row of more than one thread (768 bits
+# up, with libgmp and two usable CPUs), threads named reptends-level-<i>
+# classify levels too.  That level lies below the catalog hits at 273 and 304.
+WINDOW_LEVEL = next(L for L in itertools.count(1)
+                    if (10**L // 7).bit_length() >= _SHALLOW_GCD_BITS)
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
+
+
+def level_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("reptends-level")]
+
+
+def spy_on_classify(monkeypatch, fail_on_workers=False):
+    """[(digit count of each candidate classified, name of its thread)].
+
+    With fail_on_workers, a worker's call raises ArithmeticError."""
+    calls = []
+    real = reptends.cyclic_search.classify
+
+    def spy(n, *args):
+        name = threading.current_thread().name
+        calls.append((len(str(n)), name))
+        if fail_on_workers and name.startswith("reptends-level"):
+            raise ArithmeticError("worker")
+        return real(n, *args)
+
+    monkeypatch.setattr(reptends.cyclic_search, "classify", spy)
+    return calls
+
+
+def worker_levels(calls):
+    return {digits for digits, name in calls if name.startswith("reptends-level")}
+
+
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+@pytest.mark.parametrize("loads", [pytest.param(True, marks=needs_gmp), False],
+                         ids=["libgmp", "no-libgmp"])
+def test_the_window_opens_at_the_first_level_of_the_threaded_row(cpus, loads,
+                                                                 monkeypatch):
+    """Levels on either side of WINDOW_LEVEL give the same records on every
+    configuration.  Only with libgmp on two CPUs does a worker start, once
+    the levels below WINDOW_LEVEL are classified, and classify levels."""
+    assert WINDOW_LEVEL == 232
+    first, last = WINDOW_LEVEL - 3, WINDOW_LEVEL + 4
+    expected = list(_walk_levels(7, 10, 6, first, last, 40))
+    usable_cpus(monkeypatch, cpus)
+    if not loads:
+        monkeypatch.setattr(primality, "_gmp", lambda: None)
+    calls = spy_on_classify(monkeypatch)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append((thread.name, len(calls)))
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert list(_walk_levels(7, 10, 6, first, last, 40)) == expected
+    assert len(calls) == 6 * (last - first + 1)
+    if loads and len(cpus) > 1:
+        assert started == [("reptends-level-1", 6 * (WINDOW_LEVEL - first))]
+        assert min(worker_levels(calls)) in (WINDOW_LEVEL, WINDOW_LEVEL + 1)
+    else:
+        assert started == []
+        assert worker_levels(calls) == set()
+    assert level_threads() == []
+
+
+@needs_gmp
+def test_the_window_gives_the_one_cpu_records_and_checkpoint(monkeypatch, tmp_path):
+    """search 7 10 to 320 digits, whose hits at 273 and 304 lie inside the
+    window: one set of records and one checkpoint's bytes on one CPU and on
+    two, where a worker is alive while the window runs and gone after."""
+    runs = []
+    for cpus in ({0}, {0, 1}):
+        usable_cpus(monkeypatch, cpus)
+        alive = set()
+
+        def on_level(ndigits, records):
+            if level_threads():
+                alive.add(ndigits)
+
+        path = tmp_path / f"{len(cpus)}.json"
+        records = enumerate_cyclic_primes(7, 10, 320, on_level=on_level,
+                                          checkpoint_path=str(path))
+        assert level_threads() == []
+        runs.append((records, path.read_bytes(), bool(alive)))
+        monkeypatch.undo()
+    assert runs[0][:2] == runs[1][:2]
+    assert [(r.first_digit, r.digit_count) for r in runs[0][0]] == [
+        (first, digits) for first, digits in CATALOG_TO_823 if digits <= 320]
+    assert [run[2] for run in runs] == [False, True]
+
+
+@needs_gmp
+def test_a_run_resumed_inside_the_window_equals_the_uninterrupted_run(
+        monkeypatch, tmp_path):
+    usable_cpus(monkeypatch, {0, 1})
+    whole, resumed = tmp_path / "whole.json", tmp_path / "resumed.json"
+    expected = enumerate_cyclic_primes(7, 10, 320, checkpoint_path=str(whole))
+
+    def kill(ndigits, records):
+        if ndigits == 290:
+            assert level_threads()
+            raise Interrupted
+
+    # The traceback holds the search's frame, and with it the walk, so the
+    # walk's threads are gone only if the search stopped them.
+    with pytest.raises(Interrupted) as raised:
+        enumerate_cyclic_primes(7, 10, 320, on_level=kill, checkpoint_path=str(resumed))
+    assert level_threads() == [] and raised.traceback
+    assert read_json(resumed)["completed_through_digits"] == 273
+    assert enumerate_cyclic_primes(7, 10, 320, checkpoint_path=str(resumed)) == expected
+    assert resumed.read_bytes() == whole.read_bytes()
+
+
+@needs_gmp
+def test_a_failed_checkpoint_write_inside_the_window_stops_its_workers(
+        monkeypatch, tmp_path):
+    usable_cpus(monkeypatch, {0, 1})
+    alive = []
+
+    def fail(doc, path):
+        if doc["completed_through_digits"] > WINDOW_LEVEL:
+            alive.append(len(level_threads()))
+            raise CheckpointError(f"cannot write checkpoint {path}: disk full")
+        save_checkpoint(doc, path)
+
+    monkeypatch.setattr(reptends.cyclic_search, "save_checkpoint", fail)
+    with pytest.raises(CheckpointError, match="disk full") as raised:
+        enumerate_cyclic_primes(7, 10, 320, checkpoint_path=str(tmp_path / "ck.json"))
+    assert alive == [1]
+    assert level_threads() == [] and raised.traceback
+
+
+@needs_gmp
+def test_a_worker_exception_is_raised_by_the_walk(monkeypatch):
+    usable_cpus(monkeypatch, {0, 1})
+    calls = spy_on_classify(monkeypatch, fail_on_workers=True)
+    with pytest.raises(ArithmeticError, match="worker") as raised:
+        enumerate_cyclic_primes(7, 10, 320)
+    assert min(worker_levels(calls)) >= WINDOW_LEVEL
+    assert level_threads() == [] and raised.traceback
+
+
+@needs_gmp
+def test_every_candidate_is_classified_once_on_more_threads_than_cores(monkeypatch):
+    """Eight threads take levels, switching every us, through the hits at 273
+    and 304 digits: a level taken twice or never would show in the tally,
+    and one yielded out of order in the records."""
+    expected = enumerate_cyclic_primes(7, 10, 320)
+    usable_cpus(monkeypatch, range(8))
+    calls = spy_on_classify(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = enumerate_cyclic_primes(7, 10, 320)
+    finally:
+        sys.setswitchinterval(interval)
+    assert records == expected
+    assert sorted(digits for digits, _ in calls) == [
+        digits for digits in range(7, 321) for _ in range(6)]
+    assert len({name for _, name in calls}) > 2
+    assert level_threads() == []
+
+
+INTERRUPTED_SEARCH = """
+import sys, threading
+from reptends.cli import main
+try:
+    main(sys.argv[1:])
+except KeyboardInterrupt:
+    print("threads", threading.active_count(), flush=True)
+    raise
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGINT") or os.name != "posix",
+                    reason="needs POSIX signals")
+def test_ctrl_c_ends_a_search_inside_the_window(tmp_path):
+    """Sent after the hit at 273 digits, inside the window, Ctrl-C ends the
+    823-digit catalog within one classify call a thread; the checkpoint it
+    leaves resumes to the uninterrupted run's stdout."""
+    search = ["search", "7", "10", "--max-digits", "823", "--format", "json"]
+    checkpoint = ["--checkpoint", str(tmp_path / "ck.json")]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_SEARCH, *search, *checkpoint],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        while not proc.stderr.readline().startswith("found: digits=273 "):
+            assert proc.poll() is None
+        time.sleep(0.2)
+        assert proc.poll() is None
+        sent = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        elapsed = time.monotonic() - sent
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.rstrip().endswith("KeyboardInterrupt")
+    assert out == "threads 1\n"
+    assert elapsed < 1.0
+    assert 273 <= read_json(tmp_path / "ck.json")["completed_through_digits"] < 823
+
+    def stdout(*args):
+        return subprocess.run([sys.executable, "-m", "reptends", *args], env=env,
+                              capture_output=True, check=True, timeout=120).stdout
+
+    assert stdout(*search, *checkpoint) == stdout(*search)
