@@ -79,16 +79,11 @@ def _cell(value) -> str:
 
 
 def _print_table(columns, rows):
-    widths = [len(c) for c in columns]
-    rendered = []
-    for row in rows:
-        cells = [_cell(value) for value in row]
-        widths = [max(w, len(s)) for w, s in zip(widths, cells)]
-        rendered.append(cells)
-    header = "  ".join(c.ljust(w) for c, w in zip(columns, widths))
-    print(header.rstrip())
-    for cells in rendered:
-        print("  ".join(s.ljust(w) for s, w in zip(cells, widths)).rstrip())
+    rendered = [[_cell(value) for value in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(columns, *rendered)]
+    write = sys.stdout.write
+    for cells in (columns, *rendered):
+        write("  ".join(s.ljust(w) for s, w in zip(cells, widths)).rstrip() + "\n")
 
 
 def _emit(args, command: str, params: dict, columns, rows):

@@ -194,12 +194,9 @@ def enumerate_subcyclic_primes(
     _require_coprime(base, p)
     period = multiplicative_order(base, p)
     _require_work(p, work_estimate(p, base, 1, period), f"levels 1..{period}")
-    primes = {
-        rec.value
-        for _, records in _walk_levels(p, base, period, 1, period, rounds)
-        for rec in records
-    }
-    return sorted(primes)
+    # closing: an exception here, Ctrl-C included, stops the walk's threads.
+    with closing(_walk_levels(p, base, period, 1, period, rounds)) as levels:
+        return sorted({rec.value for _, records in levels for rec in records})
 
 
 def work_estimate(p: int, base: int, first: int, last: int) -> float:

@@ -99,9 +99,11 @@ class _Gmp(NamedTuple):
 
     # powmod(a, e, m) == pow(a, e, m) for a >= 0, e >= 1 and m >= 1.
     powmod: Callable[[int, int, int], int]
-    # deep_coprime(n) == (math.gcd(n, _primorial(TRIAL_DIVISION_BOUND)) == 1).
+    # deep_coprime(n) == (math.gcd(n, _primorial(TRIAL_DIVISION_BOUND)) == 1)
+    # for n with no factor in _TRIAL_PREFIX, as classify calls it.
     deep_coprime: Callable[[int], bool]
-    # strong_lucas(n, d, s, Q) == _lucas_chain(n, d, s, Q).
+    # strong_lucas(n, d, s, Q) == _lucas_chain(n, d, s, Q) for n + 1 = d * 2**s:
+    # libgmp derives d from n and s and does not read it.
     strong_lucas: Callable[[int, int, int, int], bool]
 
 
@@ -109,11 +111,14 @@ class _Gmp(NamedTuple):
 def _gmp() -> _Gmp | None:
     """The system libgmp's kernels, through ctypes, or None.
 
-    None where ctypes, the library or one of its symbols does not load, so
-    there is never a partial set.  Loaded on first call, so importing the
-    package maps neither.  ctypes.util.find_library is not used: on Linux
-    it runs ldconfig or gcc in a subprocess.  Values cross as big-endian
-    1-byte words, so the limb size does not matter.
+    None where ctypes, the library or one of its public symbols does not
+    load, so there is never a partial set.  mpz_lucas_mod (libgmp 6.2 and
+    up) is declared only in GMP's internal gmp-impl.h; where it does not
+    load, strong_lucas is the builtin _lucas_chain and the other kernels
+    are still libgmp's.  Loaded on first call, so importing the package maps
+    neither.  ctypes.util.find_library is not used: on Linux it runs
+    ldconfig or gcc in a subprocess.  Values cross as big-endian 1-byte
+    words, so the limb size does not matter.
     """
     try:
         import ctypes
@@ -137,7 +142,7 @@ def _gmp() -> _Gmp | None:
         "mul": ([mpz, mpz, mpz], None),
         "mod": ([mpz, mpz, mpz], None),
         "submul_ui": ([mpz, mpz, ulong], None),
-        "mul_si": ([mpz, mpz, ctypes.c_long], None),
+        "primorial_ui": ([mpz, ulong], None),
         "cmp_ui": ([mpz, ulong], c_int),
     }
     for soname in _GMP_SONAMES:
@@ -151,8 +156,14 @@ def _gmp() -> _Gmp | None:
         return None
     for name, (argtypes, restype) in signatures.items():
         f[name].argtypes, f[name].restype = argtypes, restype
+    # lucas_mod(V, q, Q, s, N, T, X): with n + 1 = d * 2**s in N, nonzero when
+    # U_d or V_d is 0 mod n; otherwise V_d in V and Q**d in q (when s > 1).
+    lucas_mod = getattr(gmp, "__gmpz_lucas_mod", None)
+    if lucas_mod is not None:
+        lucas_mod.argtypes = [mpz, mpz, ctypes.c_long, ulong, mpz, mpz, mpz]
+        lucas_mod.restype = c_int
     load, store, gcd, cmp_ui = f["import"], f["export"], f["gcd"], f["cmp_ui"]
-    mul, mod, mul_si, submul_ui = f["mul"], f["mod"], f["mul_si"], f["submul_ui"]
+    mul, mod, submul_ui = f["mul"], f["mod"], f["submul_ui"]
 
     def put(z, v: int) -> None:  # z = v, for v >= 0
         raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
@@ -162,10 +173,10 @@ def _gmp() -> _Gmp | None:
         """The three kernels on temporaries of their own, lent to one call at a time.
 
         Each kernel writes every temporary before it reads it, except P, the
-        product of the primes past the prefix below 10**5, which deep_coprime
-        loads while P is still 0, as mpz_init leaves it.
+        product of the primes below 10**5, which deep_coprime fills while P
+        is still 0, as mpz_init leaves it.
         """
-        N, T, X, V, W, q, P = zs = [Mpz() for _ in range(7)]
+        N, T, X, V, q, P = zs = [Mpz() for _ in range(6)]
         for z in zs:
             f["init"](z)
         nbytes = size_t()
@@ -181,43 +192,15 @@ def _gmp() -> _Gmp | None:
 
         def deep_coprime(n: int) -> bool:
             if cmp_ui(P, 0) == 0:
-                put(P, _primorial(TRIAL_DIVISION_BOUND))
+                f["primorial_ui"](P, TRIAL_DIVISION_BOUND - 1)
             put(X, n)
             gcd(T, X, P)
             return cmp_ui(T, 1) == 0
 
         def strong_lucas(n: int, d: int, s: int, Q: int) -> bool:
-            """_lucas_chain(n, d, s, Q) step by step, for gcd(1 - 4Q, n) = 1.
-
-            V, W and q hold v, w and q; on a 1-bit X holds q * Q, and q is
-            squared before the multiply by Q, which keeps GMP's squaring path.
-            """
+            """_lucas_chain(n, d, s, Q): one call up to V_d, then s - 1 doublings."""
             put(N, n)
-            put(V, 2)
-            put(W, 1)
-            put(q, 1)
-            for bit in bin(d)[2:]:
-                mul(T, V, W)
-                submul_ui(T, q, 1)  # v's next value on a 1-bit, w's on a 0-bit
-                if bit == "1":
-                    mod(V, T, N)
-                    mul_si(X, q, Q)
-                    mul(T, W, W)
-                    submul_ui(T, X, 2)
-                    mod(W, T, N)
-                    mul(T, q, q)
-                    mul_si(T, T, Q)
-                else:
-                    mod(W, T, N)
-                    mul(T, V, V)
-                    submul_ui(T, q, 2)
-                    mod(V, T, N)
-                    mul(T, q, q)
-                mod(q, T, N)
-            mul_si(T, W, 2)
-            submul_ui(T, V, 1)
-            mod(T, T, N)
-            if cmp_ui(V, 0) == 0 or cmp_ui(T, 0) == 0:
+            if lucas_mod(V, q, Q, s, N, T, X):
                 return True
             for _ in range(s - 1):
                 mul(T, V, V)
@@ -251,7 +234,10 @@ def _gmp() -> _Gmp | None:
                 free.append(kernels)
         return kernel
 
-    return _Gmp(*map(pooled, range(len(_Gmp._fields))))
+    kernels = _Gmp(*map(pooled, range(len(_Gmp._fields))))
+    if lucas_mod is None:
+        return kernels._replace(strong_lucas=_lucas_chain)
+    return kernels
 
 
 def _odd_part(m: int) -> tuple[int, int]:
@@ -371,28 +357,28 @@ def _usable_cpus() -> int:
 # about 1 - ln 4096 / ln 10**5 = 28 % of the composites that reach them.
 # That saves more than the extra gcd costs only from about 520 bits, and by
 # under 0.3 ms a candidate up to 768 bits, while the 10**5 product takes
-# about 20 ms to build once per process.  So runs that stay below 768 bits
-# never build it; a run would need some 80-200 candidates of 520-767 bits
-# to repay it.
+# about 20 ms to build in Python (1 ms from libgmp's mpz_primorial_ui).  So
+# runs that stay below 768 bits never build it.
 #
 # libgmp's power from 2**64.  The builtin pow wins below about 60 bits,
 # where the ctypes calls' 8 us are most of the cost (6 against 8 us at 40
 # bits), and loses 1.3x at 65 bits and 7-10x from 512 bits up.
 #
-# libgmp's gcd and Lucas chain from 768 bits.  Each ctypes call costs
-# about 0.5 us, and the chain makes 8 on a 0-bit of d and 10 on a 1-bit, so
-# libgmp pays only on large n: the chains break even near 700 bits.  Best
-# of 5 (chains: of 7), median of 3 random n; runs differ by up to 25 %:
+# libgmp's Lucas chain wherever its power runs.  mpz_lucas_mod runs the
+# chain up to V_d in one call, where a chain of one ctypes call a multiply
+# (8 on a 0-bit of d, 10 on a 1-bit, at about 0.5 us each) broke even with
+# Python only near 700 bits.  libgmp's gcd from 768 bits, with the deeper
+# bound.  Best of 7, median of 3 random n; runs differ by up to 25 %:
 #
-#   bits                    65     512    768    1024   1280   2734
-#   chain, Python (ms)      0.058  2.4    5.6    12.5   20     165
-#   chain, libgmp (ms)      0.45   3.8    4.0    7.1    9.0    36
-#   gcd 10**5, Python (us)  102    225    276    360    399    839
-#   gcd 10**5, libgmp (us)  23     41     50     69     73     150
+#   bits                         66     512    768    1024   2734
+#   chain, Python (ms)           0.042  2.3    5.6    12     151
+#   chain, call a multiply (ms)  0.28   2.3    3.7    5.6    36
+#   chain, mpz_lucas_mod (ms)    0.013  0.28   0.66   1.4    20
+#   gcd 10**5, Python (us)       102    249    297    385    840
+#   gcd 10**5, libgmp (us)       24     45     50     65     139
 #
-# Threads from 768 bits, where libgmp computes both kernels: ctypes
-# releases the GIL during each libgmp call.  On a 2-vCPU VM the 823-digit
-# hit took 0.25 s on one CPU and 0.13 s on two.
+# Threads from 768 bits: ctypes releases the GIL during each libgmp call.
+# On a 2-vCPU VM the 823-digit hit took 0.25 s on one CPU and 0.13 s on two.
 _SHALLOW_GCD_BITS = 768
 _SHALLOW_GCD_BOUND = 4096
 _ROW_FROM_BITS = (DETERMINISTIC_BOUND.bit_length(), _SHALLOW_GCD_BITS)
@@ -423,7 +409,8 @@ def _rows(gmp: _Gmp | None) -> tuple[_Plan, ...]:
         gmp = _Gmp(pow, coprime_to(TRIAL_DIVISION_BOUND), _lucas_chain)
     return (  # gcd bound, gcd, power, Lucas chain, threads
         _Plan(_SHALLOW_GCD_BOUND, shallow, pow, _lucas_chain, 1),  # 17-64 bits
-        _Plan(_SHALLOW_GCD_BOUND, shallow, gmp.powmod, _lucas_chain, 1),  # 65-767
+        _Plan(_SHALLOW_GCD_BOUND, shallow, gmp.powmod,  # 65-767 bits
+              gmp.strong_lucas, 1),
         _Plan(TRIAL_DIVISION_BOUND, gmp.deep_coprime, gmp.powmod,  # 768 and up
               gmp.strong_lucas, threads),
     )

@@ -691,9 +691,10 @@ class TestSubcyclic:
 
     @pytest.mark.parametrize("p", ["263", "383", "997", "1009"])
     def test_accepted_below_the_cost_bound(self, capsys, monkeypatch, p):
-        monkeypatch.setattr(
-            reptends.cyclic_search, "_walk_levels", lambda *args: iter([])
-        )
+        def no_levels(*args):
+            yield from ()
+
+        monkeypatch.setattr(reptends.cyclic_search, "_walk_levels", no_levels)
         code, out, _ = run_cli(capsys, "subcyclic", p, "10", "--format", "csv")
         assert (code, out) == (EXIT_OK, "value\n")
 

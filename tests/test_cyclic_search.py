@@ -760,6 +760,28 @@ def test_a_worker_exception_is_raised_by_the_walk(monkeypatch):
 
 
 @needs_gmp
+def test_an_exception_reading_subcyclic_records_stops_the_walk(monkeypatch):
+    """subcyclic 257 10 walks levels 1..256, so its window opens at
+    WINDOW_LEVEL too.  An exception while a record's value is read, outside
+    the walk, still leaves no worker alive once the search has raised."""
+    usable_cpus(monkeypatch, {0, 1})
+    alive = []
+    real = reptends.cyclic_search.candidate_value
+
+    def value(p, base, a, ndigits):
+        if ndigits > WINDOW_LEVEL:
+            alive.append(len(level_threads()))
+            raise ArithmeticError("value")
+        return real(p, base, a, ndigits)
+
+    monkeypatch.setattr(reptends.cyclic_search, "candidate_value", value)
+    with pytest.raises(ArithmeticError, match="value") as raised:
+        enumerate_subcyclic_primes(257, 10)
+    assert alive == [1]
+    assert level_threads() == [] and raised.traceback
+
+
+@needs_gmp
 def test_every_candidate_is_classified_once_on_more_threads_than_cores(monkeypatch):
     """Eight threads take levels, switching every us, through the hits at 273
     and 304 digits: a level taken twice or never would show in the tally,

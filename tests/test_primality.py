@@ -637,23 +637,40 @@ def test_gmp_chain_passes_strong_lucas_pseudoprimes(n):
     assert _gmp().strong_lucas(*chain) is _lucas_chain(*chain) is True
 
 
-@st.composite
-def lucas_chains(draw):
-    """(n, d, s, Q): odd n from 10**5 to 12 000 bits, Selfridge Q.
+ORACLE_PRIMORIAL = math.prod(ORACLE_PRIMES)
 
-    d and s come from n + 1, but d keeps only its top 160 bits and s is at
-    most 40: the Python chain costs d's bits times n's bits squared, about
-    10 s for a whole 12 000-bit chain, and a cut chain takes the same steps
-    on the same n.
-    """
-    bits = draw(st.integers(17, 12_000))
-    n = draw(st.integers(max(2 ** (bits - 1), TRIAL_DIVISION_BOUND), 2**bits - 1))
-    n |= 1
-    # A square has no D with Jacobi symbol -1: the search would run on
-    # until |D| met a factor of n.
-    assume(math.isqrt(n) ** 2 != n)
-    n, d, s, Q = selfridge_chain(n)
-    return n, d >> max(0, d.bit_length() - 160) | 1, min(s, 40), Q
+
+def probable_prime_from(m):
+    """The least odd n from m > 1000 up with no prime factor below 1000 that
+    passes a base-2 Fermat round: a prime, or rarely a pseudoprime, which is
+    as good an input."""
+    n = m | 1
+    while math.gcd(n, ORACLE_PRIMORIAL) != 1 or pow(2, n - 1, n) != 1:
+        n += 2
+    return n
+
+
+@st.composite
+def lucas_chain_values(draw):
+    """Odd n from 10**5 to 2734 bits that are not squares: a prime, a
+    catalog prime, a product of two distinct rough factors, or a strong
+    Lucas pseudoprime.  The chain runs on all of d, from n + 1: libgmp
+    derives d from n itself.  Drawn primes stop at 1024 bits, where finding
+    one takes about 0.1 s; the catalog primes reach 2734 bits."""
+    def odd_of(bits):  # the chain costs about bits**3: draw the length first
+        b = draw(st.integers(18, bits))  # from 2**17, past 10**5
+        return draw(st.integers(2 ** (b - 1), 2**b - 1)) | 1
+
+    kind = draw(st.sampled_from(("prime", "catalog", "rough", "pseudoprime")))
+    if kind == "pseudoprime":
+        return draw(st.sampled_from(STRONG_LUCAS_PSEUDOPRIMES))
+    if kind == "catalog":
+        return catalog_value(*draw(st.sampled_from(CATALOG_TO_823)))
+    if kind == "prime":
+        return probable_prime_from(odd_of(1024))
+    x, y = rough_at_least(odd_of(1250)), rough_at_least(odd_of(1250))
+    assume(x != y)
+    return x * y
 
 
 # Primes whose Selfridge D gives each sign and size of Q the chain multiplies
@@ -668,15 +685,71 @@ def test_q_sign_examples_have_their_selfridge_d(D):
 
 @needs_gmp
 @settings(deadline=None, max_examples=40)
-@given(lucas_chains())
-@example(selfridge_chain(TRIAL_DIVISION_BOUND + 3))
-@example(selfridge_chain(Q_SIGN_PRIMES[-7]))
-@example(selfridge_chain(Q_SIGN_PRIMES[13]))
-@example(selfridge_chain(5459))  # D = -11
-@example(selfridge_chain(MERSENNE_PRIME_127))  # d = 1, s = 127
-@example(selfridge_chain(catalog_value(1, 823)))
-def test_gmp_chain_matches_python_chain(chain):
+@given(lucas_chain_values())
+@example(TRIAL_DIVISION_BOUND + 3)
+@example(Q_SIGN_PRIMES[-7])
+@example(Q_SIGN_PRIMES[13])
+@example(5459)  # D = -11
+# d = 1, s = k for n = 2**k - 1: the primes 2**127 - 1 and 2**89 - 1, and the
+# composite 2**67 - 1 = 193707721 * 761838257287.
+@example(MERSENNE_PRIME_127)
+@example(2**89 - 1)
+@example(2**67 - 1)
+@example(catalog_value(1, 823))
+def test_gmp_chain_matches_python_chain(n):
+    chain = selfridge_chain(n)
     assert _gmp().strong_lucas(*chain) == _lucas_chain(*chain)
+
+
+@needs_gmp
+def test_without_lucas_mod_the_chain_is_builtin_and_the_rest_libgmp(monkeypatch):
+    """Where libgmp loads without mpz_lucas_mod, strong Lucas is the builtin
+    chain, the power and the gcd stay libgmp's, and every verdict holds."""
+    import ctypes
+
+    class WithoutLucasMod(ctypes.CDLL):  # as a libgmp older than 6.2 loads
+        def __getattr__(self, name):
+            if name == "__gmpz_lucas_mod":
+                raise AttributeError(name)
+            return super().__getattr__(name)
+
+    # Rows 65-767 bits and 768 up: primes, base-2 strong pseudoprimes that
+    # only strong Lucas or the witness rounds reject, and a rough composite.
+    values = [MERSENNE_PRIME_127, 2**521 - 1, SPLIT_HIT, BASE2_STRONG_PSEUDOPRIME,
+              *(p * (2 * p - 1) for p in STRONG_PAIRS_ABOVE_2_64),
+              rough_at_least(2**800) * rough_at_least(2**900)]
+    expected = [classify(n) for n in values]
+    assert {v.status for v in expected} == {"probable_prime", "composite"}
+    _gmp.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", WithoutLucasMod)
+    try:
+        kernels = _gmp()
+        assert kernels is not None and kernels.strong_lucas is _lucas_chain
+        assert kernels.powmod is not pow
+        assert kernels.powmod(3, 2**127, MERSENNE_PRIME_127) == 9
+        for n in values:
+            plan = _plan(n)
+            assert plan.chain is _lucas_chain and plan.powmod is kernels.powmod
+        assert [classify(n) for n in values] == expected
+    finally:
+        _gmp.cache_clear()
+
+
+@needs_gmp
+def test_libgmp_builds_the_deep_product_without_python():
+    """With libgmp, mpz_primorial_ui fills the deep gcd's product: a deep
+    candidate builds no _primorial, and _primorial(10**5) is left to the
+    builtin path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import reptends.primality as p; n = {SPLIT_HIT}; "
+         "assert p._plan(n).gcd_bound == p.TRIAL_DIVISION_BOUND; "
+         "print(p.classify(n).status, p._primorial.cache_info().currsize)"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.split() == ["probable_prime", "0"]
 
 
 PRIMES_PAST_LOOKUP = [q for q in _sieve(103_000) if q > TRIAL_DIVISION_BOUND]
@@ -958,7 +1031,8 @@ def test_plan_table_at_each_boundary(n, cpus, loads, monkeypatch):
     assert bool(loaded) == (n >= DETERMINISTIC_BOUND)
     assert plan.gcd_bound == (TRIAL_DIVISION_BOUND if deep else _SHALLOW_GCD_BOUND)
     assert plan.powmod is (gmp.powmod if gmp and n >= DETERMINISTIC_BOUND else pow)
-    assert plan.chain is (gmp.strong_lucas if gmp and deep else _lucas_chain)
+    assert plan.chain is (gmp.strong_lucas if gmp and n >= DETERMINISTIC_BOUND
+                          else _lucas_chain)
     assert plan.threads == (len(cpus) if gmp and deep else 1)
     # m: no prime factor below 10**5, and as many bits as n, so the same row.
     m = rough_at_least(2 ** (n.bit_length() - 1))
