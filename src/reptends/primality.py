@@ -94,6 +94,15 @@ _COMPOSITE = PrimalityVerdict("composite", 0)
 _GMP_SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
 
 
+# Known answers of the strong Lucas check, one for each way libgmp's chain
+# ends: the prime 100151 has U_d = 0 or V_d = 0 mod n, which mpz_lucas_mod
+# reports itself; the strong Lucas pseudoprime 100127 passes at the 4th
+# doubling after it; 100131 = 3 * 33377 fails; 2**17 - 1, a prime with
+# d = 1, passes at the 15th doubling.
+_LUCAS_MOD_ANSWERS = ((100151, True), (100127, True), (100131, False),
+                      (2**17 - 1, True))
+
+
 class _Gmp(NamedTuple):
     """libgmp's kernels; each returns what its builtin counterpart returns."""
 
@@ -111,12 +120,12 @@ class _Gmp(NamedTuple):
 def _gmp() -> _Gmp | None:
     """The system libgmp's kernels, through ctypes, or None.
 
-    None where ctypes, the library or one of its public symbols does not
-    load, so there is never a partial set.  mpz_lucas_mod (libgmp 6.2 and
-    up) is declared only in GMP's internal gmp-impl.h; where it does not
-    load, strong_lucas is the builtin _lucas_chain and the other kernels
-    are still libgmp's.  Loaded on first call, so importing the package maps
-    neither.  ctypes.util.find_library is not used: on Linux it runs
+    None where ctypes, the library or one of its symbols does not load, so
+    there is never a partial set.  mpz_lucas_mod, exported from libgmp 6.2
+    on, is declared only in GMP's internal gmp-impl.h, so its interface is
+    not promised: the set is also None where strong_lucas misses one of
+    _LUCAS_MOD_ANSWERS.  Loaded on first call, so importing the package
+    maps neither.  ctypes.util.find_library is not used: on Linux it runs
     ldconfig or gcc in a subprocess.  Values cross as big-endian 1-byte
     words, so the limb size does not matter.
     """
@@ -144,6 +153,10 @@ def _gmp() -> _Gmp | None:
         "submul_ui": ([mpz, mpz, ulong], None),
         "primorial_ui": ([mpz, ulong], None),
         "cmp_ui": ([mpz, ulong], c_int),
+        # lucas_mod(V, q, Q, s, N, T, X): with n + 1 = d * 2**s in N, nonzero
+        # when U_d or V_d is 0 mod n; otherwise V_d in V and, for s > 1, Q**d
+        # in q.
+        "lucas_mod": ([mpz, mpz, ctypes.c_long, ulong, mpz, mpz, mpz], c_int),
     }
     for soname in _GMP_SONAMES:
         try:
@@ -156,12 +169,6 @@ def _gmp() -> _Gmp | None:
         return None
     for name, (argtypes, restype) in signatures.items():
         f[name].argtypes, f[name].restype = argtypes, restype
-    # lucas_mod(V, q, Q, s, N, T, X): with n + 1 = d * 2**s in N, nonzero when
-    # U_d or V_d is 0 mod n; otherwise V_d in V and Q**d in q (when s > 1).
-    lucas_mod = getattr(gmp, "__gmpz_lucas_mod", None)
-    if lucas_mod is not None:
-        lucas_mod.argtypes = [mpz, mpz, ctypes.c_long, ulong, mpz, mpz, mpz]
-        lucas_mod.restype = c_int
     load, store, gcd, cmp_ui = f["import"], f["export"], f["gcd"], f["cmp_ui"]
     mul, mod, submul_ui = f["mul"], f["mod"], f["submul_ui"]
 
@@ -200,7 +207,7 @@ def _gmp() -> _Gmp | None:
         def strong_lucas(n: int, d: int, s: int, Q: int) -> bool:
             """_lucas_chain(n, d, s, Q): one call up to V_d, then s - 1 doublings."""
             put(N, n)
-            if lucas_mod(V, q, Q, s, N, T, X):
+            if f["lucas_mod"](V, q, Q, s, N, T, X):
                 return True
             for _ in range(s - 1):
                 mul(T, V, V)
@@ -235,8 +242,9 @@ def _gmp() -> _Gmp | None:
         return kernel
 
     kernels = _Gmp(*map(pooled, range(len(_Gmp._fields))))
-    if lucas_mod is None:
-        return kernels._replace(strong_lucas=_lucas_chain)
+    for n, passes in _LUCAS_MOD_ANSWERS:
+        if _strong_lucas_probable_prime(n, kernels.strong_lucas) is not passes:
+            return None
     return kernels
 
 

@@ -20,6 +20,7 @@ from reptends.primality import (
     DETERMINISTIC_BOUND,
     SMALL_PRIMES,
     TRIAL_DIVISION_BOUND,
+    _LUCAS_MOD_ANSWERS,
     _SHALLOW_GCD_BITS,
     _SHALLOW_GCD_BOUND,
     _TRIAL_PREFIX,
@@ -701,38 +702,51 @@ def test_gmp_chain_matches_python_chain(n):
     assert _gmp().strong_lucas(*chain) == _lucas_chain(*chain)
 
 
+# Past the drawn chains, one value each way: the 2215-digit catalog prime
+# (7358 bits) passes, and a product of two rough factors of 3501 and 3601
+# bits fails, as the Python chain says in about 2 s.
 @needs_gmp
-def test_without_lucas_mod_the_chain_is_builtin_and_the_rest_libgmp(monkeypatch):
-    """Where libgmp loads without mpz_lucas_mod, strong Lucas is the builtin
-    chain, the power and the gcd stay libgmp's, and every verdict holds."""
-    import ctypes
+@pytest.mark.parametrize("n, passes", [
+    (catalog_value(7, 2215), True),
+    (rough_at_least(2**3500) * rough_at_least(2**3600), False),
+], ids=["catalog-2215", "rough-7101-bits"])
+def test_gmp_chain_known_answers_past_the_drawn_sizes(n, passes):
+    assert _gmp().strong_lucas(*selfridge_chain(n)) is passes
 
-    class WithoutLucasMod(ctypes.CDLL):  # as a libgmp older than 6.2 loads
-        def __getattr__(self, name):
-            if name == "__gmpz_lucas_mod":
-                raise AttributeError(name)
-            return super().__getattr__(name)
 
-    # Rows 65-767 bits and 768 up: primes, base-2 strong pseudoprimes that
-    # only strong Lucas or the witness rounds reject, and a rough composite.
-    values = [MERSENNE_PRIME_127, 2**521 - 1, SPLIT_HIT, BASE2_STRONG_PSEUDOPRIME,
-              *(p * (2 * p - 1) for p in STRONG_PAIRS_ABOVE_2_64),
-              rough_at_least(2**800) * rough_at_least(2**900)]
-    expected = [classify(n) for n in values]
-    assert {v.status for v in expected} == {"probable_prime", "composite"}
+def test_lucas_mod_answers_hold_on_the_python_chain():
+    assert [_strong_lucas_probable_prime(n) for n, _ in _LUCAS_MOD_ANSWERS] == [
+        passes for _, passes in _LUCAS_MOD_ANSWERS
+    ]
+
+
+@needs_gmp
+def test_a_missed_known_answer_leaves_libgmp_unused(monkeypatch):
+    """mpz_lucas_mod is GMP's internal function: a library whose chain misses
+    a known answer is not used at all."""
+    (n, passes), *rest = _LUCAS_MOD_ANSWERS
     _gmp.cache_clear()
-    monkeypatch.setattr(ctypes, "CDLL", WithoutLucasMod)
+    monkeypatch.setattr(primality, "_LUCAS_MOD_ANSWERS", ((n, not passes), *rest))
     try:
-        kernels = _gmp()
-        assert kernels is not None and kernels.strong_lucas is _lucas_chain
-        assert kernels.powmod is not pow
-        assert kernels.powmod(3, 2**127, MERSENNE_PRIME_127) == 9
-        for n in values:
-            plan = _plan(n)
-            assert plan.chain is _lucas_chain and plan.powmod is kernels.powmod
-        assert [classify(n) for n in values] == expected
+        assert _gmp() is None
     finally:
         _gmp.cache_clear()
+
+
+def test_gmp_loads_wherever_the_library_has_mpz_lucas_mod():
+    """A kernel that missed a known answer would leave _gmp() None, and every
+    needs_gmp test would skip unseen."""
+    import ctypes
+
+    for soname in primality._GMP_SONAMES:
+        try:
+            getattr(ctypes.CDLL(soname), "__gmpz_lucas_mod")
+            break
+        except (OSError, AttributeError):
+            continue
+    else:
+        pytest.skip("no libgmp with mpz_lucas_mod here")
+    assert _gmp() is not None
 
 
 @needs_gmp
