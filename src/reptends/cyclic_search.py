@@ -7,12 +7,12 @@ circular substring of a single period: the first L <= period digits of
 another such stream.  Both searches walk digit-count levels of the streams,
 1..period for subcyclic primes and onward for cyclic ones.  Where the size
 rule of primality shares a candidate's checks among threads, as many threads
-classify a window of upcoming levels, handed on strictly in level order.  A
-checkpoint file (JSON, written atomically and synced to disk) makes long runs
-resumable.  A search saves it after a level that found records, after the
-last level, and once the levels since its last save reach a quarter of
-WORK_LIMIT in estimated work, so a crash loses only levels that found no
-record.
+classify a window of upcoming levels (primality._in_order), handed on
+strictly in level order.  A checkpoint file (JSON, written atomically and
+synced to disk) makes long runs resumable.  A search saves it after a level
+that found records, after the last level, and once the levels since its
+last save reach a quarter of WORK_LIMIT in estimated work, so a crash loses
+only levels that found no record.
 
 Records are named tuples, so they also unpack, index and compare equal to
 plain tuples of their fields.
@@ -21,7 +21,6 @@ plain tuples of their fields.
 import json
 import os
 import tempfile
-import threading
 from bisect import bisect_left
 from contextlib import closing
 from itertools import accumulate, chain, repeat
@@ -34,6 +33,7 @@ from .primality import (
     DETERMINISTIC_BOUND,
     TRIAL_DIVISION_BOUND,
     PrimalityVerdict,
+    _in_order,
     _passes_base2_round,
     _plan,
     _survivor,
@@ -266,10 +266,10 @@ def _walk_levels(
 
     Yields (ndigits, records) per level in level order, the non-composite
     prefixes ordered by numerator.  From the first level whose least
-    candidate falls in a size-rule row of more than one thread, a window of
-    that many threads classifies the levels (_in_level_order); below it, and
-    wherever the row has one thread, each level is classified on this
-    thread when asked for.  Only records are held.
+    candidate falls in a size-rule row of more than one thread, that many
+    threads classify a window of levels through primality._in_order; below
+    it, and wherever the row has one thread, each level is classified on
+    this thread when asked for.  Only records are held.
     """
     numerators = _numerators(p, base)
     cycle_index = _cycle_indexer(p, period)
@@ -289,114 +289,19 @@ def _walk_levels(
         return found
 
     levels = range(first, last + 1)
-    # The rows follow n's size, so the levels of more than one thread are a suffix.
+    # The rows follow n's size, so the levels of more than one thread are a
+    # suffix; below it _in_order takes no lock.
     split = bisect_left(levels, 2, key=threads)
-    # Below the window no lock is taken: through _in_level_order's locks on
-    # one thread, the sweep-50-serial benchmark ran about 10 % slower.
-    below = ((ndigits, survivors(ndigits, ())) for ndigits in levels[:split])
-    window = levels[split:]
-    with closing(_in_level_order(survivors, window,
-                                 threads(window[0]) if window else 1)) as above:
-        for ndigits, found in chain(below, above):
+    below, window = levels[:split], levels[split:]
+    with closing(_in_order(survivors, window, threads(window[0]) if window else 1,
+                           "reptends-level")) as above:
+        found = chain(_in_order(survivors, below, 1, "reptends-level"), above)
+        for ndigits, level in zip(levels, found):
             yield ndigits, [
                 CyclicPrimeRecord(p, base, cycle_index(a), a, ndigits, a * base // p,
                                   verdict)
-                for a, verdict in found
+                for a, verdict in level
             ]
-
-
-# Levels in flight per thread of a window.  In alternating catalog-serial
-# runs of benchmarks/run.py on a 2-vCPU VM the median wall time was 1.39 s
-# at 2 levels a thread, 1.20-1.22 s at 4 and 1.08-1.18 s at 8, 16 and 32,
-# against 1.49-1.52 s with no window.  8 is the least depth on that plateau;
-# a deeper window only classifies more levels that an early stop discards.
-_WINDOW_PER_THREAD = 8
-
-
-def _in_level_order(
-    survivors: Callable[[int, list], list], levels: range, threads: int
-) -> Iterator[tuple[int, list]]:
-    """(ndigits, survivors(ndigits, stopped)) for each of levels, in order.
-
-    This thread and threads - 1 workers named reptends-level-<i> take the
-    next level in turn, at most threads * _WINDOW_PER_THREAD past the last
-    level yielded, and this thread yields each level once it is done.  With
-    one thread no worker starts, and each level is classified when asked
-    for.  Ending the walk, by its last level, close() or an exception here,
-    Ctrl-C included, makes stopped nonempty and joins the workers once their
-    current classify call ends.  A worker's exception stops the walk too
-    and is raised here after the join.
-    """
-    cond = threading.Condition(threading.Lock())
-    done: dict[int, list] = {}  # level index -> survivors
-    stopped, raised = [], []
-    taken = yielded = 0
-    depth = threads * _WINDOW_PER_THREAD
-
-    def claim() -> int | None:
-        """Under cond: the next level index in the window, or None."""
-        nonlocal taken
-        if stopped or taken >= min(len(levels), yielded + depth):
-            return None
-        taken += 1
-        return taken - 1
-
-    def step(i: int) -> int | None:
-        """Under cond: a level index for this thread, or None once level i
-        is done or a worker raised; waits while neither holds."""
-        while i not in done and not raised:
-            if (j := claim()) is not None:
-                return j
-            cond.wait()
-        return None
-
-    def work() -> None:
-        try:
-            while True:
-                with cond:
-                    while (j := claim()) is None:
-                        if stopped or taken == len(levels):
-                            return
-                        cond.wait()
-                found = survivors(levels[j], stopped)
-                with cond:
-                    done[j] = found
-                    cond.notify_all()
-        except BaseException as exc:
-            with cond:
-                raised.append(exc)
-                stopped.append(exc)
-                cond.notify_all()
-
-    # Daemons, so that a walk left unclosed in a live traceback, its workers
-    # waiting for room in the window, cannot hold up the interpreter's exit.
-    helpers = [threading.Thread(target=work, name=f"reptends-level-{k}", daemon=True)
-               for k in range(1, min(threads, len(levels)))]
-    try:
-        for helper in helpers:
-            helper.start()
-        for i, ndigits in enumerate(levels):
-            with cond:
-                yielded = i
-                cond.notify_all()
-                j = step(i)
-            while j is not None:
-                found = survivors(levels[j], stopped)
-                with cond:
-                    done[j] = found
-                    j = step(i)
-            if raised:
-                break
-            yield ndigits, done.pop(i)
-    finally:
-        with cond:
-            stopped.append(None)
-            cond.notify_all()
-        for helper in helpers:
-            if helper.is_alive():
-                helper.join()
-    if raised:
-        raise raised[0]
 
 
 def _document(

@@ -19,6 +19,8 @@ its builtin counterpart returns, and the verdict is the AND of the checks,
 so it is the same with or without the library, on any number of threads.
 The libgmp kernels draw their temporaries from one pool of kernel sets, so
 any thread may call classify, and calls on several threads run at once.
+Threads start only in _in_order, which runs a hit's checks here and
+cyclic_search's window of levels, yielding their results in order.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -30,8 +32,9 @@ import os
 import sys
 import threading
 from bisect import bisect_left, bisect_right
-from itertools import compress, count
-from typing import Callable, Iterator, Literal, NamedTuple
+from contextlib import closing
+from itertools import compress, repeat
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 # This interpreter's builtin _sha2 (_sha256 before Python 3.12) computes the
 # same digests without loading OpenSSL, as the stdlib's random.py does for sha512.
@@ -431,52 +434,124 @@ def _plan(n: int) -> _Plan:
     return row if row.threads else row._replace(threads=_usable_cpus())
 
 
-def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
-    """True when n passes strong Lucas and `rounds` hash-derived rounds.
+# Items in flight per thread of _in_order, measured on the window of levels.
+# In alternating catalog-serial runs of benchmarks/run.py on a 2-vCPU VM the
+# median wall time was 1.39 s at 2 levels a thread, 1.20-1.22 s at 4 and
+# 1.08-1.18 s at 8, 16 and 32, against 1.49-1.52 s with no window.  8 is the
+# least depth on that plateau; a deeper window only classifies more levels
+# that an early stop discards.
+_AHEAD_PER_THREAD = 8
 
-    This thread and up to plan.threads - 1 helper threads take the next
-    check in turn, strong Lucas, the costliest, first, on plan's kernels.  A
-    failed check stops the others at their next turn, and so does an
-    exception here, KeyboardInterrupt included: the join that follows waits
-    for at most one check a helper.  A helper's exception is raised here
-    after the join.  The verdict is the AND of the checks, so it does not
-    depend on which thread ran which.
+
+def _in_order(task: Callable, items: Sequence, threads: int, name: str) -> Iterator:
+    """task(item, stopped) for each of items, in order.
+
+    This thread and threads - 1 daemon helpers named <name>-<i> take the
+    next item in turn, at most threads * _AHEAD_PER_THREAD past the last
+    item yielded, and this thread yields each result once it is ready.  With
+    one thread no helper starts and no lock is taken: each item runs when
+    asked for, with stopped empty.  Ending the generator, by its last item,
+    close() or an exception here, Ctrl-C included, makes stopped nonempty and
+    joins the helpers once their current task ends, so a consumer that stops
+    after item k leaves at most threads * _AHEAD_PER_THREAD tasks started
+    past it.  A helper's exception stops the others too and is raised here
+    after the join.
     """
-    checks = [None, *_derived_witnesses(n, rounds)]  # None: strong Lucas
-    d, s = _odd_part(n - 1)
-    take = count().__next__  # one C call, so no two threads get one index
-    failed, raised = [], []  # a nonempty failed stops every thread
+    threads = min(threads, len(items))
+    if threads < 2:
+        yield from map(task, items, repeat(()))
+        return
+    cond = threading.Condition(threading.Lock())
+    done: dict = {}  # item index -> result
+    stopped, raised = [], []
+    taken = yielded = 0
+    depth = threads * _AHEAD_PER_THREAD
 
-    def share() -> None:
-        while not failed and (i := take()) < len(checks):
-            a = checks[i]
-            if not (_strong_lucas_probable_prime(n, plan.chain) if a is None
-                    else _strong_probable_prime(n, a, d, s, plan.powmod)):
-                failed.append(a)
+    def claim() -> int | None:
+        """Under cond: the next item index in reach, or None."""
+        nonlocal taken
+        if stopped or taken >= min(len(items), yielded + depth):
+            return None
+        taken += 1
+        return taken - 1
+
+    def step(i: int) -> int | None:
+        """Under cond: an item index for this thread, or None once item i is
+        done or a helper raised; waits while neither holds."""
+        while i not in done and not raised:
+            if (j := claim()) is not None:
+                return j
+            cond.wait()
+        return None
 
     def work() -> None:
         try:
-            share()
+            while True:
+                with cond:
+                    while (j := claim()) is None:
+                        if stopped or taken == len(items):
+                            return
+                        cond.wait()
+                result = task(items[j], stopped)
+                with cond:
+                    done[j] = result
+                    cond.notify_all()
         except BaseException as exc:
-            raised.append(exc)
-            failed.append(exc)
+            with cond:
+                raised.append(exc)
+                stopped.append(exc)
+                cond.notify_all()
 
-    helpers = [threading.Thread(target=work, name=f"reptends-confirm-{i}")
-               for i in range(1, min(plan.threads, len(checks)))]
+    # Daemons, so that a generator left unclosed in a live traceback, its
+    # helpers waiting for room ahead, cannot hold up the interpreter's exit.
+    helpers = [threading.Thread(target=work, name=f"{name}-{k}", daemon=True)
+               for k in range(1, threads)]
     try:
         for helper in helpers:
             helper.start()
-        share()
-    except BaseException:
-        failed.append(None)
-        raise
+        for i in range(len(items)):
+            with cond:
+                yielded = i
+                cond.notify_all()
+                j = step(i)
+            while j is not None:
+                result = task(items[j], stopped)
+                with cond:
+                    done[j] = result
+                    j = step(i)
+            if raised:
+                break
+            yield done.pop(i)
     finally:
+        with cond:
+            stopped.append(None)
+            cond.notify_all()
         for helper in helpers:
             if helper.is_alive():
                 helper.join()
     if raised:
         raise raised[0]
-    return not failed
+
+
+def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
+    """True when n passes strong Lucas and `rounds` hash-derived rounds.
+
+    The checks, strong Lucas, the costliest, first, run through _in_order on
+    plan.threads threads and plan's kernels, and the first failed check in
+    order ends the others: on more than one thread, at most plan.threads *
+    _AHEAD_PER_THREAD checks past it have started, and only a base-2 strong
+    pseudoprime gets that far.  The verdict is the AND of the checks, so it
+    does not depend on which thread ran which.
+    """
+    d, s = _odd_part(n - 1)
+
+    def check(a: int | None, _stopped) -> bool:  # None: strong Lucas
+        return (_strong_lucas_probable_prime(n, plan.chain) if a is None
+                else _strong_probable_prime(n, a, d, s, plan.powmod))
+
+    with closing(_in_order(check, [None, *_derived_witnesses(n, rounds)],
+                           plan.threads, "reptends-confirm")) as passed:
+        return all(passed)
 
 
 def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:

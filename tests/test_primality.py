@@ -20,6 +20,7 @@ from reptends.primality import (
     DETERMINISTIC_BOUND,
     SMALL_PRIMES,
     TRIAL_DIVISION_BOUND,
+    _AHEAD_PER_THREAD,
     _LUCAS_MOD_ANSWERS,
     _SHALLOW_GCD_BITS,
     _SHALLOW_GCD_BOUND,
@@ -816,21 +817,26 @@ def usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: len(cpus))
 
 
-def spy_on_checks(monkeypatch, fails=()):
+def spy_on_checks(monkeypatch, fails=(), fail_after=0.0):
     """[(witness, or None for strong Lucas; name of the thread that ran it)].
 
-    The checks in `fails` report failure without running."""
+    The checks in `fails` report failure without running, after sleeping
+    `fail_after` seconds."""
     ran = []
     real_round = primality._strong_probable_prime
     real_lucas = primality._strong_lucas_probable_prime
 
+    def fail():
+        time.sleep(fail_after)
+        return False
+
     def round_(n, a, d, s, *kernel):
         ran.append((a, threading.current_thread().name))
-        return a not in fails and real_round(n, a, d, s, *kernel)
+        return fail() if a in fails else real_round(n, a, d, s, *kernel)
 
     def lucas(n, *kernel):
         ran.append((None, threading.current_thread().name))
-        return None not in fails and real_lucas(n, *kernel)
+        return fail() if None in fails else real_lucas(n, *kernel)
 
     monkeypatch.setattr(primality, "_strong_probable_prime", round_)
     monkeypatch.setattr(primality, "_strong_lucas_probable_prime", lucas)
@@ -879,7 +885,9 @@ FAILING_IDS = ["lucas", *(f"round-{k}" for k in range(DEFAULT_ROUNDS))]
 def test_one_failed_check_makes_the_split_verdict_composite(cpus, failing, monkeypatch):
     """Whichever thread takes the failing check, the verdict is composite,
     and no worker is left alive.  On one CPU no worker starts, and the
-    checks stop at the failing one."""
+    checks stop at the failing one.  On two, the failing check takes 20 ms,
+    time for the other thread to run every later check, yet every check
+    that ran lies at most 2 * _AHEAD_PER_THREAD past it."""
     usable_cpus(monkeypatch, cpus)
     started = []
     real_start = threading.Thread.start
@@ -891,17 +899,21 @@ def test_one_failed_check_makes_the_split_verdict_composite(cpus, failing, monke
     monkeypatch.setattr(threading.Thread, "start", start)
     witnesses = list(_derived_witnesses(SPLIT_HIT, DEFAULT_ROUNDS))
     check = None if failing is None else witnesses[failing]
-    ran = spy_on_checks(monkeypatch, fails={check})
+    ran = spy_on_checks(monkeypatch, fails={check},
+                        fail_after=0.02 if len(cpus) > 1 else 0.0)
     assert classify(SPLIT_HIT) == ("composite", 0)
     assert check in {a for a, _ in ran}
     assert confirm_threads() == []
+    # 2: the base-2 round; then strong Lucas and the rounds, in order.
+    checks = [2, None, *witnesses]
+    k = checks.index(check)
     if len(cpus) == 1:
-        # 2: the base-2 round; then strong Lucas and the rounds, in order.
-        checks = [2, None, *witnesses]
-        assert ran == [(a, "MainThread") for a in checks[: checks.index(check) + 1]]
+        assert ran == [(a, "MainThread") for a in checks[: k + 1]]
         assert started == []
     else:
         assert started == ["reptends-confirm-1"]
+        reach = checks[: k + 1 + 2 * _AHEAD_PER_THREAD]
+        assert all(a in reach for a, _ in ran)
 
 
 @needs_gmp
