@@ -7,12 +7,13 @@ circular substring of a single period: the first L <= period digits of
 another such stream.  Both searches walk digit-count levels of the streams,
 1..period for subcyclic primes and onward for cyclic ones.  Where the size
 rule of primality shares a candidate's checks among threads, as many threads
-classify a window of upcoming levels (primality._in_order), handed on
-strictly in level order.  A checkpoint file (JSON, written atomically and
-synced to disk) makes long runs resumable.  A search saves it after a level
-that found records, after the last level, and once the levels since its
-last save reach a quarter of WORK_LIMIT in estimated work, so a crash loses
-only levels that found no record.
+classify the levels from there on, each taking the next untaken one
+(primality._in_order), handed on strictly in level order.  A checkpoint
+file (JSON, written atomically and synced to disk) makes long runs
+resumable.  A search saves it after a level that found records, after the
+last level, and once the levels since its last save reach a quarter of
+WORK_LIMIT in estimated work, so a crash loses only levels that found no
+record.
 
 Records are named tuples, so they also unpack, index and compare equal to
 plain tuples of their fields.
@@ -31,7 +32,6 @@ from .digits import DigitString, _require_radix, from_integer
 from .primality import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
-    TRIAL_DIVISION_BOUND,
     PrimalityVerdict,
     _in_order,
     _passes_base2_round,
@@ -267,16 +267,15 @@ def _walk_levels(
     Yields (ndigits, records) per level in level order, the non-composite
     prefixes ordered by numerator.  From the first level whose least
     candidate falls in a size-rule row of more than one thread, that many
-    threads classify a window of levels through primality._in_order; below
-    it, and wherever the row has one thread, each level is classified on
-    this thread when asked for.  Only records are held.
+    threads classify levels through primality._in_order, each taking the
+    next untaken one; below it, and wherever the row has one thread, each
+    level is classified on this thread when asked for.  Only records are held.
     """
     numerators = _numerators(p, base)
     cycle_index = _cycle_indexer(p, period)
 
     def threads(ndigits: int) -> int:
-        n = numerators[0] * base**ndigits // p
-        return _plan(n).threads if n >= TRIAL_DIVISION_BOUND else 1
+        return _plan(numerators[0] * base**ndigits // p).threads
 
     def survivors(ndigits: int, stopped) -> list[tuple[int, PrimalityVerdict]]:
         # The first ndigits digits of a/p, in candidate_value's closed form.
@@ -290,7 +289,10 @@ def _walk_levels(
 
     levels = range(first, last + 1)
     # The rows follow n's size, so the levels of more than one thread are a
-    # suffix; below it _in_order takes no lock.
+    # suffix; below it _in_order takes no lock.  Windowing every level of
+    # subcyclic 1009 10 cut its wall time 10 % on a 2-vCPU VM but raised its
+    # CPU time 32-36 % (3.73 -> 4.94 s, 6 alternating pairs): two threads
+    # contending for the GIL over the pure-Python classify of low levels.
     split = bisect_left(levels, 2, key=threads)
     below, window = levels[:split], levels[split:]
     with closing(_in_order(survivors, window, threads(window[0]) if window else 1,
@@ -390,13 +392,15 @@ def _checkpoint_directory(path: str) -> str:
 def save_checkpoint(doc: dict, path: str) -> None:
     """Write the checkpoint document atomically and durably.
 
-    The document goes to a temp file in the same directory, which is synced
-    to disk before it is renamed over the old checkpoint, so a crash leaves
-    either the old or the new checkpoint, never a partial one.  A failed
-    write removes the temp file and raises CheckpointError from its OSError.
+    The document goes to a temp file in the same directory, synced to disk
+    and renamed over the old checkpoint, so a crash leaves the old or the
+    new checkpoint, never a partial one; once the directory is synced too,
+    where os.O_DIRECTORY exists, a power loss cannot undo the rename.  A
+    failed write removes the temp file and raises CheckpointError from its OSError.
     """
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=_checkpoint_directory(path), suffix=".tmp")
+        directory = _checkpoint_directory(path)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(json.dumps(doc, sort_keys=True))
@@ -407,5 +411,11 @@ def save_checkpoint(doc: dict, path: str) -> None:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
+        if hasattr(os, "O_DIRECTORY"):
+            fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc

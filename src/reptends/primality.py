@@ -19,8 +19,8 @@ its builtin counterpart returns, and the verdict is the AND of the checks,
 so it is the same with or without the library, on any number of threads.
 The libgmp kernels draw their temporaries from one pool of kernel sets, so
 any thread may call classify, and calls on several threads run at once.
-Threads start only in _in_order, which runs a hit's checks here and
-cyclic_search's window of levels, yielding their results in order.
+Threads start only in _in_order: they take the next untaken check of a hit
+here or level of cyclic_search's window, and results come back in order.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -428,109 +428,75 @@ def _rows(gmp: _Gmp | None) -> tuple[_Plan, ...]:
 
 
 def _plan(n: int) -> _Plan:
-    """n's row of the size rule, for n from 10**5 up."""
+    """n's row of the size rule: row 0, one thread and no libgmp, below 2**64."""
     i = bisect_right(_ROW_FROM_BITS, n.bit_length())
     row = _rows(_gmp() if i else None)[i]  # row 0 needs no libgmp
     return row if row.threads else row._replace(threads=_usable_cpus())
 
 
-# Items in flight per thread of _in_order, measured on the window of levels.
-# In alternating catalog-serial runs of benchmarks/run.py on a 2-vCPU VM the
-# median wall time was 1.39 s at 2 levels a thread, 1.20-1.22 s at 4 and
-# 1.08-1.18 s at 8, 16 and 32, against 1.49-1.52 s with no window.  8 is the
-# least depth on that plateau; a deeper window only classifies more levels
-# that an early stop discards.
-_AHEAD_PER_THREAD = 8
-
-
 def _in_order(task: Callable, items: Sequence, threads: int, name: str) -> Iterator:
     """task(item, stopped) for each of items, in order.
 
-    This thread and threads - 1 daemon helpers named <name>-<i> take the
-    next item in turn, at most threads * _AHEAD_PER_THREAD past the last
-    item yielded, and this thread yields each result once it is ready.  With
-    one thread no helper starts and no lock is taken: each item runs when
-    asked for, with stopped empty.  Ending the generator, by its last item,
-    close() or an exception here, Ctrl-C included, makes stopped nonempty and
-    joins the helpers once their current task ends, so a consumer that stops
-    after item k leaves at most threads * _AHEAD_PER_THREAD tasks started
-    past it.  A helper's exception stops the others too and is raised here
-    after the join.
+    This thread and threads - 1 daemon helpers named <name>-<i> each take
+    the next untaken item; this thread runs them until its own is done, then
+    yields its result.  With one thread it is map, with stopped empty: no
+    helper starts and no lock is taken.  Ending the generator, by its last
+    item, close() or an exception here, Ctrl-C included, makes stopped
+    nonempty, so no item starts after it, and joins the helpers once their
+    current task ends.  A helper's exception stops the others too and is
+    raised here after the join.
     """
     threads = min(threads, len(items))
     if threads < 2:
         yield from map(task, items, repeat(()))
         return
     cond = threading.Condition(threading.Lock())
+    untaken = iter(range(len(items)))  # item indices, claimed under cond
     done: dict = {}  # item index -> result
-    stopped, raised = [], []
-    taken = yielded = 0
-    depth = threads * _AHEAD_PER_THREAD
+    stopped: list = []  # nonempty once a helper raised or this thread stops
 
-    def claim() -> int | None:
-        """Under cond: the next item index in reach, or None."""
-        nonlocal taken
-        if stopped or taken >= min(len(items), yielded + depth):
-            return None
-        taken += 1
-        return taken - 1
-
-    def step(i: int) -> int | None:
-        """Under cond: an item index for this thread, or None once item i is
-        done or a helper raised; waits while neither holds."""
-        while i not in done and not raised:
-            if (j := claim()) is not None:
-                return j
-            cond.wait()
-        return None
+    def run_next() -> bool:
+        """Run the next untaken item; False once none is left or stopped."""
+        with cond:
+            j = None if stopped else next(untaken, None)
+        if j is None:
+            return False
+        result = task(items[j], stopped)
+        with cond:
+            done[j] = result
+            cond.notify_all()
+        return True
 
     def work() -> None:
         try:
-            while True:
-                with cond:
-                    while (j := claim()) is None:
-                        if stopped or taken == len(items):
-                            return
-                        cond.wait()
-                result = task(items[j], stopped)
-                with cond:
-                    done[j] = result
-                    cond.notify_all()
+            while run_next():
+                pass
         except BaseException as exc:
             with cond:
-                raised.append(exc)
                 stopped.append(exc)
                 cond.notify_all()
 
-    # Daemons, so that a generator left unclosed in a live traceback, its
-    # helpers waiting for room ahead, cannot hold up the interpreter's exit.
+    # Daemons, so that a generator left unclosed in a live traceback cannot
+    # hold up the interpreter's exit while its helpers run on.
     helpers = [threading.Thread(target=work, name=f"{name}-{k}", daemon=True)
                for k in range(1, threads)]
     try:
         for helper in helpers:
             helper.start()
         for i in range(len(items)):
+            while i not in done and run_next():
+                pass
             with cond:
-                yielded = i
-                cond.notify_all()
-                j = step(i)
-            while j is not None:
-                result = task(items[j], stopped)
-                with cond:
-                    done[j] = result
-                    j = step(i)
-            if raised:
-                break
+                cond.wait_for(lambda: i in done or stopped)
+            if stopped:  # a helper raised; the finally clause joins first
+                raise stopped[0]
             yield done.pop(i)
     finally:
         with cond:
             stopped.append(None)
-            cond.notify_all()
         for helper in helpers:
             if helper.is_alive():
                 helper.join()
-    if raised:
-        raise raised[0]
 
 
 def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
@@ -538,10 +504,9 @@ def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
 
     The checks, strong Lucas, the costliest, first, run through _in_order on
     plan.threads threads and plan's kernels, and the first failed check in
-    order ends the others: on more than one thread, at most plan.threads *
-    _AHEAD_PER_THREAD checks past it have started, and only a base-2 strong
-    pseudoprime gets that far.  The verdict is the AND of the checks, so it
-    does not depend on which thread ran which.
+    order ends the others; only a base-2 strong pseudoprime gets that far.
+    The verdict is the AND of the checks, so it does not depend on which
+    thread ran which.
     """
     d, s = _odd_part(n - 1)
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -488,7 +489,8 @@ class TestCheckpoint:
         real_fsync, real_replace = os.fsync, os.replace
 
         def fsync(fd):
-            calls.append("fsync")
+            calls.append("fsync " + ("directory" if stat.S_ISDIR(os.fstat(fd).st_mode)
+                                     else "file"))
             real_fsync(fd)
 
         def replace(src, dst):
@@ -500,7 +502,9 @@ class TestCheckpoint:
         path = str(tmp_path / "ck.json")
         doc = {"completed_through_digits": 16, "found": []}
         save_checkpoint(doc, path)
-        assert calls == ["fsync", "replace"]
+        # The directory is synced after the rename, so the rename is durable.
+        synced = ["fsync directory"] if hasattr(os, "O_DIRECTORY") else []
+        assert calls == ["fsync file", "replace", *synced]
         assert read_json(path) == doc
 
     @pytest.mark.parametrize("step", ["fsync", "replace"])
@@ -713,7 +717,9 @@ def test_a_run_resumed_inside_the_window_equals_the_uninterrupted_run(
         monkeypatch, tmp_path):
     usable_cpus(monkeypatch, {0, 1})
     whole, resumed = tmp_path / "whole.json", tmp_path / "resumed.json"
-    expected = enumerate_cyclic_primes(7, 10, 320, checkpoint_path=str(whole))
+    # 823 digits: levels enough past 290 that the worker has not run out of
+    # them while the caller confirms the hit at 273.
+    expected = enumerate_cyclic_primes(7, 10, 823, checkpoint_path=str(whole))
 
     def kill(ndigits, records):
         if ndigits == 290:
@@ -723,10 +729,10 @@ def test_a_run_resumed_inside_the_window_equals_the_uninterrupted_run(
     # The traceback holds the search's frame, and with it the walk, so the
     # walk's threads are gone only if the search stopped them.
     with pytest.raises(Interrupted) as raised:
-        enumerate_cyclic_primes(7, 10, 320, on_level=kill, checkpoint_path=str(resumed))
+        enumerate_cyclic_primes(7, 10, 823, on_level=kill, checkpoint_path=str(resumed))
     assert level_threads() == [] and raised.traceback
     assert read_json(resumed)["completed_through_digits"] == 273
-    assert enumerate_cyclic_primes(7, 10, 320, checkpoint_path=str(resumed)) == expected
+    assert enumerate_cyclic_primes(7, 10, 823, checkpoint_path=str(resumed)) == expected
     assert resumed.read_bytes() == whole.read_bytes()
 
 
@@ -743,8 +749,10 @@ def test_a_failed_checkpoint_write_inside_the_window_stops_its_workers(
         save_checkpoint(doc, path)
 
     monkeypatch.setattr(reptends.cyclic_search, "save_checkpoint", fail)
+    # 823 digits: levels enough past the failing write at 273 that the
+    # worker has not run out of them while the caller confirms that hit.
     with pytest.raises(CheckpointError, match="disk full") as raised:
-        enumerate_cyclic_primes(7, 10, 320, checkpoint_path=str(tmp_path / "ck.json"))
+        enumerate_cyclic_primes(7, 10, 823, checkpoint_path=str(tmp_path / "ck.json"))
     assert alive == [1]
     assert level_threads() == [] and raised.traceback
 

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +22,6 @@ from reptends.primality import (
     DETERMINISTIC_BOUND,
     SMALL_PRIMES,
     TRIAL_DIVISION_BOUND,
-    _AHEAD_PER_THREAD,
     _LUCAS_MOD_ANSWERS,
     _SHALLOW_GCD_BITS,
     _SHALLOW_GCD_BOUND,
@@ -28,6 +29,7 @@ from reptends.primality import (
     PrimalityVerdict,
     _derived_witnesses,
     _gmp,
+    _in_order,
     _jacobi,
     _lucas_chain,
     _odd_part,
@@ -886,8 +888,7 @@ def test_one_failed_check_makes_the_split_verdict_composite(cpus, failing, monke
     """Whichever thread takes the failing check, the verdict is composite,
     and no worker is left alive.  On one CPU no worker starts, and the
     checks stop at the failing one.  On two, the failing check takes 20 ms,
-    time for the other thread to run every later check, yet every check
-    that ran lies at most 2 * _AHEAD_PER_THREAD past it."""
+    time for the other thread to run later checks."""
     usable_cpus(monkeypatch, cpus)
     started = []
     real_start = threading.Thread.start
@@ -912,8 +913,6 @@ def test_one_failed_check_makes_the_split_verdict_composite(cpus, failing, monke
         assert started == []
     else:
         assert started == ["reptends-confirm-1"]
-        reach = checks[: k + 1 + 2 * _AHEAD_PER_THREAD]
-        assert all(a in reach for a, _ in ran)
 
 
 @needs_gmp
@@ -930,6 +929,64 @@ def test_a_worker_exception_is_raised_by_classify(monkeypatch):
     with pytest.raises(ArithmeticError, match="worker"):
         classify(SPLIT_HIT)
     assert confirm_threads() == []
+
+
+class Boom(Exception):
+    pass
+
+
+@settings(deadline=None, max_examples=100)
+@given(sleeps=st.lists(st.sampled_from((0, 0.001, 0.002)), max_size=30),
+       threads=st.integers(1, 6), raising=st.none() | st.integers(0, 29),
+       stop=st.none() | st.integers(0, 30))
+def test_in_order_yields_a_prefix_of_what_map_yields(sleeps, threads, raising, stop):
+    """_in_order against map: items sleep 0-2 ms, one may raise, and the
+    consumer may stop after `stop` results.  Each item starts at most once,
+    every item before the stop or the failure exactly once, no thread takes
+    an item after the stop, and once the generator has ended no helper is
+    alive and no item starts."""
+    items = range(len(sleeps))
+    started, raised = [], []
+
+    def task(i, stopped):
+        started.append((i, threading.current_thread().name, bool(stopped)))
+        time.sleep(sleeps[i])
+        if i == raising:
+            raised.append(Boom(i))
+            raise raised[0]
+        return i * i
+
+    caller = threading.current_thread().name
+    helpers = {f"in-order-{k}" for k in range(1, threads)}
+    # With fewer than two threads, any use of threading fails the test.
+    no_threads = mock.patch.object(primality, "threading", None)
+    with no_threads if min(threads, len(items)) < 2 else contextlib.nullcontext():
+        got, caught = [], None
+        with contextlib.closing(_in_order(task, items, threads, "in-order")) as results:
+            try:
+                got.extend(islice(results, stop))
+            except Boom as exc:
+                caught = exc
+    ran = len(started)
+    assert not [t for t in threading.enumerate() if t.name.startswith("in-order-")]
+    assert got == list(map(lambda i: i * i, items))[: len(got)]
+    # A helper's exception may end the generator before the results ahead
+    # of its item are yielded, even past the consumer's stop.
+    reached = len(items) if stop is None else min(stop, len(items))
+    if caught is None:
+        assert len(got) == reached and (raising is None or raising >= reached)
+    else:
+        assert caught is raised[0] and len(got) <= raising
+    # Items are taken in order, so all before the failed one have started.
+    indices = [i for i, _, _ in started]
+    assert len(set(indices)) == len(indices)
+    assert set(range(len(got) if caught is None else raising)) <= set(indices)
+    assert {name for _, name, _ in started} <= {caller, *helpers}
+    # A task may start after the stop only when its thread took it before.
+    late = [name for _, name, after_stop in started if after_stop]
+    assert len(late) == len(set(late))
+    time.sleep(0.003)
+    assert len(started) == ran
 
 
 @needs_gmp

@@ -33,7 +33,8 @@ def test_import_skips_dataclasses_and_openssl():
     if any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")):
         assert "_hashlib" not in loaded
     # libgmp is mapped through ctypes once a candidate from 2**64 up reaches
-    # the gcd, never at import.
+    # the gcd, or before the first candidate of a walk whose last level
+    # reaches 2**64 (see below); never at import.
     assert "ctypes" not in loaded
 
 
@@ -48,3 +49,19 @@ def test_split_confirmation_loads_no_logging():
     loaded = modules_after(
         "reptends.cli.main(['search', '7', '10', '--max-digits', '310'])")
     assert "logging" not in loaded
+
+
+def test_a_walk_to_2_64_loads_ctypes_before_its_first_candidate():
+    # Levels 7..30 of 1/7 start at 21 bits, but the least candidate of level
+    # 30 is above 2**64, and the walk reads that level's size-rule row when
+    # it bisects for the window, before it classifies the first candidate.
+    loaded = modules_after(
+        "import reptends.cyclic_search as search\n"
+        "real, first = search.classify, []\n"
+        "def spy(n, rounds):\n"
+        "    first.append(('ctypes' in sys.modules, n.bit_length()))\n"
+        "    return real(n, rounds)\n"
+        "search.classify = spy\n"
+        "list(search._walk_levels(7, 10, 6, 7, 30, 40))\n"
+        "assert first[0] == (True, 21), first[0]")
+    assert "ctypes" in loaded
