@@ -14,13 +14,15 @@ combination, and a survivor is reported as a probable prime.
 
 The size rule above _plan picks the gcd's bound, the kernels (builtin, or
 the system's GNU MP library, libgmp, through ctypes) and the threads that
-share the checks after the base-2 round.  Each libgmp kernel returns what
-its builtin counterpart returns, and the verdict is the AND of the checks,
-so it is the same with or without the library, on any number of threads.
-The libgmp kernels draw their temporaries from one pool of kernel sets, so
-any thread may call classify, and calls on several threads run at once.
-Threads start only in _in_order: they take the next untaken check of a hit
-here or level of cyclic_search's window, and results come back in order.
+share the checks after the base-2 round.  libgmp runs only the ladders and
+the deep gcd, and each tail is one Python loop for both kernel sets.  Each
+libgmp kernel returns what its builtin counterpart returns, and the verdict
+is the AND of the checks, so it is the same with or without the library, on
+any number of threads.  The libgmp kernels draw their temporaries from one
+pool of kernel sets, so any thread may call classify, and calls on several
+threads run at once.  Threads start only in _in_order: they take the next
+untaken check of a hit here or level of cyclic_search's window, and
+results come back in order.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -97,11 +99,11 @@ _COMPOSITE = PrimalityVerdict("composite", 0)
 _GMP_SONAMES = ("libgmp.so.10", "libgmp.10.dylib")
 
 
-# Known answers of the strong Lucas check, one for each way libgmp's chain
-# ends: the prime 100151 has U_d = 0 or V_d = 0 mod n, which mpz_lucas_mod
-# reports itself; the strong Lucas pseudoprime 100127 passes at the 4th
-# doubling after it; 100131 = 3 * 33377 fails; 2**17 - 1, a prime with
-# d = 1, passes at the 15th doubling.
+# Known answers of the strong Lucas check.  libgmp's part ends at its zero
+# test for the prime 100151, whose U_d or V_d is 0 mod n, and at V_d for the
+# rest: Python's doublings, fed by libgmp's signed V_d and Q**d (both
+# negative for 100127), pass the strong Lucas pseudoprime 100127 at the 4th
+# and the prime 2**17 - 1, with d = 1, at the 15th; 100131 = 3 * 33377 fails.
 _LUCAS_MOD_ANSWERS = ((100151, True), (100127, True), (100131, False),
                       (2**17 - 1, True))
 
@@ -115,7 +117,7 @@ class _Gmp(NamedTuple):
     # for n with no factor in _TRIAL_PREFIX, as classify calls it.
     deep_coprime: Callable[[int], bool]
     # strong_lucas(n, d, s, Q) == _lucas_chain(n, d, s, Q) for n + 1 = d * 2**s:
-    # libgmp derives d from n and s and does not read it.
+    # libgmp runs the ladder to V_d from n and s, _lucas_doublings the rest.
     strong_lucas: Callable[[int, int, int, int], bool]
 
 
@@ -151,14 +153,11 @@ def _gmp() -> _Gmp | None:
                     c_int, size_t, mpz], ctypes.c_void_p),
         "powm": ([mpz, mpz, mpz, mpz], None),
         "gcd": ([mpz, mpz, mpz], None),
-        "mul": ([mpz, mpz, mpz], None),
-        "mod": ([mpz, mpz, mpz], None),
-        "submul_ui": ([mpz, mpz, ulong], None),
         "primorial_ui": ([mpz, ulong], None),
         "cmp_ui": ([mpz, ulong], c_int),
         # lucas_mod(V, q, Q, s, N, T, X): with n + 1 = d * 2**s in N, nonzero
         # when U_d or V_d is 0 mod n; otherwise V_d in V and, for s > 1, Q**d
-        # in q.
+        # in q, each of either sign and below n in absolute value.
         "lucas_mod": ([mpz, mpz, ctypes.c_long, ulong, mpz, mpz, mpz], c_int),
     }
     for soname in _GMP_SONAMES:
@@ -173,7 +172,6 @@ def _gmp() -> _Gmp | None:
     for name, (argtypes, restype) in signatures.items():
         f[name].argtypes, f[name].restype = argtypes, restype
     load, store, gcd, cmp_ui = f["import"], f["export"], f["gcd"], f["cmp_ui"]
-    mul, mod, submul_ui = f["mul"], f["mod"], f["submul_ui"]
 
     def put(z, v: int) -> None:  # z = v, for v >= 0
         raw = v.to_bytes((v.bit_length() + 7) // 8, "big")
@@ -191,14 +189,18 @@ def _gmp() -> _Gmp | None:
             f["init"](z)
         nbytes = size_t()
 
-        def powmod(a: int, e: int, m: int) -> int:
+        def get(z, m: int) -> int:  # z's value, sign included, for |z| < m
             out = ctypes.create_string_buffer((m.bit_length() + 7) // 8)
+            store(out, nbytes, 1, 1, 1, 0, z)
+            v = int.from_bytes(out.raw[: nbytes.value], "big")
+            return -v if z.size < 0 else v
+
+        def powmod(a: int, e: int, m: int) -> int:
             put(X, a)
             put(V, e)
             put(N, m)
             f["powm"](T, X, V, N)
-            store(out, nbytes, 1, 1, 1, 0, T)
-            return int.from_bytes(out.raw[: nbytes.value], "big")
+            return get(T, m)
 
         def deep_coprime(n: int) -> bool:
             if cmp_ui(P, 0) == 0:
@@ -208,19 +210,11 @@ def _gmp() -> _Gmp | None:
             return cmp_ui(T, 1) == 0
 
         def strong_lucas(n: int, d: int, s: int, Q: int) -> bool:
-            """_lucas_chain(n, d, s, Q): one call up to V_d, then s - 1 doublings."""
+            """_lucas_chain(n, d, s, Q): libgmp's ladder to V_d, then Python's."""
             put(N, n)
             if f["lucas_mod"](V, q, Q, s, N, T, X):
                 return True
-            for _ in range(s - 1):
-                mul(T, V, V)
-                submul_ui(T, q, 2)
-                mod(V, T, N)
-                if cmp_ui(V, 0) == 0:
-                    return True
-                mul(T, q, q)
-                mod(q, T, N)
-            return False
+            return s > 1 and _lucas_doublings(n, get(V, n), get(q, n), s)
 
         return _Gmp(powmod, deep_coprime, strong_lucas)
 
@@ -322,8 +316,12 @@ def _lucas_chain(n: int, d: int, s: int, Q: int) -> bool:
             v, w, q = (v * w - q) % n, (w * w - 2 * q * Q) % n, q * q * Q % n
         else:
             v, w, q = (v * v - 2 * q) % n, (v * w - q) % n, q * q % n
-    if v == 0 or (2 * w - v) % n == 0:
-        return True
+    return v == 0 or (2 * w - v) % n == 0 or _lucas_doublings(n, v, q, s)
+
+
+def _lucas_doublings(n: int, v: int, q: int, s: int) -> bool:
+    """True when V_(d*2**r) = 0 mod n for some 0 < r < s: V_2k = V_k**2 -
+    2 * Q**k, from v = V_d and q = Q**d, residues mod n of either sign."""
     for _ in range(s - 1):
         v = (v * v - 2 * q) % n
         if v == 0:
@@ -378,8 +376,9 @@ def _usable_cpus() -> int:
 # libgmp's Lucas chain wherever its power runs.  mpz_lucas_mod runs the
 # chain up to V_d in one call, where a chain of one ctypes call a multiply
 # (8 on a 0-bit of d, 10 on a 1-bit, at about 0.5 us each) broke even with
-# Python only near 700 bits.  libgmp's gcd from 768 bits, with the deeper
-# bound.  Best of 7, median of 3 random n; runs differ by up to 25 %:
+# Python only near 700 bits; its s - 1 doublings, 1 on average, stay in
+# Python.  libgmp's gcd from 768 bits, with the deeper bound.  Best of 7,
+# median of 3 random n; runs differ by up to 25 %:
 #
 #   bits                         66     512    768    1024   2734
 #   chain, Python (ms)           0.042  2.3    5.6    12     151
@@ -434,6 +433,14 @@ def _plan(n: int) -> _Plan:
     return row if row.threads else row._replace(threads=_usable_cpus())
 
 
+class _Stopped(Exception):
+    """Ends an _in_order started by a helper whose walk has stopped."""
+
+
+# A helper thread's (condition, stops) of the _in_order it serves.
+_helping = threading.local()
+
+
 def _in_order(task: Callable, items: Sequence, threads: int, name: str) -> Iterator:
     """task(item, stopped) for each of items, in order.
 
@@ -445,20 +452,28 @@ def _in_order(task: Callable, items: Sequence, threads: int, name: str) -> Itera
     nonempty, so no item starts after it, and joins the helpers once their
     current task ends.  A helper's exception stops the others too and is
     raised here after the join.
+
+    Started on more than one thread inside an item that a helper runs, as
+    classify's confirmation is on a reptends-level thread, it shares the
+    lock of the walk that helper serves and stops with it too: at its next
+    claim, or at once while it waits.  It then raises _Stopped after its
+    own join, since a run that ended by returning would read as all passed.
     """
     threads = min(threads, len(items))
     if threads < 2:
         yield from map(task, items, repeat(()))
         return
-    cond = threading.Condition(threading.Lock())
+    cond, outer = getattr(_helping, "walk", None) or (
+        threading.Condition(threading.Lock()), ())
     untaken = iter(range(len(items)))  # item indices, claimed under cond
     done: dict = {}  # item index -> result
     stopped: list = []  # nonempty once a helper raised or this thread stops
+    stops = (*outer, stopped)  # this walk's and every walk it runs inside
 
     def run_next() -> bool:
         """Run the next untaken item; False once none is left or stopped."""
         with cond:
-            j = None if stopped else next(untaken, None)
+            j = None if any(stops) else next(untaken, None)
         if j is None:
             return False
         result = task(items[j], stopped)
@@ -468,6 +483,7 @@ def _in_order(task: Callable, items: Sequence, threads: int, name: str) -> Itera
         return True
 
     def work() -> None:
+        _helping.walk = cond, stops
         try:
             while run_next():
                 pass
@@ -487,13 +503,16 @@ def _in_order(task: Callable, items: Sequence, threads: int, name: str) -> Itera
             while i not in done and run_next():
                 pass
             with cond:
-                cond.wait_for(lambda: i in done or stopped)
+                cond.wait_for(lambda: i in done or any(stops))
             if stopped:  # a helper raised; the finally clause joins first
                 raise stopped[0]
+            if any(outer):
+                raise _Stopped(name)
             yield done.pop(i)
     finally:
         with cond:
             stopped.append(None)
+            cond.notify_all()  # wakes the waits of walks started in helpers
         for helper in helpers:
             if helper.is_alive():
                 helper.join()

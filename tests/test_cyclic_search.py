@@ -810,6 +810,48 @@ def test_every_candidate_is_classified_once_on_more_threads_than_cores(monkeypat
     assert level_threads() == []
 
 
+@needs_gmp
+def test_closing_the_walk_stops_a_level_thread_confirming_a_hit(monkeypatch):
+    """Levels 820-825 of search 7 10 at 1000 rounds on two CPUs: the walk is
+    closed after its first level, while a reptends-level thread confirms the
+    hit at 823 digits, seconds of rounds.  The confirmation stops within a
+    few rounds, by raising, and no thread is left."""
+    usable_cpus(monkeypatch, {0, 1})
+    caller, confirming, ended = threading.current_thread(), threading.Event(), []
+    real, real_classify = primality._confirm, reptends.cyclic_search.classify
+
+    def classify(n, *args):
+        # The caller's levels past the first wait for a worker to confirm the
+        # hit, so the caller cannot take level 823 itself.
+        if threading.current_thread() is caller and len(str(n)) > 820:
+            assert confirming.wait(30)
+        return real_classify(n, *args)
+
+    def confirm(n, rounds, plan):
+        if not threading.current_thread().name.startswith("reptends-level"):
+            return real(n, rounds, plan)
+        confirming.set()
+        try:
+            ended.append(real(n, rounds, plan))
+        except BaseException as exc:
+            ended.append(exc)
+            raise
+        return ended[-1]
+
+    monkeypatch.setattr(primality, "_confirm", confirm)
+    monkeypatch.setattr(reptends.cyclic_search, "classify", classify)
+    levels = _walk_levels(7, 10, 6, 820, 825, 1000)
+    assert next(levels) == (820, [])
+    assert confirming.wait(30)
+    time.sleep(0.05)
+    sent = time.monotonic()
+    levels.close()
+    elapsed = time.monotonic() - sent
+    assert elapsed < 0.5
+    assert [type(end) for end in ended] == [primality._Stopped]
+    assert not [t for t in threading.enumerate() if t.name.startswith("reptends-")]
+
+
 INTERRUPTED_SEARCH = """
 import sys, threading
 from reptends.cli import main

@@ -700,6 +700,11 @@ def test_q_sign_examples_have_their_selfridge_d(D):
 @example(2**89 - 1)
 @example(2**67 - 1)
 @example(catalog_value(1, 823))
+# s = 3, 3 and 5, and mpz_lucas_mod leaves both V_d and Q**d negative on all
+# three: a read-back that dropped the signs fails 100103 and 100127.
+@example(100007)
+@example(100103)
+@example(100127)
 def test_gmp_chain_matches_python_chain(n):
     chain = selfridge_chain(n)
     assert _gmp().strong_lucas(*chain) == _lucas_chain(*chain)
@@ -987,6 +992,47 @@ def test_in_order_yields_a_prefix_of_what_map_yields(sleeps, threads, raising, s
     assert len(late) == len(set(late))
     time.sleep(0.003)
     assert len(started) == ran
+
+
+def test_closing_a_walk_stops_the_walk_its_helper_runs():
+    """An _in_order started inside a helper's item, as a confirmation is on a
+    reptends-level thread, stops with the walk that helper serves: closing
+    that walk while the nested one has 200 items of 10 ms left on two
+    threads returns within a few of them, the nested run ends by raising,
+    never by returning, and no thread is left."""
+    caller, started = threading.current_thread(), threading.Event()
+    inner_started, ended = [], []
+
+    def inner(i, stopped):
+        inner_started.append(i)
+        started.set()
+        time.sleep(0.01)
+        return True
+
+    def outer(i, stopped):
+        # The caller's item waits for the helper's nested run; the helper
+        # returns its first item at once and runs the nested walk in the next.
+        if threading.current_thread() is caller:
+            assert started.wait(10)
+        elif i > 0:
+            nested = _in_order(inner, range(200), 2, "inner")
+            try:
+                with contextlib.closing(nested) as passed:
+                    ended.append(all(passed))
+            except BaseException as exc:
+                ended.append(exc)
+                raise
+        return i
+
+    results = _in_order(outer, range(3), 2, "outer")
+    assert next(results) == 0
+    before, sent = len(inner_started), time.monotonic()
+    results.close()
+    elapsed = time.monotonic() - sent
+    assert elapsed < 0.25 and len(inner_started) - before <= 4
+    assert [type(end) for end in ended] == [primality._Stopped]
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith(("outer-", "inner-"))]
 
 
 @needs_gmp
