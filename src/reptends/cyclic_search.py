@@ -6,9 +6,9 @@ landing on a prime.  A subcyclic prime is a prime read from a contiguous
 circular substring of a single period: the first L <= period digits of
 another such stream.  Both searches walk digit-count levels of the streams,
 1..period for subcyclic primes and onward for cyclic ones.  Where the size
-rule of primality shares a candidate's checks among threads, as many threads
-classify the levels from there on, each taking the next untaken one
-(primality._in_order), handed on strictly in level order.  A checkpoint
+rule of primality shares a candidate's checks among threads, as many helper
+threads classify every level from there on (primality._in_order), and the
+caller hands the levels on strictly in level order.  A checkpoint
 file (JSON, written atomically and synced to disk) makes long runs
 resumable.  A search saves it after a level that found records, after the
 last level, and once the levels since its last save reach a quarter of
@@ -33,6 +33,7 @@ from .primality import (
     DEFAULT_ROUNDS,
     DETERMINISTIC_BOUND,
     PrimalityVerdict,
+    _helping,
     _in_order,
     _passes_base2_round,
     _plan,
@@ -267,9 +268,9 @@ def _walk_levels(
     Yields (ndigits, records) per level in level order, the non-composite
     prefixes ordered by numerator.  From the first level whose least
     candidate falls in a size-rule row of more than one thread, that many
-    threads classify levels through primality._in_order, each taking the
-    next untaken one; below it, and wherever the row has one thread, each
-    level is classified on this thread when asked for.  Only records are held.
+    helpers of primality._in_order classify every level; below it, and
+    wherever the row has one thread, this thread classifies each level when
+    asked for.  Only records are held.
     """
     numerators = _numerators(p, base)
     cycle_index = _cycle_indexer(p, period)
@@ -277,11 +278,11 @@ def _walk_levels(
     def threads(ndigits: int) -> int:
         return _plan(numerators[0] * base**ndigits // p).threads
 
-    def survivors(ndigits: int, stopped) -> list[tuple[int, PrimalityVerdict]]:
+    def survivors(ndigits: int) -> list[tuple[int, PrimalityVerdict]]:
         # The first ndigits digits of a/p, in candidate_value's closed form.
         scale, found = base**ndigits, []
         for a in numerators:
-            if stopped:
+            if getattr(_helping, "stopped", None):  # the window has stopped
                 break
             if (verdict := classify(a * scale // p, rounds)).is_prime:
                 found.append((a, verdict))

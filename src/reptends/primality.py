@@ -20,9 +20,9 @@ libgmp kernel returns what its builtin counterpart returns, and the verdict
 is the AND of the checks, so it is the same with or without the library, on
 any number of threads.  The libgmp kernels draw their temporaries from one
 pool of kernel sets, so any thread may call classify, and calls on several
-threads run at once.  Threads start only in _in_order: they take the next
-untaken check of a hit here or level of cyclic_search's window, and
-results come back in order.
+threads run at once.  Threads start only in _in_order, whose helpers run
+every check of a hit here or level of cyclic_search's window while the
+caller reads the results in order.
 
 A verdict is a named tuple, so it also unpacks, indexes and compares equal
 to the plain tuple (status, witness_rounds).
@@ -35,7 +35,7 @@ import sys
 import threading
 from bisect import bisect_left, bisect_right
 from contextlib import closing
-from itertools import compress, repeat
+from itertools import compress
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 # This interpreter's builtin _sha2 (_sha256 before Python 3.12) computes the
@@ -434,88 +434,82 @@ def _plan(n: int) -> _Plan:
 
 
 class _Stopped(Exception):
-    """Ends an _in_order started by a helper whose walk has stopped."""
+    """Raised by _confirm's checks once the walk its caller helps has stopped."""
 
 
-# A helper thread's (condition, stops) of the _in_order it serves.
+# A helper thread's stop list of the _in_order walk it serves.
 _helping = threading.local()
 
 
 def _in_order(task: Callable, items: Sequence, threads: int, name: str) -> Iterator:
-    """task(item, stopped) for each of items, in order.
+    """task(item) for each of items, in order.
 
-    This thread and threads - 1 daemon helpers named <name>-<i> each take
-    the next untaken item; this thread runs them until its own is done, then
-    yields its result.  With one thread it is map, with stopped empty: no
-    helper starts and no lock is taken.  Ending the generator, by its last
-    item, close() or an exception here, Ctrl-C included, makes stopped
-    nonempty, so no item starts after it, and joins the helpers once their
-    current task ends.  A helper's exception stops the others too and is
-    raised here after the join.
-
-    Started on more than one thread inside an item that a helper runs, as
-    classify's confirmation is on a reptends-level thread, it shares the
-    lock of the walk that helper serves and stops with it too: at its next
-    claim, or at once while it waits.  It then raises _Stopped after its
-    own join, since a run that ended by returning would read as all passed.
+    With one thread it is map: no helper starts and no lock is taken.
+    Otherwise daemon helpers <name>-1 .. <name>-<threads> each run the next
+    untaken item while this thread waits and yields the results in order.
+    The walk's stop list, each helper's _helping.stopped, turns nonempty
+    when a helper raises or the generator ends (last item, close(), an
+    exception here, Ctrl-C included): no item starts after it, and the
+    generator ends once every helper has ended its task, raising a Ctrl-C
+    that came meanwhile.  A helper's exception is raised at this thread's
+    next wait, even ahead of results done before the failed item.
     """
     threads = min(threads, len(items))
     if threads < 2:
-        yield from map(task, items, repeat(()))
+        yield from map(task, items)
         return
-    cond, outer = getattr(_helping, "walk", None) or (
-        threading.Condition(threading.Lock()), ())
+    cond = threading.Condition(threading.Lock())
     untaken = iter(range(len(items)))  # item indices, claimed under cond
     done: dict = {}  # item index -> result
-    stopped: list = []  # nonempty once a helper raised or this thread stops
-    stops = (*outer, stopped)  # this walk's and every walk it runs inside
-
-    def run_next() -> bool:
-        """Run the next untaken item; False once none is left or stopped."""
-        with cond:
-            j = None if any(stops) else next(untaken, None)
-        if j is None:
-            return False
-        result = task(items[j], stopped)
-        with cond:
-            done[j] = result
-            cond.notify_all()
-        return True
+    stopped: list = []  # nonempty once a helper raised or the generator ends
+    ended: list = []  # one entry per helper that has left work
 
     def work() -> None:
-        _helping.walk = cond, stops
+        _helping.stopped = stopped
         try:
-            while run_next():
-                pass
+            while True:
+                with cond:
+                    j = None if stopped else next(untaken, None)
+                if j is None:
+                    break
+                result = task(items[j])
+                with cond:
+                    done[j] = result
+                    cond.notify_all()
         except BaseException as exc:
             with cond:
                 stopped.append(exc)
-                cond.notify_all()
+        with cond:
+            ended.append(None)
+            cond.notify_all()
 
-    # Daemons, so that a generator left unclosed in a live traceback cannot
-    # hold up the interpreter's exit while its helpers run on.
-    helpers = [threading.Thread(target=work, name=f"{name}-{k}", daemon=True)
-               for k in range(1, threads)]
+    helpers, interrupted = [], None  # the started helpers, a Ctrl-C meanwhile
     try:
-        for helper in helpers:
+        for k in range(1, threads + 1):
+            # Daemons, so that a generator left unclosed in a live traceback
+            # cannot hold up the interpreter's exit while its helpers run on.
+            helper = threading.Thread(target=work, name=f"{name}-{k}", daemon=True)
             helper.start()
+            helpers.append(helper)
         for i in range(len(items)):
-            while i not in done and run_next():
-                pass
             with cond:
-                cond.wait_for(lambda: i in done or any(stops))
-            if stopped:  # a helper raised; the finally clause joins first
+                cond.wait_for(lambda: i in done or stopped)
+            if stopped:  # a helper raised; the finally clause waits first
                 raise stopped[0]
-            if any(outer):
-                raise _Stopped(name)
             yield done.pop(i)
     finally:
+        # Not in join: on Python 3.10-3.12 Ctrl-C there marks a live thread ended.
         with cond:
             stopped.append(None)
-            cond.notify_all()  # wakes the waits of walks started in helpers
+            while len(ended) < len(helpers):
+                try:
+                    cond.wait()
+                except KeyboardInterrupt as exc:
+                    interrupted = exc
         for helper in helpers:
-            if helper.is_alive():
-                helper.join()
+            helper.join()
+        if interrupted:
+            raise interrupted
 
 
 def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
@@ -525,11 +519,15 @@ def _confirm(n: int, rounds: int, plan: _Plan) -> bool:
     plan.threads threads and plan's kernels, and the first failed check in
     order ends the others; only a base-2 strong pseudoprime gets that far.
     The verdict is the AND of the checks, so it does not depend on which
-    thread ran which.
+    thread ran which.  On a walk's helper, as on a reptends-level thread,
+    each check raises _Stopped once that walk has stopped, never returning.
     """
     d, s = _odd_part(n - 1)
+    walk = getattr(_helping, "stopped", ())  # the stop list of this thread's walk
 
-    def check(a: int | None, _stopped) -> bool:  # None: strong Lucas
+    def check(a: int | None) -> bool:  # None: strong Lucas
+        if walk:
+            raise _Stopped
         return (_strong_lucas_probable_prime(n, plan.chain) if a is None
                 else _strong_probable_prime(n, a, d, s, plan.powmod))
 

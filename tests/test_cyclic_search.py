@@ -619,8 +619,9 @@ def test_candidate_value_matches_stream_assembly(p, base, ndigits):
 
 # The window: from the first level whose least candidate, 10**L // 7 in
 # search 7 10, falls in the size rule's row of more than one thread (768 bits
-# up, with libgmp and two usable CPUs), threads named reptends-level-<i>
-# classify levels too.  That level lies below the catalog hits at 273 and 304.
+# up, with libgmp and two usable CPUs), threads named reptends-level-<i>, one
+# a CPU, classify every level while the caller waits for them in level order.
+# That level lies below the catalog hits at 273 and 304.
 WINDOW_LEVEL = next(L for L in itertools.count(1)
                     if (10**L // 7).bit_length() >= _SHALLOW_GCD_BITS)
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
@@ -658,8 +659,9 @@ def worker_levels(calls):
 def test_the_window_opens_at_the_first_level_of_the_threaded_row(cpus, loads,
                                                                  monkeypatch):
     """Levels on either side of WINDOW_LEVEL give the same records on every
-    configuration.  Only with libgmp on two CPUs does a worker start, once
-    the levels below WINDOW_LEVEL are classified, and classify levels."""
+    configuration.  Only with libgmp on two CPUs do workers start, once the
+    levels below WINDOW_LEVEL are classified, and classify every level from
+    there on."""
     assert WINDOW_LEVEL == 232
     first, last = WINDOW_LEVEL - 3, WINDOW_LEVEL + 4
     expected = list(_walk_levels(7, 10, 6, first, last, 40))
@@ -678,8 +680,10 @@ def test_the_window_opens_at_the_first_level_of_the_threaded_row(cpus, loads,
     assert list(_walk_levels(7, 10, 6, first, last, 40)) == expected
     assert len(calls) == 6 * (last - first + 1)
     if loads and len(cpus) > 1:
-        assert started == [("reptends-level-1", 6 * (WINDOW_LEVEL - first))]
-        assert min(worker_levels(calls)) in (WINDOW_LEVEL, WINDOW_LEVEL + 1)
+        assert [name for name, _ in started] == ["reptends-level-1",
+                                                 "reptends-level-2"]
+        assert started[0][1] == 6 * (WINDOW_LEVEL - first)
+        assert worker_levels(calls) == set(range(WINDOW_LEVEL, last + 1))
     else:
         assert started == []
         assert worker_levels(calls) == set()
@@ -717,8 +721,8 @@ def test_a_run_resumed_inside_the_window_equals_the_uninterrupted_run(
         monkeypatch, tmp_path):
     usable_cpus(monkeypatch, {0, 1})
     whole, resumed = tmp_path / "whole.json", tmp_path / "resumed.json"
-    # 823 digits: levels enough past 290 that the worker has not run out of
-    # them while the caller confirms the hit at 273.
+    # 823 digits: levels enough past 290 that the workers have not run out
+    # of them when the caller hands on level 290.
     expected = enumerate_cyclic_primes(7, 10, 823, checkpoint_path=str(whole))
 
     def kill(ndigits, records):
@@ -749,11 +753,11 @@ def test_a_failed_checkpoint_write_inside_the_window_stops_its_workers(
         save_checkpoint(doc, path)
 
     monkeypatch.setattr(reptends.cyclic_search, "save_checkpoint", fail)
-    # 823 digits: levels enough past the failing write at 273 that the
-    # worker has not run out of them while the caller confirms that hit.
+    # 823 digits: levels enough past the failing write at 273 that neither
+    # worker has run out of them when the caller writes.
     with pytest.raises(CheckpointError, match="disk full") as raised:
         enumerate_cyclic_primes(7, 10, 823, checkpoint_path=str(tmp_path / "ck.json"))
-    assert alive == [1]
+    assert alive == [2]
     assert level_threads() == [] and raised.traceback
 
 
@@ -785,7 +789,7 @@ def test_an_exception_reading_subcyclic_records_stops_the_walk(monkeypatch):
     monkeypatch.setattr(reptends.cyclic_search, "candidate_value", value)
     with pytest.raises(ArithmeticError, match="value") as raised:
         enumerate_subcyclic_primes(257, 10)
-    assert alive == [1]
+    assert alive == [2]
     assert level_threads() == [] and raised.traceback
 
 
@@ -810,26 +814,12 @@ def test_every_candidate_is_classified_once_on_more_threads_than_cores(monkeypat
     assert level_threads() == []
 
 
-@needs_gmp
-def test_closing_the_walk_stops_a_level_thread_confirming_a_hit(monkeypatch):
-    """Levels 820-825 of search 7 10 at 1000 rounds on two CPUs: the walk is
-    closed after its first level, while a reptends-level thread confirms the
-    hit at 823 digits, seconds of rounds.  The confirmation stops within a
-    few rounds, by raising, and no thread is left."""
-    usable_cpus(monkeypatch, {0, 1})
-    caller, confirming, ended = threading.current_thread(), threading.Event(), []
-    real, real_classify = primality._confirm, reptends.cyclic_search.classify
-
-    def classify(n, *args):
-        # The caller's levels past the first wait for a worker to confirm the
-        # hit, so the caller cannot take level 823 itself.
-        if threading.current_thread() is caller and len(str(n)) > 820:
-            assert confirming.wait(30)
-        return real_classify(n, *args)
+def spy_on_confirm(monkeypatch):
+    """(an event set once a hit's confirmation starts, the list of how each
+    confirmation ended: its verdict or its exception)."""
+    confirming, ended, real = threading.Event(), [], primality._confirm
 
     def confirm(n, rounds, plan):
-        if not threading.current_thread().name.startswith("reptends-level"):
-            return real(n, rounds, plan)
         confirming.set()
         try:
             ended.append(real(n, rounds, plan))
@@ -839,7 +829,21 @@ def test_closing_the_walk_stops_a_level_thread_confirming_a_hit(monkeypatch):
         return ended[-1]
 
     monkeypatch.setattr(primality, "_confirm", confirm)
-    monkeypatch.setattr(reptends.cyclic_search, "classify", classify)
+    return confirming, ended
+
+
+def reptends_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("reptends-")]
+
+
+@needs_gmp
+def test_closing_the_walk_stops_a_level_thread_confirming_a_hit(monkeypatch):
+    """Levels 820-825 of search 7 10 at 1000 rounds on two CPUs: the walk is
+    closed after its first level, while a reptends-level thread confirms the
+    hit at 823 digits, seconds of rounds.  The confirmation stops within a
+    few rounds, by raising, and no thread is left."""
+    usable_cpus(monkeypatch, {0, 1})
+    confirming, ended = spy_on_confirm(monkeypatch)
     levels = _walk_levels(7, 10, 6, 820, 825, 1000)
     assert next(levels) == (820, [])
     assert confirming.wait(30)
@@ -849,7 +853,35 @@ def test_closing_the_walk_stops_a_level_thread_confirming_a_hit(monkeypatch):
     elapsed = time.monotonic() - sent
     assert elapsed < 0.5
     assert [type(end) for end in ended] == [primality._Stopped]
-    assert not [t for t in threading.enumerate() if t.name.startswith("reptends-")]
+    assert reptends_threads() == []
+
+
+@needs_gmp
+def test_a_worker_exception_stops_a_confirmation_on_the_other_worker(monkeypatch):
+    """Levels 820-825 of search 7 10 at 1000 rounds on two CPUs: while one
+    reptends-level thread confirms the hit at 823 digits, seconds of rounds,
+    the other raises on a later level.  The walk raises that exception, not
+    the _Stopped that ends the confirmation, within 0.5 s, and no thread is
+    left."""
+    usable_cpus(monkeypatch, {0, 1})
+    confirming, ended = spy_on_confirm(monkeypatch)
+    real, raised_at = reptends.cyclic_search.classify, []
+
+    def classify(n, *args):
+        if len(str(n)) > 823:
+            assert confirming.wait(30)
+            time.sleep(0.05)
+            raised_at.append(time.monotonic())
+            raise ArithmeticError("worker")
+        return real(n, *args)
+
+    monkeypatch.setattr(reptends.cyclic_search, "classify", classify)
+    with pytest.raises(ArithmeticError, match="worker"):
+        list(_walk_levels(7, 10, 6, 820, 825, 1000))
+    elapsed = time.monotonic() - raised_at[0]
+    assert elapsed < 0.5
+    assert [type(end) for end in ended] == [primality._Stopped]
+    assert reptends_threads() == []
 
 
 INTERRUPTED_SEARCH = """
@@ -875,11 +907,13 @@ def test_ctrl_c_ends_a_search_inside_the_window(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-c", INTERRUPTED_SEARCH, *search, *checkpoint],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    lines = []
     try:
-        while not proc.stderr.readline().startswith("found: digits=273 "):
-            assert proc.poll() is None
+        while not lines or not lines[-1].startswith("found: digits=273 "):
+            lines.append(proc.stderr.readline())
+            assert proc.poll() is None, (lines, proc.stderr.read())
         time.sleep(0.2)
-        assert proc.poll() is None
+        assert proc.poll() is None, (lines, proc.stderr.read())
         sent = time.monotonic()
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=30)
@@ -887,10 +921,12 @@ def test_ctrl_c_ends_a_search_inside_the_window(tmp_path):
     finally:
         proc.kill()
         proc.wait()
-    assert err.rstrip().endswith("KeyboardInterrupt")
-    assert out == "threads 1\n"
-    assert elapsed < 1.0
-    assert 273 <= read_json(tmp_path / "ck.json")["completed_through_digits"] < 823
+    why = f"stdout {out!r}, stderr {err!r}, {elapsed:.3f} s after SIGINT"
+    assert err.rstrip().endswith("KeyboardInterrupt"), why
+    assert out == "threads 1\n", why
+    assert elapsed < 1.0, why
+    completed = read_json(tmp_path / "ck.json")["completed_through_digits"]
+    assert 273 <= completed < 823, why
 
     def stdout(*args):
         return subprocess.run([sys.executable, "-m", "reptends", *args], env=env,

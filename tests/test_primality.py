@@ -810,7 +810,7 @@ def test_odd_part_splits_off_every_factor_of_two(m):
 
 # The split confirmation: from _SHALLOW_GCD_BITS up, with libgmp and more
 # than one usable CPU, classify shares a hit's rounds and strong Lucas check
-# among threads named reptends-confirm-<i>.
+# among threads named reptends-confirm-<i>, one a CPU, while its caller waits.
 SPLIT_HIT = catalog_value(5, 273)  # 907 bits: the catalog's least split hit
 
 
@@ -858,7 +858,9 @@ def test_split_runs_every_check_on_more_than_one_thread(monkeypatch):
     # 2: the base-2 round, which runs before the split.
     checks = {2, None, *_derived_witnesses(SPLIT_HIT, DEFAULT_ROUNDS)}
     assert {a for a, _ in ran} == checks
-    assert {name for _, name in ran} == {"MainThread", "reptends-confirm-1"}
+    assert [name for a, name in ran if a == 2] == ["MainThread"]
+    assert {name for a, name in ran if a != 2} == {"reptends-confirm-1",
+                                                   "reptends-confirm-2"}
     assert confirm_threads() == []
 
 
@@ -917,7 +919,9 @@ def test_one_failed_check_makes_the_split_verdict_composite(cpus, failing, monke
         assert ran == [(a, "MainThread") for a in checks[: k + 1]]
         assert started == []
     else:
-        assert started == ["reptends-confirm-1"]
+        assert started == ["reptends-confirm-1", "reptends-confirm-2"]
+        assert [name for a, name in ran if a == 2] == ["MainThread"]
+        assert "MainThread" not in {name for a, name in ran if a != 2}
 
 
 @needs_gmp
@@ -941,6 +945,9 @@ class Boom(Exception):
 
 
 @settings(deadline=None, max_examples=100)
+# A helper's exception is raised at the caller's next wait, so here it
+# may come before the result of item 0, past the consumer's stop.
+@example(sleeps=[0, 0], threads=2, raising=1, stop=1)
 @given(sleeps=st.lists(st.sampled_from((0, 0.001, 0.002)), max_size=30),
        threads=st.integers(1, 6), raising=st.none() | st.integers(0, 29),
        stop=st.none() | st.integers(0, 30))
@@ -948,12 +955,14 @@ def test_in_order_yields_a_prefix_of_what_map_yields(sleeps, threads, raising, s
     """_in_order against map: items sleep 0-2 ms, one may raise, and the
     consumer may stop after `stop` results.  Each item starts at most once,
     every item before the stop or the failure exactly once, no thread takes
-    an item after the stop, and once the generator has ended no helper is
-    alive and no item starts."""
+    an item after the stop, with two threads or more none runs on the
+    caller, and once the generator has ended no helper is alive and no item
+    starts."""
     items = range(len(sleeps))
     started, raised = [], []
 
-    def task(i, stopped):
+    def task(i):
+        stopped = getattr(primality._helping, "stopped", ())
         started.append((i, threading.current_thread().name, bool(stopped)))
         time.sleep(sleeps[i])
         if i == raising:
@@ -962,10 +971,11 @@ def test_in_order_yields_a_prefix_of_what_map_yields(sleeps, threads, raising, s
         return i * i
 
     caller = threading.current_thread().name
-    helpers = {f"in-order-{k}" for k in range(1, threads)}
+    helpers = {f"in-order-{k}" for k in range(1, threads + 1)}
     # With fewer than two threads, any use of threading fails the test.
     no_threads = mock.patch.object(primality, "threading", None)
-    with no_threads if min(threads, len(items)) < 2 else contextlib.nullcontext():
+    one_thread = min(threads, len(items)) < 2
+    with no_threads if one_thread else contextlib.nullcontext():
         got, caught = [], None
         with contextlib.closing(_in_order(task, items, threads, "in-order")) as results:
             try:
@@ -986,7 +996,7 @@ def test_in_order_yields_a_prefix_of_what_map_yields(sleeps, threads, raising, s
     indices = [i for i, _, _ in started]
     assert len(set(indices)) == len(indices)
     assert set(range(len(got) if caught is None else raising)) <= set(indices)
-    assert {name for _, name, _ in started} <= {caller, *helpers}
+    assert {name for _, name, _ in started} <= ({caller} if one_thread else helpers)
     # A task may start after the stop only when its thread took it before.
     late = [name for _, name, after_stop in started if after_stop]
     assert len(late) == len(set(late))
@@ -994,45 +1004,76 @@ def test_in_order_yields_a_prefix_of_what_map_yields(sleeps, threads, raising, s
     assert len(started) == ran
 
 
-def test_closing_a_walk_stops_the_walk_its_helper_runs():
-    """An _in_order started inside a helper's item, as a confirmation is on a
-    reptends-level thread, stops with the walk that helper serves: closing
-    that walk while the nested one has 200 items of 10 ms left on two
-    threads returns within a few of them, the nested run ends by raising,
-    never by returning, and no thread is left."""
-    caller, started = threading.current_thread(), threading.Event()
-    inner_started, ended = [], []
+def test_closing_a_walk_stops_the_confirmation_its_helper_runs(monkeypatch):
+    """A confirmation started on a walk's helper, as classify's is on a
+    reptends-level thread, stops with that walk: closing the walk while 200
+    checks of 10 ms are left on two threads returns within a few of them,
+    the confirmation ends by raising _Stopped, never by returning, and no
+    thread is left."""
+    confirming, checked, ended = threading.Event(), [], []
 
-    def inner(i, stopped):
-        inner_started.append(i)
-        started.set()
+    def check(n, *args):
+        checked.append(n)
+        confirming.set()
         time.sleep(0.01)
         return True
 
-    def outer(i, stopped):
-        # The caller's item waits for the helper's nested run; the helper
-        # returns its first item at once and runs the nested walk in the next.
-        if threading.current_thread() is caller:
-            assert started.wait(10)
-        elif i > 0:
-            nested = _in_order(inner, range(200), 2, "inner")
+    monkeypatch.setattr(primality, "_strong_probable_prime", check)
+    monkeypatch.setattr(primality, "_strong_lucas_probable_prime", check)
+    plan = primality._Plan(_SHALLOW_GCD_BOUND, None, pow, _lucas_chain, 2)
+
+    def task(i):
+        if i == 1:
             try:
-                with contextlib.closing(nested) as passed:
-                    ended.append(all(passed))
+                ended.append(primality._confirm(MERSENNE_PRIME_127, 199, plan))
             except BaseException as exc:
                 ended.append(exc)
                 raise
         return i
 
-    results = _in_order(outer, range(3), 2, "outer")
+    results = _in_order(task, range(2), 2, "walk")
     assert next(results) == 0
-    before, sent = len(inner_started), time.monotonic()
+    assert confirming.wait(10)
+    before, sent = len(checked), time.monotonic()
     results.close()
     elapsed = time.monotonic() - sent
-    assert elapsed < 0.25 and len(inner_started) - before <= 4
+    assert elapsed < 0.25 and len(checked) - before <= 4
     assert [type(end) for end in ended] == [primality._Stopped]
     assert not [t for t in threading.enumerate()
-                if t.name.startswith(("outer-", "inner-"))]
+                if t.name.startswith(("walk-", "reptends-confirm-"))]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs setitimer")
+def test_ctrl_c_during_the_teardown_waits_for_every_helper():
+    """A Ctrl-C 100 ms into close(), while a helper runs an item of 0.5 s,
+    is raised by close() only once that item has ended and no helper is
+    left.  (On Python 3.10-3.12 an interrupted join reports the helper as
+    no longer alive while it still runs, so the item's end is asserted.)"""
+    running, finished = threading.Event(), []
+
+    def task(i):
+        if i == 1:
+            running.set()
+            time.sleep(0.5)
+            finished.append(i)
+        return i
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    results = _in_order(task, range(2), 2, "teardown")
+    assert next(results) == 0
+    assert running.wait(10)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.1)
+        with pytest.raises(KeyboardInterrupt):
+            results.close()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert finished == [1]
+    assert not [t for t in threading.enumerate() if t.name.startswith("teardown-")]
 
 
 @needs_gmp
@@ -1130,7 +1171,8 @@ def test_823_digit_prime_has_one_verdict_on_one_and_two_cpus(monkeypatch):
         names.append({name for _, name in ran})
         monkeypatch.undo()
     assert verdicts == [("probable_prime", DEFAULT_ROUNDS)] * 2
-    assert names == [{"MainThread"}, {"MainThread", "reptends-confirm-1"}]
+    assert names == [{"MainThread"},
+                     {"MainThread", "reptends-confirm-1", "reptends-confirm-2"}]
 
 
 # The size rule's boundaries: the last n below 2**64 and the first from it,
@@ -1203,9 +1245,10 @@ def test_ctrl_c_ends_a_split_confirmation_within_a_round():
         [sys.executable, "-c", INTERRUPTED_CLASSIFY], stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src))
     try:
-        assert proc.stdout.readline() == "ready\n"
+        ready = proc.stdout.readline()
+        assert ready == "ready\n", (ready, proc.stderr.read())
         time.sleep(0.5)
-        assert proc.poll() is None
+        assert proc.poll() is None, proc.communicate()
         sent = time.monotonic()
         proc.send_signal(signal.SIGINT)
         out, err = proc.communicate(timeout=30)
@@ -1213,6 +1256,7 @@ def test_ctrl_c_ends_a_split_confirmation_within_a_round():
     finally:
         proc.kill()
         proc.wait()
-    assert err.rstrip().endswith("KeyboardInterrupt")
-    assert out == "threads 1\n"
-    assert elapsed < 1.0
+    why = f"stdout {out!r}, stderr {err!r}, {elapsed:.3f} s after SIGINT"
+    assert err.rstrip().endswith("KeyboardInterrupt"), why
+    assert out == "threads 1\n", why
+    assert elapsed < 1.0, why
