@@ -7,13 +7,14 @@ columns, so each handler names a column once.  main alone prints the
 document on stdout, in one of three formats (table, csv, json), so
 machine-readable output stays clean; only the JSON writer pairs each value
 with its column's name.  Identical invocations produce byte-identical stdout.
+The series module (with fractions, decimal and numbers) and csv are imported
+where a command uses them, so other commands never load them.
 
 Exit codes: 0 success (also when the reader closes stdout early), 2 usage
 error, 3 checkpoint mismatch, 4 internal invariant violation.
 """
 
 import argparse
-import csv
 import json
 import sys
 
@@ -31,10 +32,9 @@ from .cyclic_search import CheckpointError, enumerate_subcyclic_primes
 from .cyclic_search import enumerate_cyclic_primes as search_with_checkpoint
 from .digits import ALPHABET, _require_alphabet, _require_radix, to_integer
 from .digits import from_integer_padded
-from .primality import DEFAULT_ROUNDS, SMALL_PRIMES
+from .primality import DEFAULT_ROUNDS
 from .reptend import _require_coprime, _require_prime, multiplicative_order
 from .reptend import reptend_profile
-from .series import enumerate_series, residual
 
 SCHEMA_VERSION = 1
 DEFAULT_ELIDE_DIGITS = 1000
@@ -96,6 +96,8 @@ def _emit(args, command: str, params: dict, columns, rows):
         }
         print(json.dumps(doc, sort_keys=True))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
@@ -135,6 +137,8 @@ def _require_digits(label: str, factor: int, base: int, exponent: int,
 
 
 def cmd_period(args) -> Document:
+    from .primality import SMALL_PRIMES  # the tuple is built on its first read
+
     _require_radix(args.base_min, "base-min")
     if args.base_max < args.base_min:
         raise ValueError("base range must satisfy 2 <= base-min <= base-max")
@@ -196,6 +200,8 @@ def cmd_series(args) -> Document:
                     SERIES_S_DIGIT_LIMIT)
     _require_digits("the residual denominator p * base**(max_length * k_terms)",
                     args.p, args.base, terms, PRINT_DIGIT_LIMIT)
+    from .series import enumerate_series, residual
+
     specs = enumerate_series(args.p, args.base, args.max_length, args.rounds)
     rows = []
     for spec in specs:

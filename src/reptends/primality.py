@@ -1,16 +1,18 @@
 """Primality classification for arbitrary-precision integers.
 
-Below 10**5, n is looked up among the primes under 10**5.  From 10**5 up,
-a prefix of those primes is tried with `%`, and one gcd with the product of
-the primes past it up to a bound finds small factors.  One
-strong-pseudoprime round to base 2 then screens out most composites
-cheaply, and a strong Lucas check with Selfridge parameters follows.  Below
-2**64 those two checks (BPSW: Baillie & Wagstaff, Math. Comp. 1980) decide,
-since no composite there passes both (Baillie, Fiori & Wagstaff, Math.
-Comp. 2021).  From 2**64 up, the requested number of rounds with witnesses
-derived from a hash of the candidate (so results are reproducible across
-runs and processes) run as well.  No composite is known to survive that
-combination, and a survivor is reported as a probable prime.
+Below 10**5, n is looked up in a table of one byte per integer, sieved at
+import; SMALL_PRIMES, those primes as a tuple, is built only when first
+read.  From 10**5 up, a prefix of the primes under 10**5 is tried with `%`,
+and one gcd with the product of the primes past it up to a bound finds
+small factors.  One strong-pseudoprime round to base 2 then screens out
+most composites cheaply, and a strong Lucas check with Selfridge parameters
+follows.  Below 2**64 those two checks (BPSW: Baillie & Wagstaff, Math.
+Comp. 1980) decide, since no composite there passes both (Baillie, Fiori &
+Wagstaff, Math. Comp. 2021).  From 2**64 up, the requested number of rounds
+with witnesses derived from a hash of the candidate (so results are
+reproducible across runs and processes) run as well.  No composite is
+known to survive that combination, and a survivor is reported as a probable
+prime.
 
 The size rule above _plan picks the gcd's bound, the kernels (builtin, or
 the system's GNU MP library, libgmp, through ctypes) and the threads that
@@ -33,9 +35,9 @@ import math
 import os
 import sys
 import threading
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import closing
-from itertools import compress
+from itertools import compress, count, islice
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 # This interpreter's builtin _sha2 (_sha256 before Python 3.12) computes the
@@ -53,25 +55,43 @@ DETERMINISTIC_BOUND = 2**64
 TRIAL_DIVISION_BOUND = 10**5
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
+def _prime_flags(limit: int) -> bytearray:
+    """flags[n] is 1 when n is prime and 0 otherwise, for 0 <= n < limit."""
     flags = bytearray([1]) * limit
     flags[0:2] = b"\x00\x00"
     for i in range(2, math.isqrt(limit - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return tuple(compress(range(limit), flags))
+    return flags
 
 
-SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
+def _sieve(limit: int) -> tuple[int, ...]:
+    return tuple(compress(range(limit), _prime_flags(limit)))
+
+
+# classify's lookup below 10**5: 10**5 bytes, sieved in about 0.5 ms, where
+# SMALL_PRIMES, 9592 ints in a tuple, takes about 0.35 MiB and 3-4 ms more
+# (CPython 3.11, 2-vCPU Xeon VM), so __getattr__ builds it on first read.
+_IS_SMALL_PRIME = _prime_flags(TRIAL_DIVISION_BOUND)
 # Primes tried one by one before the gcd; most trial-division kills land here.
-_TRIAL_PREFIX = SMALL_PRIMES[:128]
+_TRIAL_PREFIX = tuple(islice(compress(count(), _IS_SMALL_PRIME), 128))
+
+
+def __getattr__(name: str):
+    """SMALL_PRIMES, the primes below 10**5, built on first read and kept."""
+    if name != "SMALL_PRIMES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global SMALL_PRIMES
+    SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
+    return SMALL_PRIMES
 
 
 @functools.cache
 def _primorial(bound: int) -> int:
-    """Product of SMALL_PRIMES past the prefix and below bound, built on first use."""
-    stop = bisect_left(SMALL_PRIMES, bound)
-    return math.prod(SMALL_PRIMES[len(_TRIAL_PREFIX) : stop])
+    """Product of the primes past the prefix and below bound (at most 10**5),
+    built on first use."""
+    start = _TRIAL_PREFIX[-1] + 1
+    return math.prod(compress(range(start, bound), _IS_SMALL_PRIME[start:bound]))
 
 
 Status = Literal["prime", "composite", "probable_prime"]
@@ -547,11 +567,7 @@ def classify(n: int, rounds: int = DEFAULT_ROUNDS) -> PrimalityVerdict:
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     if n < TRIAL_DIVISION_BOUND:
-        # From 99992 up, past the last small prime, i is off the table.
-        i = bisect_left(SMALL_PRIMES, n)
-        if i < len(SMALL_PRIMES) and SMALL_PRIMES[i] == n:
-            return _PRIME
-        return _COMPOSITE
+        return _PRIME if n >= 0 and _IS_SMALL_PRIME[n] else _COMPOSITE
     # n exceeds every small prime, so any common factor proves it composite.
     for p in _TRIAL_PREFIX:
         if n % p == 0:

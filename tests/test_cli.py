@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import reptends.cli
 import reptends.crossbase
 import reptends.cyclic_search
+import reptends.series
 from reptends.cli import (
     EXIT_CHECKPOINT,
     EXIT_INTERNAL,
@@ -193,7 +194,7 @@ class TestSeries:
         assert out == ""
 
     def test_negative_k_terms_refused_before_any_s(self, capsys, monkeypatch):
-        monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+        monkeypatch.setattr(reptends.series, "enumerate_series", no_work)
         code, out, err = run_cli(
             capsys, "series", "7", "10", "--max-length", "400", "--k-terms", "-1"
         )
@@ -213,13 +214,13 @@ class TestSeries:
     def test_costly_series_refused_before_any_s(
         self, capsys, monkeypatch, argv, message
     ):
-        monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+        monkeypatch.setattr(reptends.series, "enumerate_series", no_work)
         code, out, err = run_cli(capsys, "series", "7", "10", *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert message in err
 
     def test_unprintable_residual_refused_before_any_s(self, capsys, monkeypatch):
-        monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+        monkeypatch.setattr(reptends.series, "enumerate_series", no_work)
         # 7 * (10**60)**900 has 54001 digits.
         code, out, err = run_cli(
             capsys, "series", "7", str(10**60), "--max-length", "1",
@@ -243,7 +244,7 @@ class TestSeries:
     ):
         monkeypatch.setattr(reptends.cli, name, limit)
         if not accepted:
-            monkeypatch.setattr(reptends.cli, "enumerate_series", no_work)
+            monkeypatch.setattr(reptends.series, "enumerate_series", no_work)
         code, out, err = run_cli(
             capsys, "series", "7", "10", "--max-length", "7", "--k-terms", "3"
         )
@@ -1127,8 +1128,9 @@ class TestParser:
     def test_rounds_above_limit_exits_2_before_any_work(
         self, capsys, monkeypatch, command
     ):
-        for name in ("enumerate_series", "search_with_checkpoint",
-                     "enumerate_subcyclic_primes", "empirical_related_bases"):
+        monkeypatch.setattr(reptends.series, "enumerate_series", no_work)
+        for name in ("search_with_checkpoint", "enumerate_subcyclic_primes",
+                     "empirical_related_bases"):
             monkeypatch.setattr(reptends.cli, name, no_work)
         with pytest.raises(SystemExit) as exc:
             main([*command, "--rounds", str(ROUNDS_LIMIT + 1)])

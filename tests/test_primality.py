@@ -442,6 +442,29 @@ def test_sieve_matches_trial_division(limit):
     assert _sieve(limit) == expected
 
 
+def test_lookup_and_checks_match_trial_division_across_the_bound():
+    """The byte table below 10**5 and the checks from there up give trial
+    division's verdicts, as tuples, for every n below 2 * 10**5."""
+    wrong = [
+        n for n in range(-3, 2 * TRIAL_DIVISION_BOUND)
+        if classify(n) != ("prime" if trial_division_is_prime(n) else "composite", 0)
+    ]
+    assert wrong == []
+
+
+def test_small_primes_is_the_sieve_built_on_first_read():
+    assert SMALL_PRIMES == _sieve(TRIAL_DIVISION_BOUND)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import reptends.cli, reptends.primality as p\n"
+         "assert 'SMALL_PRIMES' not in vars(p)\n"
+         "assert p.SMALL_PRIMES is p.SMALL_PRIMES is vars(p)['SMALL_PRIMES']\n"
+         "assert p.SMALL_PRIMES == p._sieve(p.TRIAL_DIVISION_BOUND)"],
+        check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
 # Bit lengths on both sides of the split between the shallow and the full
 # gcd, and the two lowest above 2**64, where the witness rounds start.
 TIER_BITS = [

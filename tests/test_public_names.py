@@ -1,5 +1,6 @@
 """The package's public names: each one a submodule's object, and nothing else."""
 
+import importlib
 import sys
 from types import ModuleType
 
@@ -7,9 +8,12 @@ import pytest
 
 import reptends
 
+# The submodules whose objects the package exports.  The package resolves
+# its names lazily, so its namespace lists no submodule before one is used.
 SUBMODULES = {
-    name: value for name, value in vars(reptends).items()
-    if isinstance(value, ModuleType)
+    name: importlib.import_module(f"reptends.{name}")
+    for name in ("crossbase", "cyclic_search", "digits", "primality",
+                 "reptend", "series")
 }
 
 

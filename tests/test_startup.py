@@ -1,26 +1,83 @@
-"""What `import reptends.cli` loads: a fresh interpreter checks its modules."""
+"""What `import reptends.cli` and its commands load: a fresh interpreter checks."""
 
+import functools
 import importlib.util
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import reptends
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def modules_after(code: str = "") -> set[str]:
-    """sys.modules after `import reptends.cli` and then `code`, in a fresh
+def modules_after(code: str = "", imports: str = "reptends.cli") -> set[str]:
+    """sys.modules after `import <imports>` and then `code`, in a fresh
     interpreter; the names are the last line of its stdout."""
     env = dict(os.environ, PYTHONPATH=SRC)
     done = subprocess.run(
         [sys.executable, "-c",
-         f"import sys, reptends.cli\n{code}\n"
+         f"import sys, {imports}\n{code}\n"
          "print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     )
     return set(done.stdout.splitlines()[-1].split())
+
+
+@functools.cache
+def bare_modules() -> frozenset[str]:
+    """sys.modules of a fresh interpreter that imports nothing: what site and
+    the start-up load, which no assertion below can blame on the package."""
+    return frozenset(modules_after(imports="sys"))
+
+
+def loaded_after(code: str = "", imports: str = "reptends.cli") -> set[str]:
+    """The modules that `import <imports>` and `code` add to a bare interpreter."""
+    return modules_after(code, imports) - bare_modules()
+
+
+# Loaded only by the commands that use them: series, with fractions, decimal
+# and numbers, by `series`, and csv by `--format csv`.
+DEFERRED = {"fractions", "decimal", "numbers", "csv", "reptends.series"}
+# SMALL_PRIMES, the tuple of the primes below 10**5, is built on first read.
+NO_PRIME_TUPLE = (
+    "assert 'SMALL_PRIMES' not in vars(sys.modules['reptends.primality'])")
+
+
+def test_import_loads_no_deferred_module_and_builds_no_prime_tuple():
+    assert DEFERRED.isdisjoint(loaded_after(NO_PRIME_TUPLE))
+
+
+def test_search_loads_no_deferred_module_and_builds_no_prime_tuple():
+    loaded = loaded_after(
+        "reptends.cli.main(['search', '7', '10', '--max-digits', '60'])\n"
+        + NO_PRIME_TUPLE)
+    assert DEFERRED.isdisjoint(loaded)
+
+
+def test_series_loads_fractions():
+    loaded = modules_after("reptends.cli.main(['series', '7', '10'])")
+    assert {"fractions", "reptends.series"} <= loaded
+
+
+def test_period_prints_its_golden_file():
+    done = subprocess.run(
+        [sys.executable, "-m", "reptends", "period"], capture_output=True,
+        env=dict(os.environ, PYTHONPATH=SRC), check=True, timeout=60,
+    )
+    assert done.stdout == (GOLDEN / "period.txt").read_bytes()
+
+
+def test_package_loads_a_submodule_on_first_use():
+    assert not any(name.startswith("reptends.")
+                   for name in loaded_after(imports="reptends"))
+    loaded = loaded_after("reptends.classify", imports="reptends")
+    assert {"reptends.primality"} == {
+        name for name in loaded if name.startswith("reptends.")}
+    loaded = modules_after("reptends.series.partial_sum", imports="reptends")
+    assert {"reptends.series", "fractions"} <= loaded
 
 
 def test_import_skips_dataclasses_and_openssl():
