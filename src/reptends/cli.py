@@ -1,12 +1,15 @@
 """Command-line surface: period tables, cycles, series, searches, cross-base.
 
-Each command handler checks its input, does its work, writes any progress
-or warning to stderr and returns its document, (command, params, columns,
-rows), without printing it.  A row is a tuple of values in the order of
-columns, so each handler names a column once.  main alone prints the
-document on stdout, in one of three formats (table, csv, json), so
-machine-readable output stays clean; only the JSON writer pairs each value
-with its column's name.  Identical invocations produce byte-identical stdout.
+Each command is declared once, as one row of the table in build_parser: its
+words, help, handler, integer positionals and options.  Each command handler
+checks its input, does its work, writes any progress or warning to stderr
+and returns its document, (params, columns, rows), without printing it.  A
+row is a tuple of values in the order of columns, so each handler names a
+column once.  main alone prints the document on stdout, in one of three
+formats (table, csv, json), so machine-readable output stays clean; the JSON
+writer names the document by the command's words (crossbase-render) and
+pairs each value with its column's name.  Identical invocations produce
+byte-identical stdout.
 The series module (with fractions, decimal and numbers) and csv are imported
 where a command uses them, so other commands never load them.
 
@@ -65,9 +68,10 @@ EXIT_USAGE = 2
 EXIT_CHECKPOINT = 3
 EXIT_INTERNAL = 4
 
-# What a command handler returns and main prints: command, params, columns and
-# rows, each row a tuple of values in the order of columns.
-Document = tuple[str, dict, list[str], list[tuple]]
+# What a command handler returns and main prints: params, columns and rows,
+# each row a tuple of values in the order of columns.  The document is named
+# by the command's words, joined with "-" (crossbase-render).
+Document = tuple[dict, list[str], list[tuple]]
 
 
 def _cell(value) -> str:
@@ -86,11 +90,11 @@ def _print_table(columns, rows):
         write("  ".join(s.ljust(w) for s, w in zip(cells, widths)).rstrip() + "\n")
 
 
-def _emit(args, command: str, params: dict, columns, rows):
+def _emit(args, params: dict, columns, rows):
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
+            "command": "-".join(args.words),
             "params": params,
             "rows": [dict(zip(columns, row)) for row in rows],
         }
@@ -159,9 +163,9 @@ def cmd_period(args) -> Document:
             (p, *("" if n is None else f"{n}*" if n == p - 1 else str(n) for n in row))
             for p, row in periods
         ]
-        return "period", params, ["p", *map(str, bases)], matrix
+        return params, ["p", *map(str, bases)], matrix
     rows = [(p, b, n, n == p - 1) for p, row in periods for b, n in zip(bases, row)]
-    return "period", params, ["p", "base", "period", "full_reptend"], rows
+    return params, ["p", "base", "period", "full_reptend"], rows
 
 
 def cmd_cyclic(args) -> Document:
@@ -184,7 +188,7 @@ def cmd_cyclic(args) -> Document:
             rows.append(("multiple", None, k, str(product)))
     params = {"p": args.p, "base": args.base, "period": profile.period,
               "level": profile.level}
-    return "cyclic", params, ["kind", "index", "k", "value"], rows
+    return params, ["kind", "index", "k", "value"], rows
 
 
 def cmd_series(args) -> Document:
@@ -210,7 +214,7 @@ def cmd_series(args) -> Document:
                      f"{rem.numerator}/{rem.denominator}"))
     params = {"p": args.p, "base": args.base, "max_length": args.max_length,
               "k_terms": args.k_terms}
-    return "series", params, ["length", "s", "r", "s_is_prime", "residual"], rows
+    return params, ["length", "s", "r", "s_is_prime", "residual"], rows
 
 
 def cmd_search(args) -> Document:
@@ -242,14 +246,14 @@ def cmd_search(args) -> Document:
          _record_cell(rec, args.elide_above))
         for rec in records
     ]
-    return "search", params, columns, rows
+    return params, columns, rows
 
 
 def cmd_subcyclic(args) -> Document:
     values = enumerate_subcyclic_primes(args.p, args.base, args.rounds)
     rows = [(v,) for v in values]
     params = {"p": args.p, "base": args.base}
-    return "subcyclic", params, ["value"], rows
+    return params, ["value"], rows
 
 
 def cmd_crossbase_render(args) -> Document:
@@ -269,8 +273,7 @@ def cmd_crossbase_render(args) -> Document:
                      str(rendered)))
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "target_base": args.target_base, "max_digits": args.max_digits}
-    return ("crossbase-render", params,
-            ["digit_count", "value", "target_digit_count", "rendered"], rows)
+    return params, ["digit_count", "value", "target_digit_count", "rendered"], rows
 
 
 def cmd_crossbase_suffix(args) -> Document:
@@ -285,8 +288,7 @@ def cmd_crossbase_suffix(args) -> Document:
     rows = [(report.value, report.target_base, report.matched_digits,
              report.matched_rotation)]
     params = {"p": args.p, "target_base": args.target_base}
-    return ("crossbase-suffix", params,
-            ["value", "target_base", "matched_digits", "matched_rotation"], rows)
+    return params, ["value", "target_base", "matched_digits", "matched_rotation"], rows
 
 
 def cmd_crossbase_related(args) -> Document:
@@ -295,21 +297,21 @@ def cmd_crossbase_related(args) -> Document:
             f"count must be at most {RELATED_COUNT_LIMIT}, got {args.count}"
         )
     group = related_bases_alternating(args.anchor_base, args.count)
-    rows = []
+    rows, warned = [], False
     for i, member in enumerate(group.members):
         formula = related_bases_formula(args.anchor_base, i, args.variant)
-        rows.append((i, member, formula, member == formula))
-    for i, member, formula, agree in rows:
-        if not agree:
+        agree = member == formula
+        if not (agree or warned):  # the first divergence only
             print(
                 f"warning: closed form '{args.variant}' diverges from the alternating"
                 f" ladder at i={i} ({formula} vs {member})",
                 file=sys.stderr,
             )
-            break
+            warned = True
+        rows.append((i, member, formula, agree))
     params = {"anchor_base": args.anchor_base, "count": args.count,
               "variant": args.variant}
-    return "crossbase-related", params, ["i", "member", "formula", "agree"], rows
+    return params, ["i", "member", "formula", "agree"], rows
 
 
 def cmd_crossbase_sweep(args) -> Document:
@@ -331,9 +333,8 @@ def cmd_crossbase_sweep(args) -> Document:
     params = {"p": args.p, "anchor_base": args.anchor_base,
               "base_limit": args.base_limit, "min_suffix": args.min_suffix,
               "max_digits": args.max_digits}
-    return ("crossbase-sweep", params,
-            ["base", "direction", "target_base", "value", "matched_digits",
-             "matched_rotation"], rows)
+    return params, ["base", "direction", "target_base", "value",
+                    "matched_digits", "matched_rotation"], rows
 
 
 # ------------------------------------------------------------------ parser
@@ -354,90 +355,69 @@ _SHARED_OPTIONS = {
 }
 
 
-def _add_shared(parser, *flags):
-    for flag in ("--format", *flags):
-        parser.add_argument(flag, **_SHARED_OPTIONS[flag])
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reptends",
         description="Full reptend primes, cyclic numbers, geometric series "
                     "decompositions of 1/p, and cyclic prime searches.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_period = sub.add_parser("period", help="period table of 1/p per base")
-    p_period.add_argument("--primes-max", type=int, default=31)
-    p_period.add_argument("--base-min", type=int, default=2)
-    p_period.add_argument("--base-max", type=int, default=14)
-    _add_shared(p_period)
-    p_period.set_defaults(handler=cmd_period)
-
-    p_cyclic = sub.add_parser("cyclic", help="cycle blocks and rotation multiples")
-    p_cyclic.add_argument("p", type=int)
-    p_cyclic.add_argument("base", type=int)
-    _add_shared(p_cyclic)
-    p_cyclic.set_defaults(handler=cmd_cyclic)
-
-    p_series = sub.add_parser("series", help="geometric series decompositions")
-    p_series.add_argument("p", type=int)
-    p_series.add_argument("base", type=int)
-    p_series.add_argument("--max-length", type=int, default=7)
-    p_series.add_argument("--k-terms", type=int, default=3)
-    _add_shared(p_series, "--rounds")
-    p_series.set_defaults(handler=cmd_series)
-
-    p_search = sub.add_parser("search", help="enumerate cyclic primes")
-    p_search.add_argument("p", type=int)
-    p_search.add_argument("base", type=int)
-    p_search.add_argument("--max-digits", type=int, required=True)
-    p_search.add_argument("--checkpoint", default=None,
-                          help="JSON checkpoint path for resumable runs")
-    _add_shared(p_search, "--rounds", "--elide-above", "--jobs")
-    p_search.set_defaults(handler=cmd_search)
-
-    p_sub = sub.add_parser("subcyclic", help="primes inside one period")
-    p_sub.add_argument("p", type=int)
-    p_sub.add_argument("base", type=int)
-    _add_shared(p_sub, "--rounds")
-    p_sub.set_defaults(handler=cmd_subcyclic)
-
-    p_cross = sub.add_parser("crossbase", help="cross-base relationships")
-    cross_sub = p_cross.add_subparsers(dest="crossbase_command", required=True)
-
-    c_render = cross_sub.add_parser("render", help="catalog rendered in another base")
-    c_render.add_argument("p", type=int)
-    c_render.add_argument("anchor_base", type=int)
-    c_render.add_argument("target_base", type=int)
-    c_render.add_argument("--max-digits", type=int, default=35)
-    _add_shared(c_render, "--rounds", "--elide-above")
-    c_render.set_defaults(handler=cmd_crossbase_render)
-
-    c_suffix = cross_sub.add_parser("suffix", help="trailing-digit stream match")
-    c_suffix.add_argument("value", type=int)
-    c_suffix.add_argument("p", type=int)
-    c_suffix.add_argument("target_base", type=int)
-    _add_shared(c_suffix)
-    c_suffix.set_defaults(handler=cmd_crossbase_suffix)
-
-    c_related = cross_sub.add_parser("related", help="related-base ladder")
-    c_related.add_argument("anchor_base", type=int)
-    c_related.add_argument("--count", type=int, default=5)
-    c_related.add_argument("--variant", choices=FORMULA_VARIANTS,
-                           default="three_four")
-    _add_shared(c_related)
-    c_related.set_defaults(handler=cmd_crossbase_related)
-
-    c_sweep = cross_sub.add_parser("sweep", help="empirical related-base sweep")
-    c_sweep.add_argument("p", type=int)
-    c_sweep.add_argument("anchor_base", type=int)
-    c_sweep.add_argument("--base-limit", type=int, required=True)
-    c_sweep.add_argument("--min-suffix", type=int, default=None)
-    c_sweep.add_argument("--max-digits", type=int, default=130)
-    _add_shared(c_sweep, "--rounds", "--jobs")
-    c_sweep.set_defaults(handler=cmd_crossbase_sweep)
-
+    # One row per command: its words, help, handler, integer positionals, own
+    # options and the shared options it reads after --format.  A row with no
+    # handler opens a group of commands.  The table is built here, not at
+    # import, so a handler replaced on this module after import (as
+    # benchmarks/tracing.py replaces cmd_search) is the one that runs.
+    table = (
+        (("period",), "period table of 1/p per base", cmd_period, (), {
+            "--primes-max": dict(type=int, default=31),
+            "--base-min": dict(type=int, default=2),
+            "--base-max": dict(type=int, default=14),
+        }, ()),
+        (("cyclic",), "cycle blocks and rotation multiples", cmd_cyclic,
+         ("p", "base"), {}, ()),
+        (("series",), "geometric series decompositions", cmd_series,
+         ("p", "base"), {
+            "--max-length": dict(type=int, default=7),
+            "--k-terms": dict(type=int, default=3),
+        }, ("--rounds",)),
+        (("search",), "enumerate cyclic primes", cmd_search, ("p", "base"), {
+            "--max-digits": dict(type=int, required=True),
+            "--checkpoint": dict(default=None,
+                                 help="JSON checkpoint path for resumable runs"),
+        }, ("--rounds", "--elide-above", "--jobs")),
+        (("subcyclic",), "primes inside one period", cmd_subcyclic,
+         ("p", "base"), {}, ("--rounds",)),
+        (("crossbase",), "cross-base relationships", None, (), {}, ()),
+        (("crossbase", "render"), "catalog rendered in another base",
+         cmd_crossbase_render, ("p", "anchor_base", "target_base"), {
+            "--max-digits": dict(type=int, default=35),
+        }, ("--rounds", "--elide-above")),
+        (("crossbase", "suffix"), "trailing-digit stream match",
+         cmd_crossbase_suffix, ("value", "p", "target_base"), {}, ()),
+        (("crossbase", "related"), "related-base ladder", cmd_crossbase_related,
+         ("anchor_base",), {
+            "--count": dict(type=int, default=5),
+            "--variant": dict(choices=FORMULA_VARIANTS, default="three_four"),
+        }, ()),
+        (("crossbase", "sweep"), "empirical related-base sweep",
+         cmd_crossbase_sweep, ("p", "anchor_base"), {
+            "--base-limit": dict(type=int, required=True),
+            "--min-suffix": dict(type=int, default=None),
+            "--max-digits": dict(type=int, default=130),
+        }, ("--rounds", "--jobs")),
+    )
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for words, text, handler, positionals, options, shared in table:
+        command = groups[words[:-1]].add_parser(words[-1], help=text)
+        if handler is None:
+            groups[words] = command.add_subparsers(dest=f"{words[-1]}_command",
+                                                   required=True)
+            continue
+        for name in positionals:
+            command.add_argument(name, type=int)
+        options |= {flag: _SHARED_OPTIONS[flag] for flag in ("--format", *shared)}
+        for flag, spec in options.items():
+            command.add_argument(flag, **spec)
+        command.set_defaults(handler=handler, words=words)
     return parser
 
 

@@ -100,6 +100,10 @@ class TestPeriod:
         code, _, err = run_cli(capsys, "period", "--base-min", "1")
         assert code == EXIT_USAGE
         assert "error" in err
+        code, out, err = run_cli(capsys, "period", "--base-min", "5",
+                                 "--base-max", "4")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: base range must satisfy 2 <= base-min <= base-max\n"
 
     def test_large_table_refused_before_any_period(self, capsys, monkeypatch):
         monkeypatch.setattr(reptends.cli, "multiplicative_order", no_work)
@@ -1183,6 +1187,37 @@ class TestParser:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert f"error: {message}" in err
+
+    # Every parser path: the top level, each command and the crossbase group.
+    @pytest.mark.parametrize("words", [
+        (), ("period",), ("cyclic",), ("series",), ("search",), ("subcyclic",),
+        ("crossbase",), ("crossbase", "render"), ("crossbase", "suffix"),
+        ("crossbase", "related"), ("crossbase", "sweep"),
+    ], ids=lambda words: "-".join(words) or "top")
+    def test_help_exits_0_with_the_usage_of_its_path(self, capsys, words):
+        with pytest.raises(SystemExit) as exited:
+            main([*words, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith(
+            " ".join(("usage: reptends", *words)) + " "
+        )
+
+    def test_a_handler_replaced_after_import_is_the_one_that_runs(
+            self, capsys, monkeypatch):
+        # benchmarks/tracing.py times a command by replacing its handler on
+        # reptends.cli after import, so the parser must look handlers up when
+        # it is built.
+        calls = []
+        search = reptends.cli.cmd_search
+
+        def counted(args):
+            calls.append(args)
+            return search(args)
+
+        monkeypatch.setattr(reptends.cli, "cmd_search", counted)
+        code, out, _ = run_cli(capsys, "search", "7", "10", "--max-digits", "8")
+        assert (code, len(calls)) == (EXIT_OK, 1)
+        assert out
 
     def test_all_formats_supported_everywhere(self, capsys):
         for fmt in ("table", "csv", "json"):

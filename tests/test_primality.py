@@ -189,16 +189,6 @@ class TestSmallRange:
         assert classify(1428571).witness_rounds == 0
         assert classify(142857).witness_rounds == 0
 
-    def test_agreement_with_trial_division(self):
-        for n in range(20000):
-            assert (classify(n).status == "prime") == trial_division_is_prime(n), n
-
-    def test_agreement_across_lookup_handover(self):
-        # straddles 10**5, where the table lookup hands over to trial
-        # division and the strong tests
-        for n in range(99900, 100101):
-            assert (classify(n).status == "prime") == trial_division_is_prime(n), n
-
     def test_agreement_past_trial_bound_squared_region(self):
         # straddles 10**10, the square of the table's bound
         for n in range(10**10 - 50, 10**10 + 50):
