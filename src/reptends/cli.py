@@ -41,8 +41,9 @@ from .reptend import reptend_profile
 
 SCHEMA_VERSION = 1
 DEFAULT_ELIDE_DIGITS = 1000
-# `cyclic` prints p * period digits at most and walks p numerators.  The
-# commands that classify candidates are bounded by cyclic_search.WORK_LIMIT.
+# `cyclic` prints p * period digits at most and walks p numerators.  The four
+# commands that walk levels (search, crossbase render, subcyclic and crossbase
+# sweep) are bounded by cyclic_search.WORK_LIMIT.
 CYCLIC_WORK_LIMIT = 10**7
 PERIOD_CELL_LIMIT = 10**6
 # `crossbase suffix` computes one value-sized quotient per numerator, so its

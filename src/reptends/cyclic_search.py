@@ -8,10 +8,12 @@ another such stream.  Both searches walk digit-count levels of the streams,
 1..period for subcyclic primes and onward for cyclic ones.  Where the size
 rule of primality shares a candidate's checks among threads, as many helper
 threads classify every level from there on (primality._in_order), and the
-caller hands the levels on strictly in level order.  A checkpoint
-file (JSON, written atomically and synced to disk) makes long runs
-resumable.  A search saves it after a level that found records, after the
-last level, and once the levels since its last save reach a quarter of
+caller hands the levels on strictly in level order.  The walk only
+classifies: it yields each level's (numerator, verdict) pairs, and one
+builder, _recorder, makes every record that a search finds or resumes.  A
+checkpoint file (JSON, written atomically and synced to disk) makes long
+runs resumable.  A search saves it after a level that found records, after
+the last level, and once the levels since its last save reach a quarter of
 WORK_LIMIT in estimated work, so a crash loses only levels that found no
 record.
 
@@ -135,7 +137,8 @@ def enumerate_cyclic_primes(
 
     Every digit-count level checks the streams of all numerators that open
     with a nonzero digit; results are sorted by (digit_count, numerator).
-    on_level receives each level's records as soon as the level is done.
+    _recorder builds each level's records from the walk's (numerator,
+    verdict) pairs, and on_level receives them as soon as the level is done.
 
     With a checkpoint_path, _resume reads the search's progress there before
     the first level, and save_checkpoint writes it after a level that found
@@ -157,14 +160,11 @@ def enumerate_cyclic_primes(
     completed, found = period, []
     if checkpoint_path is not None:
         completed, found = _resume(checkpoint_path, p, base, rounds, period, max_digits)
-    if completed >= max_digits:  # nothing to walk, so base**completed is not built
-        return found
-
-    saved = completed
+    record, saved = _recorder(p, base, period), completed
     # closing: an exception here, Ctrl-C included, stops the walk's threads.
-    with closing(_walk_levels(p, base, period, completed + 1, max_digits,
-                              rounds)) as levels:
-        for ndigits, records in levels:
+    with closing(_walk_levels(p, base, completed + 1, max_digits, rounds)) as levels:
+        for ndigits, pairs in levels:
+            records = [record(a, ndigits, verdict) for a, verdict in pairs]
             found.extend(records)
             if on_level is not None:
                 on_level(ndigits, records)
@@ -186,7 +186,8 @@ def enumerate_subcyclic_primes(
     digit; the result is ascending and always finite.  The substring of
     length L at position s of the cycle of c is the first L digits of a/p
     with a = c * base**s mod p: level L of the cyclic-prime walk, whose
-    work_estimate over levels 1..period must not exceed WORK_LIMIT.
+    work_estimate over levels 1..period must not exceed WORK_LIMIT.  Values
+    are read in closed form from the walk's pairs, with no record built.
 
     >>> enumerate_subcyclic_primes(7, 10)
     [2, 5, 7, 71, 571, 857, 2857, 28571]
@@ -196,8 +197,9 @@ def enumerate_subcyclic_primes(
     period = multiplicative_order(base, p)
     _require_work(p, work_estimate(p, base, 1, period), f"levels 1..{period}")
     # closing: an exception here, Ctrl-C included, stops the walk's threads.
-    with closing(_walk_levels(p, base, period, 1, period, rounds)) as levels:
-        return sorted({rec.value for _, records in levels for rec in records})
+    with closing(_walk_levels(p, base, 1, period, rounds)) as levels:
+        return sorted({a * base**ndigits // p for ndigits, pairs in levels
+                       for a, _ in pairs})
 
 
 def work_estimate(p: int, base: int, first: int, last: int) -> float:
@@ -236,23 +238,27 @@ def _require_work(p: int, work: float = 0, what: str = "") -> None:
                          f" {WORK_LIMIT:.3g}, got {work:.3g}")
 
 
-def _cycle_indexer(p: int, period: int) -> Callable[[int], int]:
-    """a -> the index in orbits() of a's rotation class, for a in 1..p - 1.
+def _recorder(
+    p: int, base: int, period: int
+) -> Callable[[int, int, PrimalityVerdict], CyclicPrimeRecord]:
+    """record(a, ndigits, verdict), the record of a/p's first ndigits digits.
 
-    a and c share a class exactly when a**period = c**period (mod p), and a
-    scan of 1, 2, ... meets the classes in order of their smallest members.
-    It goes only as far as the numerators asked about.
+    Its cycle_index is the index in orbits() of a's rotation class, for a in
+    1..p - 1.  a and c share a class exactly when a**period = c**period
+    (mod p), and a scan of 1, 2, ... meets the classes in order of their
+    smallest members.  It goes only as far as the numerators asked about.
     """
     index: dict[int, int] = {}
     keys = (pow(x, period, p) for x in range(1, p))
 
-    def cycle_index(a: int) -> int:
+    def record(a: int, ndigits: int, verdict: PrimalityVerdict) -> CyclicPrimeRecord:
         key = pow(a, period, p)
         while key not in index:
             index.setdefault(next(keys), len(index))
-        return index[key]
+        return CyclicPrimeRecord(p, base, index[key], a, ndigits, a * base // p,
+                                 verdict)
 
-    return cycle_index
+    return record
 
 
 def _numerators(p: int, base: int) -> range:
@@ -261,19 +267,18 @@ def _numerators(p: int, base: int) -> range:
 
 
 def _walk_levels(
-    p: int, base: int, period: int, first: int, last: int, rounds: int
-) -> Iterator[tuple[int, list[CyclicPrimeRecord]]]:
+    p: int, base: int, first: int, last: int, rounds: int
+) -> Iterator[tuple[int, list[tuple[int, PrimalityVerdict]]]]:
     """Classify the first..last digit prefixes of every a/p opening nonzero.
 
-    Yields (ndigits, records) per level in level order, the non-composite
-    prefixes ordered by numerator.  From the first level whose least
-    candidate falls in a size-rule row of more than one thread, that many
-    helpers of primality._in_order classify every level; below it, and
-    wherever the row has one thread, this thread classifies each level when
-    asked for.  Only records are held.
+    Yields (ndigits, [(a, verdict), ...]) per level in level order, the
+    non-composite prefixes by ascending numerator.  From the first level
+    whose least candidate falls in a size-rule row of more than one thread,
+    that many helpers of primality._in_order classify every level; below
+    it, and wherever the row has one thread, this thread classifies each
+    level when asked for.  Only survivors are held.
     """
     numerators = _numerators(p, base)
-    cycle_index = _cycle_indexer(p, period)
 
     def threads(ndigits: int) -> int:
         return _plan(numerators[0] * base**ndigits // p).threads
@@ -290,7 +295,7 @@ def _walk_levels(
 
     levels = range(first, last + 1)
     # The rows follow n's size, so the levels of more than one thread are a
-    # suffix; below it _in_order takes no lock.  Windowing every level of
+    # suffix; below it map classifies them.  Windowing every level of
     # subcyclic 1009 10 cut its wall time 10 % on a 2-vCPU VM but raised its
     # CPU time 32-36 % (3.73 -> 4.94 s, 6 alternating pairs): two threads
     # contending for the GIL over the pure-Python classify of low levels.
@@ -298,13 +303,7 @@ def _walk_levels(
     below, window = levels[:split], levels[split:]
     with closing(_in_order(survivors, window, threads(window[0]) if window else 1,
                            "reptends-level")) as above:
-        found = chain(_in_order(survivors, below, 1, "reptends-level"), above)
-        for ndigits, level in zip(levels, found):
-            yield ndigits, [
-                CyclicPrimeRecord(p, base, cycle_index(a), a, ndigits, a * base // p,
-                                  verdict)
-                for a, verdict in level
-            ]
+        yield from zip(levels, chain(map(survivors, below), above))
 
 
 def _document(
@@ -353,8 +352,7 @@ def _resume(
             raise CheckpointError(
                 f"unusable checkpoint {path}: completed_through_digits {done} "
                 f"is below the period {period}")
-        cycle_index = _cycle_indexer(p, period)
-        found: list[CyclicPrimeRecord] = []
+        record, found = _recorder(p, base, period), []
         last = (0, 0)
         for entry in doc["found"]:
             a, ndigits = index(entry["rotation_numerator"]), index(entry["digit_count"])
@@ -369,8 +367,7 @@ def _resume(
             # so it is not built: a hand-edited record past --max-digits may claim
             # any digit count, and a value of 10**8 digits would hang the resume.
             value = a * base**ndigits // p if ndigits <= 64 else DETERMINISTIC_BOUND
-            found.append(CyclicPrimeRecord(p, base, cycle_index(a), a, ndigits,
-                                           a * base // p, _survivor(value, rounds)))
+            found.append(record(a, ndigits, _survivor(value, rounds)))
         written = _document(p, base, rounds, index(doc["max_digits"]), done, found)
         if json.dumps(doc, sort_keys=True) != json.dumps(written, sort_keys=True):
             raise CheckpointError(

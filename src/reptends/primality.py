@@ -65,10 +65,6 @@ def _prime_flags(limit: int) -> bytearray:
     return flags
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
-    return tuple(compress(range(limit), _prime_flags(limit)))
-
-
 # classify's lookup below 10**5: 10**5 bytes, sieved in about 0.5 ms, where
 # SMALL_PRIMES, 9592 ints in a tuple, takes about 0.35 MiB and 3-4 ms more
 # (CPython 3.11, 2-vCPU Xeon VM), so __getattr__ builds it on first read.
@@ -82,7 +78,7 @@ def __getattr__(name: str):
     if name != "SMALL_PRIMES":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     global SMALL_PRIMES
-    SMALL_PRIMES = _sieve(TRIAL_DIVISION_BOUND)
+    SMALL_PRIMES = tuple(compress(range(TRIAL_DIVISION_BOUND), _IS_SMALL_PRIME))
     return SMALL_PRIMES
 
 

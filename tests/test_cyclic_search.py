@@ -20,7 +20,7 @@ from reptends.cyclic_search import (
     CheckpointError,
     CheckpointMismatchError,
     CyclicPrimeRecord,
-    _cycle_indexer,
+    _recorder,
     _walk_levels,
     candidate_value,
     digit_stream,
@@ -299,8 +299,9 @@ def test_cycle_index_is_the_index_in_orbits(data):
     period = multiplicative_order(base, p)
     expected = {a: i for i, orbit in enumerate(orbits(p, base)) for a in orbit}
     asked = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=3 * p))
-    cycle_index = _cycle_indexer(p, period)
-    assert [cycle_index(a) for a in asked] == [expected[a] for a in asked]
+    record = _recorder(p, base, period)
+    assert [record(a, period + 1, ("prime", 0)).cycle_index for a in asked] == [
+        expected[a] for a in asked]
 
 
 @settings(max_examples=60, deadline=None)
@@ -664,7 +665,7 @@ def test_the_window_opens_at_the_first_level_of_the_threaded_row(cpus, loads,
     there on."""
     assert WINDOW_LEVEL == 232
     first, last = WINDOW_LEVEL - 3, WINDOW_LEVEL + 4
-    expected = list(_walk_levels(7, 10, 6, first, last, 40))
+    expected = list(_walk_levels(7, 10, first, last, 40))
     usable_cpus(monkeypatch, cpus)
     if not loads:
         monkeypatch.setattr(primality, "_gmp", lambda: None)
@@ -677,7 +678,7 @@ def test_the_window_opens_at_the_first_level_of_the_threaded_row(cpus, loads,
         real_start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    assert list(_walk_levels(7, 10, 6, first, last, 40)) == expected
+    assert list(_walk_levels(7, 10, first, last, 40)) == expected
     assert len(calls) == 6 * (last - first + 1)
     if loads and len(cpus) > 1:
         assert [name for name, _ in started] == ["reptends-level-1",
@@ -772,23 +773,30 @@ def test_a_worker_exception_is_raised_by_the_walk(monkeypatch):
 
 
 @needs_gmp
-def test_an_exception_reading_subcyclic_records_stops_the_walk(monkeypatch):
-    """subcyclic 257 10 walks levels 1..256, so its window opens at
-    WINDOW_LEVEL too.  An exception while a record's value is read, outside
-    the walk, still leaves no worker alive once the search has raised."""
+def test_an_exception_building_a_record_stops_the_walk(monkeypatch):
+    """An exception while the search builds a record from the walk's pairs,
+    at the hit of 273 digits inside the window, still leaves no worker
+    alive once the search has raised."""
     usable_cpus(monkeypatch, {0, 1})
     alive = []
-    real = reptends.cyclic_search.candidate_value
+    real = reptends.cyclic_search._recorder
 
-    def value(p, base, a, ndigits):
-        if ndigits > WINDOW_LEVEL:
-            alive.append(len(level_threads()))
-            raise ArithmeticError("value")
-        return real(p, base, a, ndigits)
+    def recorder(*args):
+        record = real(*args)
 
-    monkeypatch.setattr(reptends.cyclic_search, "candidate_value", value)
-    with pytest.raises(ArithmeticError, match="value") as raised:
-        enumerate_subcyclic_primes(257, 10)
+        def build(a, ndigits, verdict):
+            if ndigits > WINDOW_LEVEL:
+                alive.append(len(level_threads()))
+                raise ArithmeticError("record")
+            return record(a, ndigits, verdict)
+
+        return build
+
+    monkeypatch.setattr(reptends.cyclic_search, "_recorder", recorder)
+    # 823 digits: levels enough past 273 that neither worker has run out of
+    # them when the caller builds its record.
+    with pytest.raises(ArithmeticError, match="record") as raised:
+        enumerate_cyclic_primes(7, 10, 823)
     assert alive == [2]
     assert level_threads() == [] and raised.traceback
 
@@ -844,7 +852,7 @@ def test_closing_the_walk_stops_a_level_thread_confirming_a_hit(monkeypatch):
     few rounds, by raising, and no thread is left."""
     usable_cpus(monkeypatch, {0, 1})
     confirming, ended = spy_on_confirm(monkeypatch)
-    levels = _walk_levels(7, 10, 6, 820, 825, 1000)
+    levels = _walk_levels(7, 10, 820, 825, 1000)
     assert next(levels) == (820, [])
     assert confirming.wait(30)
     time.sleep(0.05)
@@ -877,7 +885,7 @@ def test_a_worker_exception_stops_a_confirmation_on_the_other_worker(monkeypatch
 
     monkeypatch.setattr(reptends.cyclic_search, "classify", classify)
     with pytest.raises(ArithmeticError, match="worker"):
-        list(_walk_levels(7, 10, 6, 820, 825, 1000))
+        list(_walk_levels(7, 10, 820, 825, 1000))
     elapsed = time.monotonic() - raised_at[0]
     assert elapsed < 0.5
     assert [type(end) for end in ended] == [primality._Stopped]

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import threading
 import time
-from itertools import islice
+from itertools import compress, islice
 from unittest import mock
 
 import pytest
@@ -35,9 +35,9 @@ from reptends.primality import (
     _odd_part,
     _passes_base2_round,
     _plan,
+    _prime_flags,
     _primorial,
     _strong_lucas_probable_prime,
-    _sieve,
     _strong_probable_prime,
     classify,
 )
@@ -51,6 +51,11 @@ MERSENNE_COMPOSITE_101 = 2**101 - 1
 BASE2_STRONG_PSEUDOPRIME = 20467065761382527641
 LARGE_PRIMES = (1428571, 1538461, 2**61 - 1, 2**89 - 1, MERSENNE_PRIME_127)
 PAST_PREFIX = SMALL_PRIMES[len(_TRIAL_PREFIX) :]
+
+
+def primes_below(limit):
+    """The primes below limit, read from primality's sieve flags."""
+    return tuple(compress(range(limit), _prime_flags(limit)))
 
 
 def trial_division_is_prime(n):
@@ -429,7 +434,7 @@ def test_derived_witnesses_match_hashlib(n, rounds):
 @example(TRIAL_DIVISION_BOUND)
 def test_sieve_matches_trial_division(limit):
     expected = tuple(n for n in range(limit) if trial_division_is_prime(n))
-    assert _sieve(limit) == expected
+    assert primes_below(limit) == expected
 
 
 def test_lookup_and_checks_match_trial_division_across_the_bound():
@@ -443,14 +448,17 @@ def test_lookup_and_checks_match_trial_division_across_the_bound():
 
 
 def test_small_primes_is_the_sieve_built_on_first_read():
-    assert SMALL_PRIMES == _sieve(TRIAL_DIVISION_BOUND)
+    assert SMALL_PRIMES == primes_below(TRIAL_DIVISION_BOUND)
     src = os.path.dirname(os.path.dirname(os.path.abspath(reptends.__file__)))
     subprocess.run(
         [sys.executable, "-c",
          "import reptends.cli, reptends.primality as p\n"
+         "from itertools import compress\n"
          "assert 'SMALL_PRIMES' not in vars(p)\n"
          "assert p.SMALL_PRIMES is p.SMALL_PRIMES is vars(p)['SMALL_PRIMES']\n"
-         "assert p.SMALL_PRIMES == p._sieve(p.TRIAL_DIVISION_BOUND)"],
+         "bound = p.TRIAL_DIVISION_BOUND\n"
+         "primes = compress(range(bound), p._prime_flags(bound))\n"
+         "assert p.SMALL_PRIMES == tuple(primes)"],
         check=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
     )
 
@@ -640,7 +648,7 @@ STRONG_LUCAS_PSEUDOPRIMES = (
 
 
 def test_strong_lucas_pseudoprimes_are_every_one_in_range():
-    primes = set(_sieve(330_000))
+    primes = set(primes_below(330_000))
     assert tuple(
         n for n in range(TRIAL_DIVISION_BOUND | 1, 330_000, 2)
         if n not in primes and _strong_lucas_probable_prime(n)
@@ -787,7 +795,7 @@ def test_libgmp_builds_the_deep_product_without_python():
     assert done.stdout.split() == ["probable_prime", "0"]
 
 
-PRIMES_PAST_LOOKUP = [q for q in _sieve(103_000) if q > TRIAL_DIVISION_BOUND]
+PRIMES_PAST_LOOKUP = [q for q in primes_below(103_000) if q > TRIAL_DIVISION_BOUND]
 
 
 @pytest.mark.parametrize("factors", [

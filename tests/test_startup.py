@@ -119,6 +119,6 @@ def test_a_walk_to_2_64_loads_ctypes_before_its_first_candidate():
         "    first.append(('ctypes' in sys.modules, n.bit_length()))\n"
         "    return real(n, rounds)\n"
         "search.classify = spy\n"
-        "list(search._walk_levels(7, 10, 6, 7, 30, 40))\n"
+        "list(search._walk_levels(7, 10, 7, 30, 40))\n"
         "assert first[0] == (True, 21), first[0]")
     assert "ctypes" in loaded
